@@ -12,7 +12,6 @@ from .eigensolvers import (
     GroundStateResult,
     SolverError,
     dense_spectrum,
-    expectation,
     ground_state,
     lanczos_ground,
     sectored_ground_state,

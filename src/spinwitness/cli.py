@@ -279,6 +279,9 @@ def main(argv=None) -> int:
         return 2
     except (SolverError, ScfError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        if exc.diagnostics:
+            print("diagnostics: " + json.dumps(exc.diagnostics, sort_keys=True,
+                                               default=str), file=sys.stderr)
         return 3
     emit(columns, rows, args.format, args.out,
          _metadata(cfg, seed, args.command))

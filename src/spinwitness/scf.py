@@ -51,11 +51,19 @@ ZERO_MODULUS = 1e-12
 
 
 class ScfError(RuntimeError):
-    """No self-consistent branch converged; carries all iteration histories."""
+    """No self-consistent branch converged.
 
-    def __init__(self, message: str, histories=None):
+    Carries every branch's iteration history and a diagnostics summary: the
+    branch count and each branch's last residual.
+    """
+
+    def __init__(self, message: str, branches=()):
         super().__init__(message)
-        self.histories = histories or []
+        self.histories = [b.history for b in branches]
+        self.diagnostics = ({"branches": len(branches),
+                             "last_residuals": [float(b.residual)
+                                                for b in branches]}
+                            if branches else {})
 
 
 @dataclass(frozen=True)
@@ -431,6 +439,10 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc,
                 branches.append(ScfResult(np.inf, 0, 0, 0, 0, eta, False,
                                           np.inf, [("error", str(exc))],
                                           start=float(z0)))
+    # the decoupled value alone is only an upper bound on the minimum, so it
+    # must not stand in for an arc where every branch failed
+    if not any(b.converged for b in branches):
+        raise ScfError("no SCF branch converged", branches)
     # the exactly-decoupled candidate is always evaluated
     e_dec = (solver_a.ground([0.0] * len(pairs))["e_bare"]
              + solver_b.ground([0.0] * len(pairs))["e_bare"])
@@ -443,9 +455,6 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc,
     if not best.decoupled and max(abs(best.z_a), abs(best.z_b)) < 1e-7 \
             and best.ebs >= e_dec - 1e-9:
         best = decoupled
-    if not any(b.converged for b in branches) and not np.isfinite(e_dec):
-        raise ScfError("no SCF branch converged",
-                       [b.history for b in branches])
     return best, branches + [decoupled]
 
 

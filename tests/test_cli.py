@@ -6,13 +6,25 @@ import sys
 
 import pytest
 
+from spinwitness import cli
 from spinwitness.cli import main
+from spinwitness.eigensolvers import SolverError
 
 RING4 = """\
 model:
   topology: ring
   N: 4
   spin: "1/2"
+"""
+
+# one SCF iteration: only the even-even arc converges (from z = 0)
+RING6_S1_ONE_ITER = """\
+model:
+  topology: ring
+  N: 6
+  spin: "1"
+scf:
+  max_iter: 1
 """
 
 CHAIN2 = """\
@@ -114,6 +126,29 @@ class TestExitCodes:
         assert code == 3
         assert "solver failure" in err
 
+    def test_solver_diagnostics_on_stderr(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg, seed, workers):
+            raise SolverError("Lanczos failed to converge",
+                              {"residual": 0.5, "dim": 70})
+        monkeypatch.setitem(cli.COMMANDS, "ground", fail)
+        code, out, err = run_main(
+            ["ground", "--config", write(tmp_path, RING4)], capsys)
+        assert code == 3
+        assert out == ""
+        assert 'diagnostics: {"dim": 70, "residual": 0.5}' in err.splitlines()
+
+    def test_unconverged_bisep_is_3(self, tmp_path, capsys):
+        cfg = RING6_S1_ONE_ITER + "bisep: {n_a: 1}\n"
+        code, out, err = run_main(
+            ["bisep", "--config", write(tmp_path, cfg)], capsys)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == "solver failure: no SCF branch converged"
+        diag = json.loads(lines[1].removeprefix("diagnostics: "))
+        assert diag["branches"] == 10
+        assert len(diag["last_residuals"]) == 10
+
     def test_missing_command_block_is_2(self, tmp_path, capsys):
         code, _, err = run_main(
             ["verdict", "--config", write(tmp_path, RING4)], capsys)
@@ -140,6 +175,18 @@ class TestBisepAndScan:
         assert lines[0].startswith("n_a,offset,eta,e_bs")
         assert len(lines) == 3  # n_a = 1, 2
         assert sum(1 for l in lines[1:] if ",true," in l) == 1
+
+    def test_scan_unconverged_arc_is_failed_row(self, tmp_path, capsys):
+        code, out, _ = run_main(
+            ["scan", "--config", write(tmp_path, RING6_S1_ONE_ITER)], capsys)
+        assert code == 0
+        rows = [dict(zip(out.splitlines()[0].split(","), l.split(",")))
+                for l in out.splitlines()[1:]]
+        assert [r["n_a"] for r in rows] == ["1", "2", "3"]
+        for r in (rows[0], rows[2]):
+            assert r["e_bs"] == "nan"
+            assert r["warning"] == "no SCF branch converged"
+        assert rows[1]["is_global_min"] == "true"
 
 
 class TestThermalAndVerdict:

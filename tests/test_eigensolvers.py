@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spinwitness.eigensolvers import (
+    DEGENERACY_TOL,
+    LANCZOS_CROSSOVER,
     SolverError,
-    degenerate_subspace_expectations,
-    dense_ground_manifold,
     dense_spectrum,
     ground_state,
     lanczos_ground,
@@ -17,7 +17,6 @@ from spinwitness.operators import (
     ProductBasis,
     diagonal_operator,
     sector_two_m_values,
-    total_sz,
     zero_operator,
 )
 
@@ -48,6 +47,15 @@ def test_degenerate_detection():
     op = build_hamiltonian(SpinSystem.ring(3, "1/2"))
     r = ground_state(op)
     assert r.degenerate
+
+
+def test_degenerate_detection_lanczos_small_dim():
+    # dim 8: both Lanczos solves fall back to LAPACK, the second one in the
+    # complement of the ground vector
+    op = build_hamiltonian(SpinSystem.ring(3, "1/2"))
+    r = ground_state(op, method="lanczos")
+    assert r.degenerate
+    assert 0.0 <= r.gap < 1e-12
 
 
 @pytest.mark.parametrize("system", [
@@ -121,30 +129,6 @@ def test_degenerate_ground_sector_flagged():
     assert r.degenerate
 
 
-def test_degenerate_subspace_selection():
-    basis = ProductBasis([1, 1])
-    op = build_hamiltonian(SpinSystem.chain(2, "1/2"))
-    # the triplet is threefold degenerate at +1/4; select by minimal total Sz
-    vals, vecs = np.linalg.eigh(op.to_dense())
-    triplet = vecs[:, 1:]
-    chosen, expect = degenerate_subspace_expectations(triplet, total_sz(basis))
-    assert abs(total_sz(basis).expectation(chosen) + 1.0) < 1e-12
-
-
-def test_degenerate_subspace_cap():
-    basis = ProductBasis([1, 1, 1, 1, 1])
-    vectors = np.eye(basis.dim)
-    with pytest.raises(SolverError):
-        degenerate_subspace_expectations(vectors, total_sz(basis), cap=4)
-
-
-def test_dense_ground_manifold():
-    op = build_hamiltonian(SpinSystem.ring(3, "1/2"))
-    e0, manifold, vals = dense_ground_manifold(op)
-    assert abs(e0 + 0.75) < 1e-12
-    assert manifold.shape[1] == 4
-
-
 def test_lanczos_diagonal_invariant_subspace():
     # a diagonal operator exhausts the Krylov space early; must still converge
     basis = ProductBasis([3, 3])
@@ -152,3 +136,79 @@ def test_lanczos_diagonal_invariant_subspace():
     op = diagonal_operator(basis, diag)
     vals, vecs, _, _ = lanczos_ground(op, k=2, seed=1)
     assert abs(vals[0] - 0.0) < 1e-9
+
+
+def test_lanczos_no_restarts_raises_solver_error():
+    op = build_hamiltonian(SpinSystem.ring(8, "1/2"), 0)
+    with pytest.raises(SolverError) as info:
+        lanczos_ground(op, k=1, max_restarts=0)
+    assert info.value.diagnostics["restarts"] == 0
+
+
+def test_lanczos_lock_keeps_complement():
+    op = build_hamiltonian(SpinSystem.ring(10, "1/2"), 0)
+    spectrum = dense_spectrum(op)
+    _, v0, _, _ = lanczos_ground(op, k=1)
+    vals, v1, _, _ = lanczos_ground(op, k=1, lock=v0)
+    assert abs(vals[0] - spectrum[1]) < 1e-9
+    assert abs(np.vdot(v0[:, 0], v1[:, 0])) < 1e-10
+
+
+def _multiplicity(spectrum):
+    tol = DEGENERACY_TOL * max(1.0, abs(spectrum[0]))
+    return int(np.sum(spectrum < spectrum[0] + tol))
+
+
+def test_lanczos_gap_never_negative():
+    # N=11 ring, 2M=1: a twofold ground level; the deflated second solve
+    # lands on e0 again, up to rounding that may fall below it
+    op = build_hamiltonian(SpinSystem.ring(11, "1/2"), 1)
+    assert op.dim > LANCZOS_CROSSOVER
+    r = ground_state(op)
+    assert r.iterations > 0  # the Lanczos route ran
+    assert r.gap >= 0.0
+    assert r.degenerate
+    # lock the ground vectors one at a time to count the multiplicity
+    lock = r.vector[:, None]
+    for _ in range(4):
+        vals, vecs, _, _ = lanczos_ground(op, k=1, lock=lock)
+        if vals[0] - r.energy >= DEGENERACY_TOL * max(1.0, abs(r.energy)):
+            break
+        lock = np.hstack([lock, vecs])
+    assert lock.shape[1] == _multiplicity(dense_spectrum(op)) == 2
+
+
+@pytest.mark.parametrize("system, two_m", [
+    (SpinSystem.ring(11, "1/2"), 1),
+    (SpinSystem.ring(13, "1/2"), 1),
+    (SpinSystem.chain(11, "1/2"), 1),
+    (SpinSystem.ring(8, "1"), 0),
+])
+def test_lanczos_route_matches_dense_oracle(system, two_m):
+    op = build_hamiltonian(system, two_m)
+    assert op.dim > LANCZOS_CROSSOVER
+    r = ground_state(op)
+    spectrum = dense_spectrum(op)
+    assert r.iterations > 0
+    assert abs(r.energy - spectrum[0]) < 1e-9
+    assert abs(r.gap - (spectrum[1] - spectrum[0])) < 1e-8
+    assert r.degenerate == (_multiplicity(spectrum) > 1)
+
+
+def test_odd_chain_kramers_doublet_across_sectors():
+    # each of the 2M = +/-1 sectors (dim 462) holds one member of the
+    # doublet; both are solved by Lanczos here
+    system = SpinSystem.chain(11, "1/2")
+    r = sectored_ground_state(lambda tm: build_hamiltonian(system, tm),
+                              sector_two_m_values(system.site_two_s))
+    assert r.degenerate
+    assert 0.0 <= r.gap < 1e-9
+    assert abs(r.sector_two_m) == 1
+
+
+def test_lanczos_sees_degenerate_n15_ring():
+    # dim 6435 is above the dense oracle's cap; the level is twofold
+    op = build_hamiltonian(SpinSystem.ring(15, "1/2"), 1)
+    r = ground_state(op, method="lanczos")
+    assert r.degenerate
+    assert r.gap < 1e-9

@@ -9,6 +9,7 @@ from spinwitness.scf import (
     BoundaryPair,
     CollinearChainSolver,
     ScfConfig,
+    ScfError,
     biseparable_minimum,
     biseparable_minimum_detailed,
     biseparable_scan,
@@ -161,6 +162,17 @@ class TestBiseparableMinimum:
         _, branches = biseparable_minimum_detailed(system, Arc(0, 2))
         assert any(b.decoupled for b in branches)
 
+    def test_no_converged_branch_raises(self):
+        # one iteration converges none of the 10 branches; the decoupled
+        # energy is only an upper bound and must not be reported as E_bs
+        system = SpinSystem.ring(6, "1")
+        with pytest.raises(ScfError) as info:
+            biseparable_minimum(system, Arc(0, 1), ScfConfig(max_iter=1))
+        diag = info.value.diagnostics
+        assert diag["branches"] == 10
+        assert len(diag["last_residuals"]) == 10
+        assert len(info.value.histories) == 10
+
 
 class TestScan:
     def test_homogeneous_ring_single_offset(self):
@@ -183,6 +195,13 @@ class TestScan:
         ok = [r.result.ebs for r in scan.reports if not r.failed]
         assert abs(scan.ebs - min(ok)) < 1e-15
         assert scan.argmin.result.ebs == scan.ebs
+
+    def test_unconverged_arc_is_failed_report(self):
+        # with one iteration only the even-even arc converges (from z = 0)
+        scan = biseparable_scan(SpinSystem.ring(6, "1"), ScfConfig(max_iter=1))
+        failed = [r.n_a for r in scan.reports if r.failed]
+        assert failed == [1, 3]
+        assert scan.argmin.n_a == 2
 
     def test_qubit_hexagon_argmin_even(self):
         # 6-ring of qubits: the (2,4) decoupled split wins over (1,5) and (3,3)
