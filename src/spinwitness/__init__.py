@@ -18,18 +18,14 @@ from .eigensolvers import (
 )
 from .hamiltonians import (
     Arc,
-    FieldTerm,
     SpinSystem,
     build_hamiltonian,
-    build_subsystem,
     defected_ring,
-    dress_with_fields,
 )
 from .operators import (
     LocalSpinMatrices,
     ProductBasis,
     SparseHermitianOperator,
-    embed_two_site,
     local_spin_matrices,
     parse_spin,
     spin_str,

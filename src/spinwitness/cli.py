@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .eigensolvers import SolverError, sectored_ground_state
-from .hamiltonians import Arc, SpinSystem, build_hamiltonian
+from .hamiltonians import SpinSystem, build_hamiltonian
 from .operators import ProductBasis, sector_two_m_values, spin_str, total_spin_squared
 from .scf import ScfError, biseparable_minimum_detailed, boundary_geometry, boundary_map, biseparable_scan
 from .witness import (
@@ -55,13 +55,12 @@ def emit(columns, rows, fmt, out, metadata):
             buf.write(",".join(_fmt(v) for v in row) + "\n")
         text = buf.getvalue()
     else:
-        payload = {
-            "metadata": metadata,
-            "columns": list(columns),
-            "rows": [[_marked(v) for v in row] for row in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        text = text.replace('"\\u0000', "").replace('\\u0000"', "") + "\n"
+        # written by hand so floats keep their %.12e rendering as JSON numbers
+        rows_text = ",".join("\n    [" + ", ".join(_json_cell(v) for v in row) + "]"
+                             for row in rows)
+        text = ('{\n  "columns": %s,\n  "metadata": %s,\n  "rows": [%s\n  ]\n}\n'
+                % (json.dumps(list(columns)), json.dumps(metadata, sort_keys=True),
+                   rows_text))
     if out:
         with open(out, "w", newline="") as fh:
             fh.write(text)
@@ -69,15 +68,13 @@ def emit(columns, rows, fmt, out, metadata):
         sys.stdout.write(text)
 
 
-def _marked(value):
-    # floats carry their %.12e rendering through json.dumps as marked strings
-    if isinstance(value, (float, np.floating)):
-        return "\x00" + (FLOAT_FMT % value) + "\x00"
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return str(value)
+def _json_cell(value) -> str:
+    """One JSON table cell; NaN and infinities have no JSON number, so null."""
+    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+        return "null"
+    if isinstance(value, (float, np.floating, bool, np.bool_, int, np.integer)):
+        return _fmt(value)
+    return json.dumps(str(value))
 
 
 def _metadata(cfg: RunConfig, seed: int, command: str) -> dict:
@@ -128,10 +125,7 @@ def cmd_map(cfg: RunConfig, seed: int, workers: int):
 
 def cmd_bisep(cfg: RunConfig, seed: int, workers: int):
     system, _ = cfg.build_system()
-    block = cfg.block("bisep")
-    if "n_a" not in block:
-        raise ConfigError("bisep needs bisep.n_a")
-    arc = Arc(int(block.get("offset", 1)) - 1, int(block["n_a"]))
+    arc = cfg.bisep_arc(system)
     scf_cfg = cfg.scf_config(seed)
     best, branches = biseparable_minimum_detailed(system, arc, scf_cfg)
     columns = ["n_a", "offset", "eta", "e_bs", "z_a", "z_aprime",
@@ -168,7 +162,7 @@ def cmd_defect(cfg: RunConfig, seed: int, workers: int):
     block = cfg.block("defect_series")
     if "site" not in block or "spins" not in block:
         raise ConfigError("defect command needs defect_series.site and .spins")
-    site = int(block["site"]) - 1
+    site = block["site"] - 1
     spins = block["spins"]
     labels = block.get("labels")
     if labels and len(labels) != len(spins):
@@ -207,7 +201,7 @@ def cmd_verdict(cfg: RunConfig, seed: int, workers: int):
     block = cfg.block("verdict")
     if "energy" not in block:
         raise ConfigError("verdict needs verdict.energy")
-    energy = float(block["energy"])
+    energy = block["energy"]
     table = threshold_table(system, site_labels=site_labels, seed=seed)
     scan = biseparable_scan(system, cfg.scf_config(seed), workers=workers)
     v = verdict(energy, table, scan.ebs)
@@ -221,10 +215,10 @@ def cmd_verdict(cfg: RunConfig, seed: int, workers: int):
 def cmd_thermal(cfg: RunConfig, seed: int, workers: int):
     system, _ = cfg.build_system()
     block = cfg.block("thermal")
-    t_min = float(block.get("t_min", 0.0))
-    t_max = float(block.get("t_max", 2.0))
-    points = int(block.get("points", 21))
-    thresholds = [float(x) for x in block.get("thresholds", [])]
+    t_min = block.get("t_min", 0.0)
+    t_max = block.get("t_max", 2.0)
+    points = block.get("points", 21)
+    thresholds = block.get("thresholds", ())
     spectrum = full_spectrum(system)
     columns = ["kind", "temperature", "energy"]
     rows = []

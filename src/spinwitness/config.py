@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .hamiltonians import SpinSystem, defected_ring
+from .hamiltonians import Arc, SpinSystem, defected_ring
 from .operators import parse_spin
 from .scf import ScfConfig
 
@@ -31,7 +31,43 @@ _MAP_KEYS = {"lengths", "spin", "theta_points", "moduli", "modulus_diffs"}
 _SERIES_KEYS = {"site", "spins", "labels"}
 _THERMAL_KEYS = {"t_min", "t_max", "points", "thresholds"}
 _VERDICT_KEYS = {"energy"}
-_BISEP_KEYS = {"n_a", "offset", "eta"}
+_BISEP_KEYS = {"n_a", "offset"}
+_BLOCK_KEYS = {"scf": _SCF_KEYS, "map": _MAP_KEYS,
+               "defect_series": _SERIES_KEYS, "thermal": _THERMAL_KEYS,
+               "verdict": _VERDICT_KEYS, "bisep": _BISEP_KEYS}
+
+
+def _numbers(value) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError("expected a list")
+    return tuple(float(x) for x in value)
+
+
+def _count(value) -> int:
+    if int(value) < 0:
+        raise ValueError("must be >= 0")
+    return int(value)
+
+
+def _etas(value) -> tuple:
+    etas = tuple(int(e) for e in value)
+    if any(e not in (1, -1) for e in etas):
+        raise ValueError("etas must be +1 or -1")
+    return etas
+
+
+# numeric keys, converted once at parse time: a malformed value is a config
+# error here, and the commands read plain numbers
+_NUMERIC = {
+    "model": {"coupling": float},
+    "scf": {"damping": float, "tol": float, "max_iter": int,
+            "init_grid": _numbers, "etas": _etas},
+    "defect_series": {"site": int},
+    "thermal": {"t_min": float, "t_max": float, "points": _count,
+                "thresholds": _numbers},
+    "verdict": {"energy": float},
+    "bisep": {"n_a": int, "offset": int},
+}
 
 
 def _check_keys(block: dict, allowed: set, where: str):
@@ -47,6 +83,7 @@ class RunConfig:
     raw: dict
     model: dict | None
     seed: int
+    blocks: dict
 
     def digest(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, default=str)
@@ -62,7 +99,7 @@ class RunConfig:
         m = self.model
         topology = m["topology"]
         n = m["N"]
-        coupling = float(m.get("coupling", 1.0))
+        coupling = m.get("coupling", 1.0)
         if "spins" in m:
             spins = [parse_spin(s) for s in m["spins"]]
             if len(spins) != n:
@@ -88,29 +125,28 @@ class RunConfig:
         return system, list(range(n))
 
     def scf_config(self, seed: int | None = None) -> ScfConfig:
-        block = self.raw.get("scf", {})
-        kwargs = {}
-        if "damping" in block:
-            kwargs["damping"] = float(block["damping"])
-        if "tol" in block:
-            kwargs["tol"] = float(block["tol"])
-        if "max_iter" in block:
-            kwargs["max_iter"] = int(block["max_iter"])
-        if "init_grid" in block:
-            kwargs["init_grid"] = tuple(float(x) for x in block["init_grid"])
-        if "etas" in block:
-            etas = tuple(int(e) for e in block["etas"])
-            if any(e not in (1, -1) for e in etas):
-                raise ConfigError("etas must be +1 or -1")
-            kwargs["etas"] = etas
+        block = self.block("scf")
+        kwargs = {key: block[key] for key in _SCF_KEYS if key in block}
         try:
             return ScfConfig(seed=seed if seed is not None else self.seed,
                              **kwargs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
+    def bisep_arc(self, system: SpinSystem) -> Arc:
+        """The bisep block's arc (1-based offset), checked against the system."""
+        block = self.block("bisep")
+        if "n_a" not in block:
+            raise ConfigError("bisep needs bisep.n_a")
+        arc = Arc(block.get("offset", 1) - 1, block["n_a"])
+        try:
+            arc.sites(system)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return arc
+
     def block(self, name: str) -> dict:
-        return self.raw.get(name, {})
+        return self.blocks.get(name, {})
 
 
 def load_config(path: str) -> RunConfig:
@@ -131,6 +167,7 @@ def parse_config(raw: dict) -> RunConfig:
     model = raw.get("model")
     if model is not None:
         _check_keys(model, _MODEL_KEYS, "model")
+        model = dict(model)
         if "topology" not in model or model["topology"] not in ("ring", "chain"):
             raise ConfigError("model.topology must be 'ring' or 'chain'")
         if "N" not in model or not isinstance(model["N"], int) or model["N"] < 2:
@@ -142,12 +179,20 @@ def parse_config(raw: dict) -> RunConfig:
             for key in _DEFECT_KEYS:
                 if key not in model["defect"]:
                     raise ConfigError(f"model.defect needs '{key}'")
-    for name, keys in (("scf", _SCF_KEYS), ("map", _MAP_KEYS),
-                       ("defect_series", _SERIES_KEYS),
-                       ("thermal", _THERMAL_KEYS), ("verdict", _VERDICT_KEYS),
-                       ("bisep", _BISEP_KEYS)):
-        if name in raw and raw[name] is not None:
+    blocks = {} if model is None else {"model": model}
+    for name, keys in _BLOCK_KEYS.items():
+        if raw.get(name) is not None:
             _check_keys(raw[name], keys, name)
+            blocks[name] = dict(raw[name])
+    for name, converters in _NUMERIC.items():
+        block = blocks.get(name, {})
+        for key, convert in converters.items():
+            if key in block:
+                try:
+                    block[key] = convert(block[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"invalid {name}.{key} {block[key]!r}: "
+                                      f"{exc}") from exc
     seed = raw.get("seed", 42)
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
@@ -160,4 +205,4 @@ def parse_config(raw: dict) -> RunConfig:
                 parse_spin(s)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(raw=raw, model=model, seed=seed)
+    return RunConfig(raw=raw, model=model, seed=seed, blocks=blocks)

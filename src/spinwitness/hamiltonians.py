@@ -1,4 +1,4 @@
-"""Heisenberg ring/chain Hamiltonians, open subsystems and field-dressed variants.
+"""Heisenberg ring/chain Hamiltonians and their open subsystems.
 
 Energies are in units of the exchange coupling J (J = 1 by convention, kept as
 an explicit scalar for clarity).  Sites are indexed 0-based in this API.
@@ -6,19 +6,14 @@ an explicit scalar for clarity).  Sites are indexed 0-based in this API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .operators import (
     ProductBasis,
     SparseHermitianOperator,
-    field_term,
-    heisenberg_bond,
+    heisenberg_matrix,
     parse_spin,
-    sector_two_m_values,
     spin_str,
-    zero_operator,
 )
 
 RING = "ring"
@@ -129,25 +124,12 @@ def complement_sites(system: SpinSystem, arc: Arc) -> list:
     return [(start + i) % n for i in range(n - arc.length)]
 
 
-@dataclass(frozen=True)
-class FieldTerm:
-    """An effective field b (energy units) acting on one subsystem site (local index)."""
-
-    site: int
-    b: tuple
-
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.b, dtype=float)
-
-
 def build_hamiltonian(system: SpinSystem,
                       sector_two_m: int | None = None) -> SparseHermitianOperator:
     """Full Heisenberg Hamiltonian of the system (N bonds for a ring, N-1 for a chain)."""
     basis = ProductBasis(system.site_two_s, sector_two_m)
-    op = zero_operator(basis)
-    for i, j in system.bonds():
-        op = op + heisenberg_bond(basis, i, j, system.coupling)
-    return op
+    h = heisenberg_matrix(basis, system.bonds(), system.coupling)
+    return SparseHermitianOperator(basis, h, check=False)
 
 
 def subsystem_bonds(system: SpinSystem, sites: list) -> list:
@@ -161,35 +143,8 @@ def build_on_sites(system: SpinSystem, sites: list,
                    sector_two_m: int | None = None) -> SparseHermitianOperator:
     """Hamiltonian restricted to the given sites (only internal bonds kept)."""
     basis = ProductBasis([system.site_two_s[i] for i in sites], sector_two_m)
-    op = zero_operator(basis)
-    for i, j in subsystem_bonds(system, sites):
-        op = op + heisenberg_bond(basis, i, j, system.coupling)
-    return op
-
-
-def build_subsystem(system: SpinSystem, arc: Arc,
-                    sector_two_m: int | None = None) -> SparseHermitianOperator:
-    """Open-chain Hamiltonian on the arc; the zero operator for a single site."""
-    return build_on_sites(system, arc.sites(system), sector_two_m)
-
-
-def dress_with_fields(h_sub: SparseHermitianOperator,
-                      fields) -> SparseHermitianOperator:
-    """H~ = H_sub + sum_k b_k . s_k with fields restricted to the boundary sites.
-
-    The self-consistent construction only ever couples the first and last spin
-    of a subsystem, so interior fields are rejected rather than silently
-    accepted.
-    """
-    n = h_sub.basis.n_sites
-    boundary = {0, n - 1}
-    op = h_sub
-    for f in fields:
-        if f.site not in boundary:
-            raise ValueError(f"field on interior site {f.site}; only the "
-                             f"boundary sites {sorted(boundary)} may be dressed")
-        op = op + field_term(h_sub.basis, f.site, f.vector())
-    return op
+    h = heisenberg_matrix(basis, subsystem_bonds(system, sites), system.coupling)
+    return SparseHermitianOperator(basis, h, check=False)
 
 
 def coupling_bonds(system: SpinSystem, arc: Arc) -> list:
@@ -203,8 +158,7 @@ def coupling_bonds(system: SpinSystem, arc: Arc) -> list:
 
 
 __all__ = [
-    "RING", "CHAIN", "SpinSystem", "Arc", "FieldTerm",
+    "RING", "CHAIN", "SpinSystem", "Arc",
     "defected_ring", "complement_sites", "coupling_bonds",
-    "build_hamiltonian", "build_subsystem", "build_on_sites",
-    "subsystem_bonds", "dress_with_fields", "sector_two_m_values",
+    "build_hamiltonian", "build_on_sites", "subsystem_bonds",
 ]

@@ -131,11 +131,6 @@ class ProductBasis:
             raise KeyError("state not in sector")
         return pos
 
-    def sector_two_m_values(self) -> list[int]:
-        """All total-2M values compatible with these spins."""
-        tmax = sum(self.site_two_s)
-        return list(range(-tmax, tmax + 1, 2))
-
 
 def sector_two_m_values(site_two_s) -> list[int]:
     tmax = sum(int(t) for t in site_two_s)
@@ -186,13 +181,6 @@ class SparseHermitianOperator:
             raise ValueError("operator dimensions differ")
         return SparseHermitianOperator(self.basis, self.matrix + other.matrix, check=False)
 
-    def scaled(self, factor: float) -> "SparseHermitianOperator":
-        return SparseHermitianOperator(self.basis, self.matrix * factor, check=False)
-
-
-def zero_operator(basis: ProductBasis) -> SparseHermitianOperator:
-    return SparseHermitianOperator(basis, sp.csr_matrix((basis.dim, basis.dim)), check=False)
-
 
 def diagonal_operator(basis: ProductBasis, diag: np.ndarray) -> SparseHermitianOperator:
     return SparseHermitianOperator(basis, sp.diags(diag, format="csr"), check=False)
@@ -224,22 +212,27 @@ def _flipflop_entries(basis: ProductBasis, i: int, j: int):
     return rows, cols, np.concatenate([vals, vals])
 
 
-def heisenberg_bond(basis: ProductBasis, i: int, j: int,
-                    coupling: float = 1.0) -> SparseHermitianOperator:
-    """J * s_i . s_j embedded in the product space (identity elsewhere)."""
-    if i == j:
-        raise ValueError("bond needs two distinct sites")
-    rows, cols, vals = _flipflop_entries(basis, i, j)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
-    mat += sp.diags(szsz_diagonal(basis, i, j))
-    return SparseHermitianOperator(basis, coupling * mat, check=False)
+def heisenberg_matrix(basis: ProductBasis, bonds,
+                      coupling: float = 1.0) -> sp.csr_matrix:
+    """J * sum over bonds (i, j) of s_i . s_j, assembled in one COO pass.
 
-
-def szsz_bond(basis: ProductBasis, i: int, j: int,
-              coupling: float = 1.0) -> SparseHermitianOperator:
-    if i == j:
-        raise ValueError("bond needs two distinct sites")
-    return diagonal_operator(basis, coupling * szsz_diagonal(basis, i, j))
+    Explicit zeros are dropped, so the sparsity matches the exact operator;
+    an empty bond list gives the zero matrix.
+    """
+    diag = np.zeros(basis.dim)
+    entries = []
+    for i, j in bonds:
+        if i == j:
+            raise ValueError("bond needs two distinct sites")
+        entries.append(_flipflop_entries(basis, i, j))
+        diag += szsz_diagonal(basis, i, j)
+    idx = np.arange(basis.dim)
+    rows, cols, vals = (np.concatenate(parts)
+                        for parts in zip((idx, idx, diag), *entries))
+    mat = sp.coo_matrix((coupling * vals, (rows, cols)),
+                        shape=(basis.dim, basis.dim)).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 def field_term(basis: ProductBasis, site: int, b) -> SparseHermitianOperator:
@@ -278,30 +271,13 @@ def field_term(basis: ProductBasis, site: int, b) -> SparseHermitianOperator:
     return SparseHermitianOperator(basis, mat, check=False)
 
 
-def embed_two_site(basis: ProductBasis, i: int, j: int, form: str,
-                   b=None) -> SparseHermitianOperator:
-    """Embed a standard term: 'heisenberg' or 'sz_sz' on sites (i, j), or a
-    'field_vector' b . s_i (j ignored)."""
-    if form == "heisenberg":
-        return heisenberg_bond(basis, i, j)
-    if form == "sz_sz":
-        return szsz_bond(basis, i, j)
-    if form == "field_vector":
-        if b is None:
-            raise ValueError("field_vector form needs b")
-        return field_term(basis, i, b)
-    raise ValueError(f"unknown form {form!r}")
-
-
-def total_sz(basis: ProductBasis) -> SparseHermitianOperator:
-    return diagonal_operator(basis, basis.two_m.sum(axis=1) / 2.0)
-
-
 def total_spin_squared(basis: ProductBasis) -> SparseHermitianOperator:
     """S^2 = (sum_i s_i)^2; conserves Sz, so legal on sector bases."""
     casimir = sum(t / 2.0 * (t / 2.0 + 1.0) for t in basis.site_two_s)
     mat = sp.diags(np.full(basis.dim, casimir)).tocsr()
-    for i in range(basis.n_sites):
-        for j in range(i + 1, basis.n_sites):
-            mat = mat + 2.0 * heisenberg_bond(basis, i, j).matrix
+    # one call per site: a single call would hold the COO arrays of all
+    # N(N-1)/2 pairs at once (33 MB more peak on the N=16, 2M=0 sector)
+    n = basis.n_sites
+    for i in range(n - 1):
+        mat = mat + heisenberg_matrix(basis, [(i, j) for j in range(i + 1, n)], 2.0)
     return SparseHermitianOperator(basis, mat, check=False)

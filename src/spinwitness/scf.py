@@ -28,21 +28,18 @@ from .eigensolvers import (
 )
 from .hamiltonians import (
     Arc,
-    CHAIN,
-    FieldTerm,
     RING,
     SpinSystem,
-    build_on_sites,
-    build_subsystem,
     complement_sites,
     coupling_bonds,
-    dress_with_fields,
     subsystem_bonds,
 )
 from .operators import (
     ProductBasis,
+    SparseHermitianOperator,
     field_term,
-    heisenberg_bond,
+    heisenberg_matrix,
+    parse_spin,
     sector_two_m_values,
     sz_diagonal,
 )
@@ -122,9 +119,7 @@ class CollinearChainSolver:
             basis = ProductBasis(self.site_two_s, two_m)
             if basis.dim == 0:
                 continue
-            mat = sp.csr_matrix((basis.dim, basis.dim))
-            for i, j in bonds:
-                mat = mat + heisenberg_bond(basis, i, j, coupling).matrix
+            mat = heisenberg_matrix(basis, bonds, coupling)
             diags = [sz_diagonal(basis, s) for s in self.field_sites]
             edge = (sz_diagonal(basis, 0), sz_diagonal(basis, n - 1))
             self.sectors.append({"two_m": two_m, "basis": basis, "h": mat,
@@ -161,7 +156,8 @@ class CollinearChainSolver:
                 keep = vals <= e0 + degeneracy_tol * max(1.0, abs(e0))
                 results.append((e0, sec, vecs[:, keep]))
             else:
-                op = _BareOp(mat + sp.diags(shift) if shift is not None else mat)
+                h = mat + sp.diags(shift) if shift is not None else mat
+                op = SparseHermitianOperator(sec["basis"], h, check=False)
                 vals, vecs, _, _ = lanczos_ground(
                     op, k=1, seed=self.seed, v0=sec["v0"])
                 sec["v0"] = vecs[:, 0]
@@ -192,18 +188,6 @@ class CollinearChainSolver:
                 "degenerate": len(candidates) > 1}
 
 
-class _BareOp:
-    """Minimal operator facade for lanczos_ground."""
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.dim = matrix.shape[0]
-        self.is_real = not np.issubdtype(matrix.dtype, np.complexfloating)
-
-    def matvec(self, v):
-        return self.matrix @ v
-
-
 def boundary_map(chain_spins, z_b, z_bprime, seed: int = 42,
                  degeneracy_tol: float = DEGENERACY_TOL) -> BoundaryPair:
     """One application of the boundary map on an open segment.
@@ -213,23 +197,15 @@ def boundary_map(chain_spins, z_b, z_bprime, seed: int = 42,
     exchange makes this lossless) and returns the expectation vectors of the
     boundary spins: BoundaryPair(z=<s_last>, zprime=<s_first>).
     """
-    from .operators import parse_spin
-
     spins = [parse_spin(s) for s in chain_spins]
-    n = len(spins)
     z_b = np.asarray(z_b, dtype=float)
     z_bp = np.asarray(z_bprime, dtype=float)
     for v in (z_b, z_bp):
         if v.shape != (3,) or abs(v[1]) > ZERO_MODULUS:
             raise ValueError("boundary fields must be 3-vectors in the x-z plane")
-    if n >= 2:
-        system = SpinSystem(CHAIN, tuple(spins))
-        h = build_on_sites(system, list(range(n)))
-    else:
-        from .operators import zero_operator
-        h = zero_operator(ProductBasis(spins))
-    basis = h.basis
-    op = h
+    basis = ProductBasis(spins)
+    chain = heisenberg_matrix(basis, [(k, k + 1) for k in range(len(spins) - 1)])
+    op = SparseHermitianOperator(basis, chain, check=False)
     if np.linalg.norm(z_b) > 0:
         op = op + field_term(basis, basis.n_sites - 1, z_b)
     if np.linalg.norm(z_bp) > 0:
@@ -450,7 +426,12 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc,
                           z_bprime=0.0, eta=1, converged=True, residual=0.0,
                           history=[], decoupled=True)
     candidates = [b for b in branches if b.converged] + [decoupled]
-    best = min(candidates, key=lambda r: (r.ebs, not r.decoupled))
+    # branches reaching one fixed point differ only by rounding, so ties
+    # within 1e-12 go to the decoupled candidate, then to eta = +1 (the
+    # window and rule of biseparable_scan); otherwise the seed picks eta
+    emin = min(r.ebs for r in candidates)
+    best = min((r for r in candidates if r.ebs <= emin + 1e-12),
+               key=lambda r: (not r.decoupled, -r.eta, r.ebs))
     # a branch that drifted to the decoupled point is reported as such
     if not best.decoupled and max(abs(best.z_a), abs(best.z_b)) < 1e-7 \
             and best.ebs >= e_dec - 1e-9:

@@ -89,6 +89,16 @@ class TestFormats:
         assert "-7.500000000000e-01" in out
         assert payload["rows"][0][0] == pytest.approx(-0.75)
 
+    def test_json_nan_is_null(self, tmp_path, capsys):
+        # a threshold above the infinite-T mean has no crossing temperature
+        cfg = RING4 + "thermal: {points: 2, thresholds: [5.0]}\n"
+        code, out, _ = run_main(
+            ["thermal", "--config", write(tmp_path, cfg), "--format", "json"],
+            capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[-1] == ["crossing", None, 5.0]
+
     def test_out_file_lf_endings(self, tmp_path, capsys):
         dest = tmp_path / "table.csv"
         code, out, _ = run_main(
@@ -148,6 +158,23 @@ class TestExitCodes:
         diag = json.loads(lines[1].removeprefix("diagnostics: "))
         assert diag["branches"] == 10
         assert len(diag["last_residuals"]) == 10
+
+    @pytest.mark.parametrize("command,extra", [
+        ("thermal", "thermal: {points: abc}"),
+        ("thermal", "thermal: {points: -1}"),
+        ("verdict", "verdict: {energy: abc}"),
+        ("ground", "  coupling: abc"),  # continues RING4's model block
+        ("bisep", "bisep: {n_a: 1}\nscf: {init_grid: 3}"),
+        ("bisep", "bisep: {n_a: 9}"),
+        ("bisep", "bisep: {n_a: 2, eta: -1}"),
+    ], ids=["points-abc", "points-negative", "energy-abc", "coupling-abc",
+            "init-grid-scalar", "arc-too-long", "bisep-eta"])
+    def test_malformed_value_is_2(self, tmp_path, capsys, command, extra):
+        code, out, err = run_main(
+            [command, "--config", write(tmp_path, RING4 + extra + "\n")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:")
 
     def test_missing_command_block_is_2(self, tmp_path, capsys):
         code, _, err = run_main(

@@ -15,14 +15,16 @@ from spinwitness.eigensolvers import (
 from spinwitness.hamiltonians import SpinSystem, build_hamiltonian
 from spinwitness.operators import (
     ProductBasis,
+    SparseHermitianOperator,
     diagonal_operator,
+    heisenberg_matrix,
     sector_two_m_values,
-    zero_operator,
 )
 
 
 def test_zero_operator_ground():
-    op = zero_operator(ProductBasis([1, 1]))
+    basis = ProductBasis([1, 1])
+    op = SparseHermitianOperator(basis, heisenberg_matrix(basis, []))
     r = ground_state(op)
     assert r.energy == 0.0
     assert abs(np.linalg.norm(r.vector) - 1.0) < 1e-12

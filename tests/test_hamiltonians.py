@@ -5,18 +5,15 @@ import pytest
 
 from spinwitness.hamiltonians import (
     Arc,
-    FieldTerm,
     SpinSystem,
     build_hamiltonian,
     build_on_sites,
-    build_subsystem,
     complement_sites,
     coupling_bonds,
     defected_ring,
-    dress_with_fields,
     subsystem_bonds,
 )
-from spinwitness.operators import ProductBasis, total_sz
+from spinwitness.operators import field_term, sector_two_m_values
 
 
 class TestSpinSystem:
@@ -67,11 +64,11 @@ class TestSymmetries:
     def test_commutes_with_total_sz(self):
         system = SpinSystem.ring(5, "1")
         h = build_hamiltonian(system)
-        sz = total_sz(h.basis)
+        sz = h.basis.two_m.sum(axis=1) / 2.0
         rng = np.random.default_rng(0)
         for _ in range(5):
             v = rng.standard_normal(h.dim)
-            resid = h.matvec(sz.matvec(v)) - sz.matvec(h.matvec(v))
+            resid = h.matvec(sz * v) - sz * h.matvec(v)
             assert np.abs(resid).max() < 1e-12
 
     def test_cyclic_relabeling_invariance(self):
@@ -84,7 +81,6 @@ class TestSymmetries:
             assert np.abs(vals - base).max() < 1e-10
 
     def test_sector_blocks_reassemble_spectrum(self):
-        from spinwitness.operators import sector_two_m_values
         system = SpinSystem.ring(4, "1")
         full = np.linalg.eigvalsh(build_hamiltonian(system).to_dense())
         pieces = []
@@ -139,38 +135,33 @@ class TestSubsystems:
 
     def test_single_site_subsystem_is_zero(self):
         system = SpinSystem.ring(6, "1/2")
-        op = build_subsystem(system, Arc(2, 1))
+        op = build_on_sites(system, Arc(2, 1).sites(system))
+        assert op.dim == 2
         assert op.matrix.nnz == 0
 
     def test_open_chain_energy(self):
         system = SpinSystem.ring(6, "1/2")
-        op = build_subsystem(system, Arc(0, 2))
+        op = build_on_sites(system, Arc(0, 2).sites(system))
         assert abs(np.linalg.eigvalsh(op.to_dense())[0] + 0.75) < 1e-12
 
 
 class TestDressing:
     def test_boundary_fields_accepted(self):
         system = SpinSystem.chain(3, "1/2")
-        h = build_hamiltonian(system)
-        op = dress_with_fields(h, [FieldTerm(0, (0, 0, 0.5)),
-                                   FieldTerm(2, (0, 0, -0.5))])
-        assert op.dim == h.dim
-
-    def test_interior_field_rejected(self):
-        system = SpinSystem.chain(3, "1/2")
-        h = build_hamiltonian(system)
-        with pytest.raises(ValueError):
-            dress_with_fields(h, [FieldTerm(1, (0, 0, 0.5))])
+        h = build_hamiltonian(system, 1)
+        op = (h + field_term(h.basis, 0, (0, 0, 0.5))
+              + field_term(h.basis, 2, (0, 0, -0.5)))
+        assert op.dim == h.dim == 3
 
     def test_dressed_energy_shift(self):
         # single qubit pair with +z/-z fields of strength 1/2 on the edges
         system = SpinSystem.chain(2, "1/2")
         h = build_hamiltonian(system)
-        op = dress_with_fields(h, [FieldTerm(0, (0, 0, 0.5)),
-                                   FieldTerm(1, (0, 0, -0.5))])
+        op = (h + field_term(h.basis, 0, (0, 0, 0.5))
+              + field_term(h.basis, 1, (0, 0, -0.5)))
         e0 = np.linalg.eigvalsh(op.to_dense())[0]
-        # H = s1.s2 + (sz1 - sz2)/2 in the 2M=0 block: [[-1/4+1/2, 1/2], ...]
-        assert e0 < -0.75  # the field always lowers the ground energy
+        # the 2M=0 block [[-1/4 + 1/2, 1/2], [1/2, -1/4 - 1/2]]
+        assert abs(e0 - (-0.25 - np.sqrt(0.5))) < 1e-12
 
 
 class TestDefectedRing:

@@ -8,18 +8,35 @@ from hypothesis import strategies as st
 from spinwitness.operators import (
     ProductBasis,
     SparseHermitianOperator,
-    embed_two_site,
     field_term,
-    heisenberg_bond,
+    heisenberg_matrix,
     local_spin_matrices,
     parse_spin,
     sector_two_m_values,
     spin_str,
     sz_diagonal,
-    szsz_bond,
     total_spin_squared,
-    total_sz,
 )
+
+
+def bond_operator(basis, i, j, coupling=1.0):
+    return SparseHermitianOperator(
+        basis, heisenberg_matrix(basis, [(i, j)], coupling))
+
+
+def dense_exchange(spins, bonds, coupling):
+    """Reference sum of J s_i . s_j built from Kronecker products."""
+    ms = [local_spin_matrices(t) for t in spins]
+
+    def embed(site, comp):
+        out = np.eye(1)
+        for k, t in enumerate(spins):
+            out = np.kron(out, getattr(ms[k], comp) if k == site
+                          else np.eye(t + 1))
+        return out
+
+    return coupling * sum(embed(i, c) @ embed(j, c)
+                          for i, j in bonds for c in ("sx", "sy", "sz"))
 
 
 class TestParseSpin:
@@ -122,13 +139,13 @@ class TestProductBasis:
 class TestOperators:
     def test_two_qubit_heisenberg_spectrum(self):
         b = ProductBasis([1, 1])
-        op = heisenberg_bond(b, 0, 1)
+        op = bond_operator(b, 0, 1)
         vals = np.linalg.eigvalsh(op.to_dense())
         assert np.allclose(sorted(vals), [-0.75, 0.25, 0.25, 0.25])
 
     def test_heisenberg_real_symmetric(self):
         b = ProductBasis([1, 2, 3])
-        op = heisenberg_bond(b, 0, 2)
+        op = bond_operator(b, 0, 2)
         assert op.is_real
         dev = np.abs(op.to_dense() - op.to_dense().T).max()
         assert dev == 0.0
@@ -136,31 +153,26 @@ class TestOperators:
     def test_bond_matches_dense_kron(self):
         # s_i . s_j assembled from local matrices must equal the sparse build
         spins = [1, 2, 1]
-        b = ProductBasis(spins)
-        i, j = 0, 1
-        ms = [local_spin_matrices(t) for t in spins]
-
-        def embed(site, comp):
-            factors = [getattr(ms[k], comp) if k == site
-                       else np.eye(spins[k] + 1) for k in range(len(spins))]
-            out = factors[0]
-            for f in factors[1:]:
-                out = np.kron(out, f)
-            return out
-
-        dense = sum(embed(i, c) @ embed(j, c) for c in ("sx", "sy", "sz"))
-        built = heisenberg_bond(b, i, j).to_dense()
-        assert np.abs(dense - built).max() < 1e-12
+        built = heisenberg_matrix(ProductBasis(spins), [(0, 1)]).toarray()
+        assert np.abs(dense_exchange(spins, [(0, 1)], 1.0) - built).max() < 1e-12
 
     def test_bond_rejects_same_site(self):
         b = ProductBasis([1, 1])
         with pytest.raises(ValueError):
-            heisenberg_bond(b, 1, 1)
+            heisenberg_matrix(b, [(0, 1), (1, 1)])
 
-    def test_szsz_bond_diagonal(self):
-        b = ProductBasis([1, 1])
-        op = szsz_bond(b, 0, 1)
-        assert np.allclose(np.diag(op.to_dense()), [0.25, -0.25, -0.25, 0.25])
+    def test_mixed_ring_matches_dense_kron(self):
+        # several bonds and a non-unit coupling, in the full space and in
+        # every Sz sector (rows/columns of the kron sum picked by full index)
+        spins = [1, 2, 3, 2]
+        bonds = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        dense = dense_exchange(spins, bonds, 0.7)
+        for two_m in [None] + sector_two_m_values(spins):
+            b = ProductBasis(spins, two_m)
+            mat = heisenberg_matrix(b, bonds, 0.7)
+            assert mat.nnz == np.count_nonzero(mat.data)
+            block = dense[np.ix_(b.full_index, b.full_index)]
+            assert np.abs(mat.toarray() - block).max() < 1e-12
 
     def test_field_term_z(self):
         b = ProductBasis([1, 1], 0)
@@ -192,17 +204,6 @@ class TestOperators:
         with pytest.raises(ValueError):
             field_term(b, 0, [np.inf, 0.0, 0.0])
 
-    def test_embed_two_site_dispatch(self):
-        b = ProductBasis([1, 1])
-        h = embed_two_site(b, 0, 1, "heisenberg")
-        z = embed_two_site(b, 0, 1, "sz_sz")
-        f = embed_two_site(b, 0, 1, "field_vector", b=[0, 0, 1.0])
-        assert h.dim == z.dim == f.dim == 4
-        with pytest.raises(ValueError):
-            embed_two_site(b, 0, 1, "nope")
-        with pytest.raises(ValueError):
-            embed_two_site(b, 0, 1, "field_vector")
-
     def test_hermiticity_check_fires(self):
         import scipy.sparse as sp
         b = ProductBasis([1])
@@ -212,7 +213,7 @@ class TestOperators:
 
     def test_total_sz(self):
         b = ProductBasis([1, 1])
-        assert np.allclose(np.diag(total_sz(b).to_dense()), [1, 0, 0, -1])
+        assert np.allclose(b.two_m.sum(axis=1) / 2.0, [1, 0, 0, -1])
 
     def test_total_spin_squared_two_qubits(self):
         b = ProductBasis([1, 1])
@@ -225,12 +226,12 @@ class TestOperators:
 
     def test_expectation_real(self):
         b = ProductBasis([1, 1])
-        op = heisenberg_bond(b, 0, 1)
+        op = bond_operator(b, 0, 1)
         singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
         assert abs(op.expectation(singlet) + 0.75) < 1e-14
 
     def test_operator_add_and_scale(self):
         b = ProductBasis([1, 1])
-        op = heisenberg_bond(b, 0, 1)
+        op = bond_operator(b, 0, 1)
         two = op + op
-        assert np.abs(two.to_dense() - op.scaled(2.0).to_dense()).max() < 1e-14
+        assert np.abs(two.to_dense() - bond_operator(b, 0, 1, 2.0).to_dense()).max() < 1e-14

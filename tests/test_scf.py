@@ -162,6 +162,16 @@ class TestBiseparableMinimum:
         _, branches = biseparable_minimum_detailed(system, Arc(0, 2))
         assert any(b.decoupled for b in branches)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_tied_branches_report_eta_plus(self, seed):
+        # both eta branches reach one fixed point; their energies differ only
+        # by rounding, which the seed decides
+        res = biseparable_minimum(SpinSystem.ring(8, "1"), Arc(0, 2),
+                                  ScfConfig(seed=seed))
+        assert res.eta == 1
+        assert not res.decoupled
+        assert abs(res.ebs + 10.134660606868023) < 1e-11
+
     def test_no_converged_branch_raises(self):
         # one iteration converges none of the 10 branches; the decoupled
         # energy is only an upper bound and must not be reported as E_bs
