@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .eigensolvers import SolverError, sectored_ground_state
-from .hamiltonians import SpinSystem, build_hamiltonian
-from .operators import ProductBasis, sector_two_m_values, spin_str, total_spin_squared
-from .scf import ScfError, biseparable_minimum_detailed, boundary_geometry, boundary_map, biseparable_scan
+from .operators import ProductBasis, total_spin_squared
+from .scf import (ScfError, biseparable_minimum_detailed, biseparable_scan,
+                  boundary_geometry, boundary_map, map_jobs)
 from .witness import (
     defect_series,
     full_spectrum,
@@ -84,10 +84,7 @@ def _metadata(cfg: RunConfig, seed: int, command: str) -> dict:
 
 def cmd_ground(cfg: RunConfig, seed: int, workers: int):
     system, _ = cfg.build_system()
-    res = sectored_ground_state(
-        lambda tm: build_hamiltonian(system, tm),
-        sector_two_m_values(system.site_two_s),
-        seed=seed, use_flip_symmetry=True)
+    res = sectored_ground_state(system, seed=seed)
     basis = ProductBasis(system.site_two_s, res.sector_two_m)
     s_sq = total_spin_squared(basis).expectation(res.vector)
     columns = ["e0", "gap", "s_squared", "degenerate"]
@@ -189,11 +186,7 @@ def _defect_one(args):
 def _defect_tables(base, n, site, spins, labels, seed, workers):
     jobs = [(base, n, site, sm, labels[i] if labels else None, seed)
             for i, sm in enumerate(spins)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_defect_one, jobs))
-    return [_defect_one(j) for j in jobs]
+    return map_jobs(_defect_one, jobs, workers)
 
 
 def cmd_verdict(cfg: RunConfig, seed: int, workers: int):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import yaml
 
 from .hamiltonians import Arc, SpinSystem, defected_ring
-from .operators import parse_spin
+from .operators import parse_spin, spin_str
 from .scf import ScfConfig
 
 
@@ -37,16 +37,24 @@ _BLOCK_KEYS = {"scf": _SCF_KEYS, "map": _MAP_KEYS,
                "verdict": _VERDICT_KEYS, "bisep": _BISEP_KEYS}
 
 
-def _numbers(value) -> tuple:
-    if not isinstance(value, list):
-        raise TypeError("expected a list")
-    return tuple(float(x) for x in value)
+def _list(convert):
+    def parse(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return tuple(convert(x) for x in value)
+    return parse
 
 
-def _count(value) -> int:
-    if int(value) < 0:
-        raise ValueError("must be >= 0")
-    return int(value)
+def _spin(value) -> str:
+    return spin_str(parse_spin(value))
+
+
+def _at_least(low: int):
+    def parse(value) -> int:
+        if int(value) < low:
+            raise ValueError(f"must be >= {low}")
+        return int(value)
+    return parse
 
 
 def _etas(value) -> tuple:
@@ -56,15 +64,19 @@ def _etas(value) -> tuple:
     return etas
 
 
-# numeric keys, converted once at parse time: a malformed value is a config
-# error here, and the commands read plain numbers
+# typed keys, converted once at parse time: a malformed value is a config
+# error here, and the commands read plain numbers and canonical spin strings
 _NUMERIC = {
-    "model": {"coupling": float},
+    "model": {"coupling": float, "spin": _spin, "spins": _list(_spin)},
+    "model.defect": {"site": int, "spin": _spin},
     "scf": {"damping": float, "tol": float, "max_iter": int,
-            "init_grid": _numbers, "etas": _etas},
-    "defect_series": {"site": int},
-    "thermal": {"t_min": float, "t_max": float, "points": _count,
-                "thresholds": _numbers},
+            "init_grid": _list(float), "etas": _etas},
+    "map": {"lengths": _list(_at_least(1)), "spin": _spin,
+            "theta_points": _at_least(0),
+            "moduli": _list(float), "modulus_diffs": _list(float)},
+    "defect_series": {"site": int, "spins": _list(_spin)},
+    "thermal": {"t_min": float, "t_max": float, "points": _at_least(0),
+                "thresholds": _list(float)},
     "verdict": {"energy": float},
     "bisep": {"n_a": int, "offset": int},
 }
@@ -110,7 +122,7 @@ class RunConfig:
         if defect:
             if topology != "ring":
                 raise ConfigError("defects are only supported on rings")
-            site = int(defect["site"]) - 1
+            site = defect["site"] - 1
             if not 0 <= site < n:
                 raise ConfigError("defect site out of range")
             base = spins[0]
@@ -179,13 +191,16 @@ def parse_config(raw: dict) -> RunConfig:
             for key in _DEFECT_KEYS:
                 if key not in model["defect"]:
                     raise ConfigError(f"model.defect needs '{key}'")
+            model["defect"] = dict(model["defect"])
     blocks = {} if model is None else {"model": model}
     for name, keys in _BLOCK_KEYS.items():
         if raw.get(name) is not None:
             _check_keys(raw[name], keys, name)
             blocks[name] = dict(raw[name])
     for name, converters in _NUMERIC.items():
-        block = blocks.get(name, {})
+        block = blocks
+        for part in name.split("."):
+            block = block.get(part) or {}
         for key, convert in converters.items():
             if key in block:
                 try:
@@ -196,13 +211,4 @@ def parse_config(raw: dict) -> RunConfig:
     seed = raw.get("seed", 42)
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
-    try:
-        for key in ("spin",):
-            if model and key in model:
-                parse_spin(model[key])
-        if model and "spins" in model:
-            for s in model["spins"]:
-                parse_spin(s)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return RunConfig(raw=raw, model=model, seed=seed, blocks=blocks)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .operators import SparseHermitianOperator
+from .hamiltonians import SpinSystem, build_hamiltonian
+from .operators import SparseHermitianOperator, sector_two_m_values
 
 DENSE_LIMIT = 4096  # cap of the dense_spectrum oracle
 # ground_state solves larger sectors by Lanczos.  Measured break-even of the
@@ -63,10 +64,45 @@ def dense_spectrum(op: SparseHermitianOperator,
     return scipy.linalg.eigvalsh(op.to_dense())
 
 
-def _dense_lowest(op: SparseHermitianOperator, k: int = 2,
-                  lock: np.ndarray | None = None):
-    """Lowest k eigenpairs by LAPACK, in the complement of `lock` if given."""
+def degenerate_with(e0: float, e):
+    """True where the level(s) e lie in the degeneracy window of e0."""
+    return np.asarray(e) - e0 < DEGENERACY_TOL * max(1.0, abs(e0))
+
+
+def lowest_level(mat: np.ndarray):
+    """Lowest level of a dense Hermitian block: (e0, e1, manifold).
+
+    LAPACK is asked for the two lowest pairs; only when they share one
+    degeneracy window is the full spectrum computed, so that the columns of
+    `manifold` span the whole level.  e1 is the second-lowest eigenvalue
+    (inf for a 1x1 block).
+    """
+    if mat.shape[0] == 1:
+        return float(np.real(mat[0, 0])), np.inf, np.ones((1, 1))
+    vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[0, 1])
+    if degenerate_with(vals[0], vals[1]):
+        vals, vecs = scipy.linalg.eigh(mat)
+    level = degenerate_with(vals[0], vals)
+    return float(vals[0]), float(vals[1]), vecs[:, level]
+
+
+def select_in_manifold(manifold: np.ndarray, selector):
+    """(s, v): the state v of the level spanned by `manifold` minimizing
+    s = <v|S|v>, from the lowest eigenpair of V^dagger S V, so independent of
+    the basis V holds.  The selector S is a matrix or a diagonal."""
+    diagonal = np.ndim(selector) == 1
+    block = manifold.conj().T @ (selector[:, None] * manifold if diagonal
+                                 else selector @ manifold)
+    vals, vecs = scipy.linalg.eigh((block + block.conj().T) / 2.0)
+    return float(vals[0]), manifold @ vecs[:, 0]
+
+
+def _dense_lowest(op: SparseHermitianOperator, k: int, lock, shift):
+    """Lowest k eigenpairs of op + diag(shift) by LAPACK, in the complement
+    of `lock` if given."""
     mat = op.to_dense()
+    if shift is not None:
+        mat[np.diag_indices_from(mat)] += shift
     basis = None
     if lock is not None:
         basis = scipy.linalg.null_space(lock.conj().T)
@@ -85,14 +121,17 @@ def lanczos_ground(op: SparseHermitianOperator,
                    max_krylov: int = 300,
                    max_restarts: int = 40,
                    v0: np.ndarray | None = None,
-                   lock: np.ndarray | None = None):
+                   lock: np.ndarray | None = None,
+                   shift: np.ndarray | None = None):
     """Lowest k eigenpairs by restarted Lanczos with full reorthogonalization.
 
-    `lock` holds orthonormal columns that the Krylov basis is kept
-    orthogonal to; the pairs returned are then those of the operator
-    restricted to their complement.  Returns (values, vectors, iterations,
-    residual) where residual is the Ritz residual estimate of the lowest
-    pair.  Raises SolverError on non-convergence.
+    `shift` is a diagonal added to the operator inside the matrix-vector
+    product, so a field-dressed block needs no new matrix.  `lock` holds
+    orthonormal columns that the Krylov basis is kept orthogonal to; the
+    pairs returned are then those of the operator restricted to their
+    complement.  Returns (values, vectors, iterations, residual) where
+    residual is the Ritz residual estimate of the lowest pair.  Raises
+    SolverError on non-convergence.
     """
     n = op.dim
     mat = op.matrix
@@ -101,7 +140,7 @@ def lanczos_ground(op: SparseHermitianOperator,
         raise SolverError("empty operator")
     n_free = n - (0 if lock is None else lock.shape[1])
     if n_free <= max(8, k + 2):
-        vals, vecs = _dense_lowest(op, k, lock)
+        vals, vecs = _dense_lowest(op, k, lock, shift)
         return vals, vecs, 0, 0.0
     k = min(k, n_free - 1)
     rng = np.random.default_rng(seed)
@@ -126,6 +165,8 @@ def lanczos_ground(op: SparseHermitianOperator,
         exhausted = False
         for j in range(m):
             w = mat @ V[j]
+            if shift is not None:
+                w += shift * V[j]
             a = np.real(np.vdot(V[j], w))
             alphas[j] = a
             w = w - a * V[j]
@@ -185,24 +226,15 @@ def lanczos_ground(op: SparseHermitianOperator,
 
 
 def ground_state(op: SparseHermitianOperator,
-                 method: str = "auto",
                  tol: float = DEFAULT_TOL,
-                 seed: int = DEFAULT_SEED,
-                 degeneracy_tol: float = DEGENERACY_TOL) -> GroundStateResult:
+                 seed: int = DEFAULT_SEED) -> GroundStateResult:
     """Lowest eigenpair and gap of a single operator (no sector blocking here).
 
-    method: "auto" (dense up to LANCZOS_CROSSOVER, Lanczos above), "dense"
-    or "lanczos".
+    Dense up to LANCZOS_CROSSOVER, Lanczos above.
     """
-    if op.dim == 1:
-        e = float(np.real(op.matrix[0, 0])) if op.matrix.nnz else 0.0
-        return GroundStateResult(e, np.ones(1), np.inf, False, 0, 0.0)
-    use_dense = method == "dense" or (method == "auto"
-                                      and op.dim <= LANCZOS_CROSSOVER)
-    if use_dense:
-        vals, vecs = _dense_lowest(op, 2)
-        e0, e1 = float(vals[0]), float(vals[1])
-        vec = vecs[:, 0]
+    if op.dim <= LANCZOS_CROSSOVER:
+        e0, e1, manifold = lowest_level(op.to_dense())
+        vec = manifold[:, 0]
         iters, resid = 0, float(np.linalg.norm(op.matvec(vec) - e0 * vec))
     else:
         vals, vecs, iters, resid = lanczos_ground(op, k=1, tol=tol, seed=seed)
@@ -216,46 +248,34 @@ def ground_state(op: SparseHermitianOperator,
         e1 = float(vals[0])
         iters += iters1
     # the deflated e1 can undershoot e0 by rounding
-    gap = max(e1 - e0, 0.0)
-    degenerate = gap < degeneracy_tol * max(1.0, abs(e0))
-    return GroundStateResult(e0, vec, gap, degenerate, iters, resid)
+    return GroundStateResult(e0, vec, max(e1 - e0, 0.0),
+                             bool(degenerate_with(e0, e1)), iters, resid)
 
 
-def sectored_ground_state(op_factory,
-                          two_m_values,
-                          method: str = "auto",
+def sectored_ground_state(system: SpinSystem,
                           tol: float = DEFAULT_TOL,
-                          seed: int = DEFAULT_SEED,
-                          degeneracy_tol: float = DEGENERACY_TOL,
-                          use_flip_symmetry: bool = False) -> GroundStateResult:
-    """Global ground state over total-Sz sectors.
+                          seed: int = DEFAULT_SEED) -> GroundStateResult:
+    """Global ground state of a system's Hamiltonian over total-Sz sectors.
 
-    op_factory(two_m) must build the sector block.  With use_flip_symmetry
-    (valid for undressed Heisenberg terms), only two_m >= 0 sectors are
-    solved and negative sectors inherit their spectra.
+    The undressed Heisenberg Hamiltonian is symmetric under a global spin
+    flip, so only two_m >= 0 sectors are solved and each two_m > 0 spectrum
+    counts for -two_m as well.
     """
     entries = []  # (energy, sector, result-or-None)
-    for two_m in two_m_values:
-        if use_flip_symmetry and two_m < 0:
+    for two_m in sector_two_m_values(system.site_two_s):
+        if two_m < 0:
             continue
-        op = op_factory(two_m)
-        if op.dim == 0:
-            continue
-        r = ground_state(op, method=method, tol=tol, seed=seed,
-                         degeneracy_tol=degeneracy_tol)
-        mult = 2 if (use_flip_symmetry and two_m != 0) else 1
-        for _ in range(mult):
+        r = ground_state(build_hamiltonian(system, two_m), tol=tol, seed=seed)
+        for _ in range(2 if two_m else 1):
             entries.append((r.energy, two_m, r))
             if np.isfinite(r.gap):
                 entries.append((r.energy + r.gap, two_m, None))
-    if not entries:
-        raise SolverError("no non-empty sector")
     entries.sort(key=lambda e: e[0])
     e0 = entries[0][0]
     # the global minimum always carries a solved eigenpair; a tied gap entry
     # from another sector may sort first, so scan for it
     sector, best = next((s, r) for e, s, r in entries if r is not None and e == e0)
-    gap = entries[1][0] - e0 if len(entries) > 1 else np.inf
-    degenerate = gap < degeneracy_tol * max(1.0, abs(e0))
-    return GroundStateResult(e0, best.vector, gap, degenerate,
+    e1 = entries[1][0] if len(entries) > 1 else np.inf
+    return GroundStateResult(e0, best.vector, e1 - e0,
+                             bool(degenerate_with(e0, e1)),
                              best.iterations, best.residual, sector)

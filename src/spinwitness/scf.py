@@ -18,13 +18,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .eigensolvers import (
-    DEGENERACY_TOL,
     SolverError,
+    degenerate_with,
     lanczos_ground,
+    lowest_level,
+    select_in_manifold,
 )
 from .hamiltonians import (
     Arc,
@@ -45,6 +45,11 @@ from .operators import (
 )
 
 ZERO_MODULUS = 1e-12
+# The chain solver solves sectors up to this dimension densely.  Above it, it
+# runs one Lanczos vector warm-started from the previous iterate's ground
+# vector, cheaper than the two cold solves ground_state's LANCZOS_CROSSOVER
+# is priced against, so its crossover is lower.
+DENSE_DIM = 128
 
 
 class ScfError(RuntimeError):
@@ -107,89 +112,71 @@ class CollinearChainSolver:
     """
 
     def __init__(self, site_two_s, bonds, field_sites=(0, -1),
-                 coupling: float = 1.0, seed: int = 42,
-                 dense_dim: int = 128):
+                 coupling: float = 1.0, seed: int = 42):
         self.site_two_s = tuple(int(t) for t in site_two_s)
         n = len(self.site_two_s)
         self.field_sites = tuple(s % n for s in field_sites)
         self.seed = seed
-        self.dense_dim = dense_dim
         self.sectors = []
         for two_m in sector_two_m_values(self.site_two_s):
             basis = ProductBasis(self.site_two_s, two_m)
-            if basis.dim == 0:
-                continue
             mat = heisenberg_matrix(basis, bonds, coupling)
-            diags = [sz_diagonal(basis, s) for s in self.field_sites]
-            edge = (sz_diagonal(basis, 0), sz_diagonal(basis, n - 1))
-            self.sectors.append({"two_m": two_m, "basis": basis, "h": mat,
-                                 "diags": diags, "edge": edge, "v0": None})
+            sec = {"two_m": two_m,
+                   "diags": [sz_diagonal(basis, s) for s in self.field_sites]}
+            if basis.dim <= DENSE_DIM:
+                sec["dense"] = mat.toarray()
+            else:
+                sec["op"] = SparseHermitianOperator(basis, mat, check=False)
+                sec["v0"] = None
+            self.sectors.append(sec)
 
-    def ground(self, field_values, select_coeffs=None,
-               degeneracy_tol: float = DEGENERACY_TOL):
+    def ground(self, field_values, select_coeffs=None):
         """Lowest dressed eigenstate over all sectors.
 
         field_values: scalars b_k, one per field site (field = b_k * z_hat).
         select_coeffs: coefficients c_k resolving degenerate minima by
-        minimizing sum_k c_k <sz_(field site k)> (the infinitesimal-field
-        limit of the upcoming fields).  Returns a dict with the dressed
-        energy, the bare-Hamiltonian expectation, the two segment-edge
-        <sz> values and per-field-site <sz> values.
+        minimizing sum_k c_k <sz_(field site k)> over the degenerate level
+        (the infinitesimal-field limit of the upcoming fields).  Returns a
+        dict with the dressed energy, the bare-Hamiltonian expectation and
+        the per-field-site <sz> values.
         """
         field_values = tuple(float(b) for b in field_values)
         if len(field_values) != len(self.field_sites):
             raise ValueError("one field value per field site required")
         results = []
         for sec in self.sectors:
-            mat = sec["h"]
             shift = None
             for b, d in zip(field_values, sec["diags"]):
                 if b != 0.0:
                     shift = b * d if shift is None else shift + b * d
-            dim = mat.shape[0]
-            if dim <= self.dense_dim:
-                dense = mat.toarray()
-                if shift is not None:
-                    dense[np.arange(dim), np.arange(dim)] += shift
-                vals, vecs = scipy.linalg.eigh(dense)
-                e0 = float(vals[0])
-                keep = vals <= e0 + degeneracy_tol * max(1.0, abs(e0))
-                results.append((e0, sec, vecs[:, keep]))
+            if "dense" in sec:
+                mat = sec["dense"]
+                e0, _, manifold = lowest_level(
+                    mat if shift is None else mat + np.diag(shift))
             else:
-                h = mat + sp.diags(shift) if shift is not None else mat
-                op = SparseHermitianOperator(sec["basis"], h, check=False)
-                vals, vecs, _, _ = lanczos_ground(
-                    op, k=1, seed=self.seed, v0=sec["v0"])
-                sec["v0"] = vecs[:, 0]
-                results.append((float(vals[0]), sec, vecs[:, :1]))
+                vals, manifold, _, _ = lanczos_ground(
+                    sec["op"], k=1, seed=self.seed, v0=sec["v0"], shift=shift)
+                sec["v0"] = manifold[:, 0]
+                e0 = float(vals[0])
+            results.append((e0, sec, manifold))
         e0 = min(r[0] for r in results)
-        tol = degeneracy_tol * max(1.0, abs(e0))
-        candidates = []
-        for e, sec, vecs in results:
-            if e <= e0 + tol:
-                for c in range(vecs.shape[1]):
-                    candidates.append((sec, vecs[:, c]))
-        if len(candidates) > 1 and select_coeffs is not None:
-            def selection(entry):
-                sec, v = entry
-                p = np.abs(v) ** 2
-                return sum(c * float(p @ d)
-                           for c, d in zip(select_coeffs, sec["diags"]))
-            sec, vec = min(candidates,
-                           key=lambda e: (round(selection(e), 10), e[0]["two_m"]))
-        else:
-            sec, vec = candidates[0]
+        level = [(sec, m) for e, sec, m in results if degenerate_with(e0, e)]
+        sec, manifold = level[0]
+        vec = manifold[:, 0]
+        if select_coeffs is not None and (len(level) > 1 or manifold.shape[1] > 1):
+            picks = []
+            for sec, manifold in level:
+                selector = sum(c * d for c, d in zip(select_coeffs, sec["diags"]))
+                value, v = select_in_manifold(manifold, selector)
+                picks.append((round(value, 10), sec["two_m"], sec, v))
+            _, _, sec, vec = min(picks, key=lambda p: p[:2])
         p = np.abs(vec) ** 2
         z_fields = [float(p @ d) for d in sec["diags"]]
-        z_edges = (float(p @ sec["edge"][0]), float(p @ sec["edge"][1]))
         e_bare = e0 - sum(b * z for b, z in zip(field_values, z_fields))
-        return {"energy": e0, "e_bare": e_bare, "sector_two_m": sec["two_m"],
-                "z_fields": z_fields, "z_edges": z_edges,
-                "degenerate": len(candidates) > 1}
+        return {"energy": e0, "e_bare": e_bare, "z_fields": z_fields}
 
 
-def boundary_map(chain_spins, z_b, z_bprime, seed: int = 42,
-                 degeneracy_tol: float = DEGENERACY_TOL) -> BoundaryPair:
+def boundary_map(chain_spins, z_b, z_bprime, seed: int = 42) -> BoundaryPair:
     """One application of the boundary map on an open segment.
 
     Solves the ground state of H_chain + z_b . s_last + z_bprime . s_first
@@ -204,32 +191,17 @@ def boundary_map(chain_spins, z_b, z_bprime, seed: int = 42,
         if v.shape != (3,) or abs(v[1]) > ZERO_MODULUS:
             raise ValueError("boundary fields must be 3-vectors in the x-z plane")
     basis = ProductBasis(spins)
-    chain = heisenberg_matrix(basis, [(k, k + 1) for k in range(len(spins) - 1)])
-    op = SparseHermitianOperator(basis, chain, check=False)
-    if np.linalg.norm(z_b) > 0:
-        op = op + field_term(basis, basis.n_sites - 1, z_b)
-    if np.linalg.norm(z_bp) > 0:
-        op = op + field_term(basis, 0, z_bp)
-    dense = op.to_dense()
-    vals, vecs = scipy.linalg.eigh(dense)
-    e0 = vals[0]
-    keep = vals <= e0 + degeneracy_tol * max(1.0, abs(e0))
-    manifold = vecs[:, keep]
+    last = basis.n_sites - 1
+    chain = heisenberg_matrix(basis, [(k, k + 1) for k in range(last)])
+    fields = field_term(basis, last, z_b).matrix + field_term(basis, 0, z_bp).matrix
+    _, _, manifold = lowest_level((chain + fields).toarray())
+    vec = manifold[:, 0]
     if manifold.shape[1] > 1:
         # infinitesimal-field limit: minimize the field coupling inside the
         # degenerate manifold; fall back to +z on both edges at zero field
-        if np.linalg.norm(z_b) > 0 or np.linalg.norm(z_bp) > 0:
-            sel = field_term(basis, basis.n_sites - 1, z_b).matrix + \
-                field_term(basis, 0, z_bp).matrix
-        else:
-            sel = sp.diags(sz_diagonal(basis, 0) +
-                           sz_diagonal(basis, basis.n_sites - 1)).tocsr()
-        block = manifold.conj().T @ (sel @ manifold)
-        block = (block + block.conj().T) / 2.0
-        bvals, bvecs = scipy.linalg.eigh(block)
-        vec = manifold @ bvecs[:, 0]
-    else:
-        vec = manifold[:, 0]
+        if not (np.any(z_b) or np.any(z_bp)):
+            fields = sz_diagonal(basis, 0) + sz_diagonal(basis, last)
+        _, vec = select_in_manifold(manifold, fields)
 
     def spin_vector(site):
         out = np.empty(3)
@@ -238,7 +210,7 @@ def boundary_map(chain_spins, z_b, z_bprime, seed: int = 42,
             out[k] = comp.expectation(vec)
         return out
 
-    return BoundaryPair(z=spin_vector(basis.n_sites - 1), zprime=spin_vector(0))
+    return BoundaryPair(z=spin_vector(last), zprime=spin_vector(0))
 
 
 @dataclass(frozen=True)
@@ -313,6 +285,15 @@ def _bipartition_structure(system: SpinSystem, arc: Arc):
 def _run_branch(solver_a, solver_b, npair, eta, z0, cfg):
     """Damped alternation from one starting modulus; returns an ScfResult."""
     sign = [1.0, float(eta)] if npair == 2 else [1.0]
+
+    def cycle(z_b):
+        """One undamped map: A answers the fields z_b, then B answers A."""
+        ga = solver_a.ground(z_b, select_coeffs=sign)
+        za = np.array(ga["z_fields"])
+        gb = solver_b.ground(za, select_coeffs=[-s for s in sign])
+        zb = np.array(gb["z_fields"])
+        return za, zb, ga["e_bare"] + gb["e_bare"] + float(za @ zb)
+
     z_b = np.array([z0 * s for s in sign])
     z_a = np.zeros(npair)
     alpha = cfg.damping
@@ -323,12 +304,8 @@ def _run_branch(solver_a, solver_b, npair, eta, z0, cfg):
     since_progress = 0
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        ga = solver_a.ground(z_b, select_coeffs=[s for s in sign])
-        za_meas = np.array(ga["z_fields"])
-        gb = solver_b.ground(za_meas, select_coeffs=[-s for s in sign])
-        zb_meas = np.array(gb["z_fields"])
+        za_meas, zb_meas, energy = cycle(z_b)
         resid = max(np.max(np.abs(za_meas - z_a)), np.max(np.abs(zb_meas - z_b)))
-        energy = ga["e_bare"] + gb["e_bare"] + float(za_meas @ zb_meas)
         history.append((float(np.abs(za_meas).max()),
                         float(np.abs(zb_meas).max()), energy))
         residuals.append(resid)
@@ -360,12 +337,8 @@ def _run_branch(solver_a, solver_b, npair, eta, z0, cfg):
                          residuals[-1] if residuals else np.inf,
                          history, start=z0, iterations=it)
     # one exact (undamped) verification cycle from the converged point
-    ga = solver_a.ground(z_b, select_coeffs=[s for s in sign])
-    za_v = np.array(ga["z_fields"])
-    gb = solver_b.ground(za_v, select_coeffs=[-s for s in sign])
-    zb_v = np.array(gb["z_fields"])
+    za_v, zb_v, ebs = cycle(z_b)
     verify = max(np.max(np.abs(za_v - z_a)), np.max(np.abs(zb_v - z_b)))
-    ebs = ga["e_bare"] + gb["e_bare"] + float(za_v @ zb_v)
     pad = lambda v: (float(v[0]), float(v[1]) if len(v) > 1 else float(v[0]))
     za0, za1 = pad(za_v)
     zb0, zb1 = pad(zb_v)
@@ -436,7 +409,26 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc,
     if not best.decoupled and max(abs(best.z_a), abs(best.z_b)) < 1e-7 \
             and best.ebs >= e_dec - 1e-9:
         best = decoupled
-    return best, branches + [decoupled]
+    return _canonical(best, len(pairs)), branches + [decoupled]
+
+
+def _canonical(result: ScfResult, npair: int) -> ScfResult:
+    """A fixed point as reported: of it and its spin-flipped twin (same
+    energy) the one with z_b >= 0, and eta the sign of z_b * z_bprime (1 for
+    a decoupled point or a single coupling pair)."""
+    if result.z_b < 0:
+        result = replace(result, z_a=-result.z_a, z_aprime=-result.z_aprime,
+                         z_b=-result.z_b, z_bprime=-result.z_bprime)
+    eta = -1 if npair == 2 and result.z_b * result.z_bprime < 0 else 1
+    return replace(result, eta=eta)
+
+
+def map_jobs(fn, jobs, workers: int = 1) -> list:
+    """[fn(job) for job in jobs], over a process pool when workers > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def _scan_one(args):
@@ -479,12 +471,7 @@ def biseparable_scan(system: SpinSystem, cfg: ScfConfig | None = None,
     """E_bs = min over contiguous bipartitions of E_bs(N_A, N_B)."""
     cfg = cfg or ScfConfig()
     arcs = scan_arcs(system)
-    jobs = [(system, arc, cfg) for arc in arcs]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_scan_one, jobs))
-    else:
-        reports = [_scan_one(j) for j in jobs]
+    reports = map_jobs(_scan_one, [(system, arc, cfg) for arc in arcs], workers)
     reports.sort(key=lambda r: (r.n_a, r.offset))
     ok = [r for r in reports if not r.failed]
     if not ok:

@@ -7,7 +7,7 @@ positions even when a spinless substitution reduces the ring to a chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -15,14 +15,11 @@ import scipy.linalg
 
 from .eigensolvers import (
     SECTOR_DENSE_LIMIT,
-    SolverError,
     dense_spectrum,
     sectored_ground_state,
 )
 from .hamiltonians import (
     Arc,
-    CHAIN,
-    RING,
     SpinSystem,
     build_hamiltonian,
     build_on_sites,
@@ -77,11 +74,7 @@ class Verdict:
 
 def ground_energy(system: SpinSystem, seed: int = 42) -> float:
     """Global ground energy via Sz-sector blocking."""
-    r = sectored_ground_state(
-        lambda tm: build_hamiltonian(system, tm),
-        sector_two_m_values(system.site_two_s),
-        seed=seed, use_flip_symmetry=True)
-    return r.energy
+    return sectored_ground_state(system, seed=seed).energy
 
 
 def single_site_threshold(system: SpinSystem, k: int, seed: int = 42) -> float:

@@ -14,7 +14,7 @@ import pytest
 
 from spinwitness.eigensolvers import dense_spectrum, lanczos_ground, sectored_ground_state
 from spinwitness.hamiltonians import Arc, SpinSystem, build_hamiltonian, build_on_sites
-from spinwitness.operators import ProductBasis, sector_two_m_values, total_spin_squared
+from spinwitness.operators import ProductBasis, total_spin_squared
 from spinwitness.scf import biseparable_minimum, biseparable_scan, boundary_geometry, boundary_map
 from spinwitness.witness import defect_series, eta_s, f_factor, verify_not_eigenstate
 
@@ -71,9 +71,7 @@ def test_criterion_01_nondegenerate_singlet_ground_states():
     systems += [SpinSystem.chain(n, s) for n in (2, 4, 6, 8)
                 for s in ("1/2", "1")]
     for system in systems:
-        r = sectored_ground_state(
-            lambda tm: build_hamiltonian(system, tm),
-            sector_two_m_values(system.site_two_s), use_flip_symmetry=True)
+        r = sectored_ground_state(system)
         assert r.gap > 1e-6, system.describe()
         assert not r.degenerate, system.describe()
         basis = ProductBasis(system.site_two_s, r.sector_two_m)

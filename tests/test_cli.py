@@ -167,8 +167,13 @@ class TestExitCodes:
         ("bisep", "bisep: {n_a: 1}\nscf: {init_grid: 3}"),
         ("bisep", "bisep: {n_a: 9}"),
         ("bisep", "bisep: {n_a: 2, eta: -1}"),
+        ("map", "map: {theta_points: abc}"),
+        ("map", "map: {lengths: [0]}"),
+        ("ground", "  defect: {site: abc, spin: \"1\"}"),  # continues RING4's model
+        ("defect", "defect_series: {site: 1, spins: [abc]}"),
     ], ids=["points-abc", "points-negative", "energy-abc", "coupling-abc",
-            "init-grid-scalar", "arc-too-long", "bisep-eta"])
+            "init-grid-scalar", "arc-too-long", "bisep-eta", "theta-points-abc",
+            "map-length-zero", "defect-site-abc", "series-spin-abc"])
     def test_malformed_value_is_2(self, tmp_path, capsys, command, extra):
         code, out, err = run_main(
             [command, "--config", write(tmp_path, RING4 + extra + "\n")], capsys)

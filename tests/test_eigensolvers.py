@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from spinwitness.eigensolvers import (
-    DEGENERACY_TOL,
     LANCZOS_CROSSOVER,
     SolverError,
+    degenerate_with,
     dense_spectrum,
     ground_state,
     lanczos_ground,
+    lowest_level,
     sectored_ground_state,
+    select_in_manifold,
 )
 from spinwitness.hamiltonians import SpinSystem, build_hamiltonian
 from spinwitness.operators import (
@@ -19,6 +21,7 @@ from spinwitness.operators import (
     diagonal_operator,
     heisenberg_matrix,
     sector_two_m_values,
+    sz_diagonal,
 )
 
 
@@ -32,8 +35,7 @@ def test_zero_operator_ground():
 
 def test_two_site_singlet_gap():
     system = SpinSystem.chain(2, "1/2")
-    r = sectored_ground_state(lambda tm: build_hamiltonian(system, tm),
-                              sector_two_m_values(system.site_two_s))
+    r = sectored_ground_state(system)
     assert abs(r.energy + 0.75) < 1e-12
     assert abs(r.gap - 1.0) < 1e-12
     assert not r.degenerate
@@ -55,9 +57,10 @@ def test_degenerate_detection_lanczos_small_dim():
     # dim 8: both Lanczos solves fall back to LAPACK, the second one in the
     # complement of the ground vector
     op = build_hamiltonian(SpinSystem.ring(3, "1/2"))
-    r = ground_state(op, method="lanczos")
-    assert r.degenerate
-    assert 0.0 <= r.gap < 1e-12
+    e0, v0, iters, _ = lanczos_ground(op, k=1)
+    e1, _, _, _ = lanczos_ground(op, k=1, seed=43, lock=v0)
+    assert iters == 0
+    assert 0.0 <= e1[0] - e0[0] < 1e-12
 
 
 @pytest.mark.parametrize("system", [
@@ -105,28 +108,30 @@ def test_sectored_matches_full_dense():
     for system in (SpinSystem.ring(6, "1/2"), SpinSystem.ring(4, "1"),
                    SpinSystem.chain(5, "1")):
         full = dense_spectrum(build_hamiltonian(system))
-        r = sectored_ground_state(
-            lambda tm: build_hamiltonian(system, tm),
-            sector_two_m_values(system.site_two_s))
+        r = sectored_ground_state(system)
         assert abs(r.energy - full[0]) < 1e-10
         assert abs(r.gap - (full[1] - full[0])) < 1e-8
 
 
 def test_flip_symmetry_consistent():
+    # sectored_ground_state solves 2M >= 0 only; the negative sectors it
+    # skips must hold the same levels
     system = SpinSystem.ring(6, "1/2")
-    factory = lambda tm: build_hamiltonian(system, tm)
-    values = sector_two_m_values(system.site_two_s)
-    a = sectored_ground_state(factory, values, use_flip_symmetry=False)
-    b = sectored_ground_state(factory, values, use_flip_symmetry=True)
-    assert abs(a.energy - b.energy) < 1e-10
-    assert abs(a.gap - b.gap) < 1e-8
+    for two_m in sector_two_m_values(system.site_two_s):
+        a = ground_state(build_hamiltonian(system, two_m))
+        b = ground_state(build_hamiltonian(system, -two_m))
+        assert abs(a.energy - b.energy) < 1e-10
+        assert a.gap == b.gap or abs(a.gap - b.gap) < 1e-8
+    r = sectored_ground_state(system)
+    full = dense_spectrum(build_hamiltonian(system))
+    assert abs(r.energy - full[0]) < 1e-10
+    assert abs(r.gap - (full[1] - full[0])) < 1e-8
 
 
 def test_degenerate_ground_sector_flagged():
     # triangle ring: two degenerate doublets split across 2M = +/-1 sectors
     system = SpinSystem.ring(3, "1/2")
-    r = sectored_ground_state(lambda tm: build_hamiltonian(system, tm),
-                              sector_two_m_values(system.site_two_s))
+    r = sectored_ground_state(system)
     assert abs(r.energy + 0.75) < 1e-12
     assert r.degenerate
 
@@ -157,8 +162,7 @@ def test_lanczos_lock_keeps_complement():
 
 
 def _multiplicity(spectrum):
-    tol = DEGENERACY_TOL * max(1.0, abs(spectrum[0]))
-    return int(np.sum(spectrum < spectrum[0] + tol))
+    return int(np.sum(degenerate_with(spectrum[0], spectrum)))
 
 
 def test_lanczos_gap_never_negative():
@@ -174,7 +178,7 @@ def test_lanczos_gap_never_negative():
     lock = r.vector[:, None]
     for _ in range(4):
         vals, vecs, _, _ = lanczos_ground(op, k=1, lock=lock)
-        if vals[0] - r.energy >= DEGENERACY_TOL * max(1.0, abs(r.energy)):
+        if not degenerate_with(r.energy, vals[0]):
             break
         lock = np.hstack([lock, vecs])
     assert lock.shape[1] == _multiplicity(dense_spectrum(op)) == 2
@@ -201,8 +205,7 @@ def test_odd_chain_kramers_doublet_across_sectors():
     # each of the 2M = +/-1 sectors (dim 462) holds one member of the
     # doublet; both are solved by Lanczos here
     system = SpinSystem.chain(11, "1/2")
-    r = sectored_ground_state(lambda tm: build_hamiltonian(system, tm),
-                              sector_two_m_values(system.site_two_s))
+    r = sectored_ground_state(system)
     assert r.degenerate
     assert 0.0 <= r.gap < 1e-9
     assert abs(r.sector_two_m) == 1
@@ -211,6 +214,50 @@ def test_odd_chain_kramers_doublet_across_sectors():
 def test_lanczos_sees_degenerate_n15_ring():
     # dim 6435 is above the dense oracle's cap; the level is twofold
     op = build_hamiltonian(SpinSystem.ring(15, "1/2"), 1)
-    r = ground_state(op, method="lanczos")
+    r = ground_state(op)
     assert r.degenerate
     assert r.gap < 1e-9
+
+
+def test_lowest_level_matches_oracle_on_degenerate_level():
+    # N=3 ring, 2M=1: the two chiral doublets give a twofold level in-sector
+    op = build_hamiltonian(SpinSystem.ring(3, "1/2"), 1)
+    spectrum = dense_spectrum(op)
+    e0, e1, manifold = lowest_level(op.to_dense())
+    assert manifold.shape[1] == _multiplicity(spectrum) == 2
+    assert abs(e0 - spectrum[0]) < 1e-12 and abs(e1 - spectrum[1]) < 1e-12
+    assert np.allclose(manifold.T @ manifold, np.eye(2), atol=1e-12)
+    assert np.linalg.norm(op.matrix @ manifold - e0 * manifold) < 1e-12
+
+
+def test_lowest_level_nondegenerate_keeps_one_vector():
+    op = build_hamiltonian(SpinSystem.ring(6, "1/2"), 0)
+    e0, e1, manifold = lowest_level(op.to_dense())
+    spectrum = dense_spectrum(op)
+    assert manifold.shape[1] == 1
+    assert abs(e0 - spectrum[0]) < 1e-12 and abs(e1 - spectrum[1]) < 1e-12
+
+
+@pytest.mark.parametrize("system, two_m", [
+    (SpinSystem.chain(3, "1/2"), 1),   # dim 3: the dense fallback
+    (SpinSystem.ring(10, "1/2"), 0),   # dim 252: the Lanczos iteration
+], ids=["dense-fallback", "lanczos"])
+def test_lanczos_shift_matches_shifted_matrix(system, two_m):
+    op = build_hamiltonian(system, two_m)
+    d = np.random.default_rng(5).standard_normal(op.dim)
+    vals, vecs, _, _ = lanczos_ground(op, k=1, shift=d)
+    shifted = op.to_dense() + np.diag(d)
+    assert abs(vals[0] - np.linalg.eigvalsh(shifted)[0]) < 1e-9
+    v = vecs[:, 0]
+    assert np.linalg.norm(shifted @ v - vals[0] * v) < 1e-8
+
+
+def test_selection_independent_of_manifold_basis():
+    op = build_hamiltonian(SpinSystem.ring(3, "1/2"), 1)
+    _, _, manifold = lowest_level(op.to_dense())
+    selector = sz_diagonal(op.basis, 0) - sz_diagonal(op.basis, 1)
+    q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((2, 2)))
+    s1, v1 = select_in_manifold(manifold, selector)
+    s2, v2 = select_in_manifold(manifold[:, ::-1] @ q, selector)
+    assert abs(s1 - s2) < 1e-12
+    assert abs(abs(np.vdot(v1, v2)) - 1.0) < 1e-12

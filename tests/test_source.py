@@ -1,0 +1,29 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spinwitness"
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__.py imports in order to re-export
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert unused == []
