@@ -112,7 +112,7 @@ def cmd_map(cfg: RunConfig, seed: int, workers: int):
                 for th in thetas:
                     z_b = np.array([0.0, 0.0, zb])
                     z_bp = m2 * np.array([np.sin(th), 0.0, np.cos(th)])
-                    pair = boundary_map([spin] * int(n_a), z_b, z_bp, seed=seed)
+                    pair = boundary_map([spin] * int(n_a), z_b, z_bp)
                     geo = boundary_geometry(pair)
                     rows.append([int(n_a), float(th), float(dz), float(zb),
                                  float(geo.theta), float(geo.modulus_diff),

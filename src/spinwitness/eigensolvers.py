@@ -53,15 +53,16 @@ class GroundStateResult:
     sector_two_m: int | None = None
 
 
-def dense_spectrum(op: SparseHermitianOperator,
-                   limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Full ascending spectrum via LAPACK; refuses dimensions above `limit`."""
-    if op.dim > limit:
-        raise SolverError(f"dimension {op.dim} exceeds dense limit {limit}; "
+def dense_spectrum(op, limit: int = DENSE_LIMIT) -> np.ndarray:
+    """Full ascending spectrum via LAPACK of an operator or a sparse Hermitian
+    matrix; refuses dimensions above `limit` before densifying."""
+    mat = op.matrix if isinstance(op, SparseHermitianOperator) else op
+    if mat.shape[0] > limit:
+        raise SolverError(f"dimension {mat.shape[0]} exceeds dense limit {limit}; "
                           "sector-block the operator first")
-    if op.dim == 0:
+    if mat.shape[0] == 0:
         return np.array([])
-    return scipy.linalg.eigvalsh(op.to_dense())
+    return scipy.linalg.eigvalsh(mat.toarray())
 
 
 def degenerate_with(e0: float, e):

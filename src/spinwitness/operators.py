@@ -132,6 +132,23 @@ class ProductBasis:
         return pos
 
 
+def translation_orbits(basis: ProductBasis, step: int):
+    """Orbits of the basis states under the cyclic shift T by `step` sites.
+
+    T moves the content of site i to site i + step (mod N); the basis must be
+    closed under it.  Returns, per state, the position of its orbit's
+    representative (the member of lowest position), the shift j with
+    T^j |representative> = |state>, and the orbit length, a divisor of
+    N // step.
+    """
+    n_shifts = basis.n_sites // step
+    images = np.stack([
+        basis.position_of_full(np.roll(basis.states, j * step, axis=1) @ basis._strides)
+        for j in range(n_shifts)])  # images[j] = position of T^j |state>
+    length = n_shifts // (images == np.arange(basis.dim)).sum(axis=0)
+    return images.min(axis=0), -images.argmin(axis=0) % length, length
+
+
 def sector_two_m_values(site_two_s) -> list[int]:
     tmax = sum(int(t) for t in site_two_s)
     return list(range(-tmax, tmax + 1, 2))

@@ -96,10 +96,12 @@ def boundary_geometry(pair: BoundaryPair) -> BoundaryGeometry:
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(zp))):
         raise ValueError("boundary vectors must be finite")
     a, b = np.linalg.norm(z), np.linalg.norm(zp)
+    # equal moduli differ only by rounding; report them as exactly equal
+    diff = abs(a - b) if abs(a - b) >= ZERO_MODULUS else 0.0
     if a < ZERO_MODULUS or b < ZERO_MODULUS:
-        return BoundaryGeometry(np.nan, abs(a - b), (a, b), False)
+        return BoundaryGeometry(np.nan, diff, (a, b), False)
     c = float(np.clip(z @ zp / (a * b), -1.0, 1.0))
-    return BoundaryGeometry(float(np.arccos(c)), abs(a - b), (a, b), True)
+    return BoundaryGeometry(float(np.arccos(c)), diff, (a, b), True)
 
 
 class CollinearChainSolver:
@@ -176,7 +178,7 @@ class CollinearChainSolver:
         return {"energy": e0, "e_bare": e_bare, "z_fields": z_fields}
 
 
-def boundary_map(chain_spins, z_b, z_bprime, seed: int = 42) -> BoundaryPair:
+def boundary_map(chain_spins, z_b, z_bprime) -> BoundaryPair:
     """One application of the boundary map on an open segment.
 
     Solves the ground state of H_chain + z_b . s_last + z_bprime . s_first

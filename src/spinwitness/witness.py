@@ -12,13 +12,16 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .eigensolvers import (
     SECTOR_DENSE_LIMIT,
+    degenerate_with,
     dense_spectrum,
     sectored_ground_state,
 )
 from .hamiltonians import (
+    CHAIN,
     Arc,
     SpinSystem,
     build_hamiltonian,
@@ -32,6 +35,7 @@ from .operators import (
     sector_two_m_values,
     spin_str,
     total_spin_squared,
+    translation_orbits,
 )
 from .scf import CollinearChainSolver
 
@@ -239,20 +243,36 @@ def verify_not_eigenstate(system: SpinSystem, arc: Arc, samples: int = 1000,
     return EigenstateCheck(min_var, samples, False)
 
 
-def full_spectrum(system: SpinSystem,
-                  sector_limit: int = SECTOR_DENSE_LIMIT) -> np.ndarray:
-    """Complete spectrum assembled sector by sector, ascending."""
+def full_spectrum(system: SpinSystem) -> np.ndarray:
+    """Complete spectrum, ascending, from Sz x Bloch-momentum blocks.
+
+    The momenta k are those of the cyclic shift by `step` sites, the shortest
+    one mapping the spins onto themselves (step = N, one k = 0 block, on a
+    chain or a ring with a defect).  H is real and spin-flip symmetric, so
+    k and L - k, and 2M and -2M, share a spectrum: only k <= L/2 and 2M >= 0
+    are solved."""
+    spins, n = system.site_two_s, system.n_sites
+    step = n if system.topology == CHAIN else min(
+        p for p in range(1, n + 1) if n % p == 0 and spins[p:] + spins[:p] == spins)
+    n_k = n // step
     pieces = []
-    for two_m in sector_two_m_values(system.site_two_s):
+    for two_m in sector_two_m_values(spins):
         if two_m < 0:
-            continue  # spin-flip symmetry of the undressed Hamiltonian
-        op = build_hamiltonian(system, two_m)
-        if op.dim == 0:
             continue
-        vals = dense_spectrum(op, limit=sector_limit)
-        pieces.append(vals)
-        if two_m > 0:
-            pieces.append(vals)
+        op = build_hamiltonian(system, two_m)
+        rep, shift, length = translation_orbits(op.basis, step)
+        for k in range(n_k // 2 + 1):
+            # an orbit of length l carries momentum k only if k l = 0 mod L
+            states = np.nonzero(k * length % n_k == 0)[0]
+            reps, col = np.unique(rep[states], return_inverse=True)
+            phase = (np.exp(2j * np.pi * k * shift[states] / n_k)
+                     / np.sqrt(length[states]))
+            real = 2 * k % n_k == 0
+            pk = sp.csr_matrix((phase.real if real else phase, (states, col)),
+                               shape=(op.dim, reps.size))
+            vals = dense_spectrum(pk.conj().T @ op.matrix @ pk,
+                                  limit=SECTOR_DENSE_LIMIT)
+            pieces += [vals] * ((1 if real else 2) * (2 if two_m else 1))
     return np.sort(np.concatenate(pieces))
 
 
@@ -262,8 +282,7 @@ def thermal_energy(spectrum: np.ndarray, temperature: float) -> float:
         raise ValueError("temperature must be >= 0")
     e = np.asarray(spectrum, dtype=float)
     if temperature == 0:
-        e0 = e.min()
-        return float(e[np.isclose(e, e0, atol=1e-12)].mean())
+        return float(e[degenerate_with(e.min(), e)].mean())
     w = np.exp(-(e - e.min()) / temperature)
     return float((e * w).sum() / w.sum())
 

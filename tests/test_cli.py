@@ -127,9 +127,10 @@ class TestExitCodes:
         assert "config error" in err
 
     def test_solver_failure_is_3(self, tmp_path, capsys):
-        # N=16 qubit ring: the 2M=0 sector (dim 12870) exceeds the
-        # sector-dense cap, so the full-spectrum build must fail loudly
-        cfg = ('model: {topology: ring, N: 16, spin: "1/2"}\n'
+        # N=16 qubit chain: no translation symmetry, so its 2M=0 block
+        # (dim 12870) exceeds the sector-dense cap and the full-spectrum
+        # build must fail loudly
+        cfg = ('model: {topology: chain, N: 16, spin: "1/2"}\n'
                'thermal: {points: 2}\n')
         code, out, err = run_main(
             ["thermal", "--config", write(tmp_path, cfg)], capsys)

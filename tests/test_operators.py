@@ -16,6 +16,7 @@ from spinwitness.operators import (
     spin_str,
     sz_diagonal,
     total_spin_squared,
+    translation_orbits,
 )
 
 
@@ -134,6 +135,28 @@ class TestProductBasis:
     def test_sector_magnetization(self):
         b = ProductBasis([1, 1, 2], 2)
         assert np.all(b.two_m.sum(axis=1) == 2)
+
+    @pytest.mark.parametrize("spins, two_m, step", [
+        ([1] * 6, 0, 1),       # L = 6: orbits of length 6, 3 and 2
+        ([1] * 8, 0, 2),       # L = 4 on a basis closed under every shift
+        ([1, 2] * 3, 1, 2),    # alternating spins, L = 3
+        ([2] * 4, None, 1),    # whole product space, orbits of length 1, 2, 4
+        ([2] * 4, 0, 4),       # L = 1: every state its own orbit
+    ])
+    def test_translation_orbits_cover_each_state_once(self, spins, two_m, step):
+        b = ProductBasis(spins, two_m)
+        n_shifts = len(spins) // step
+        rep, shift, length = translation_orbits(b, step)
+        assert np.all(n_shifts % length == 0)
+        assert np.all(rep <= np.arange(b.dim))
+        assert np.all((0 <= shift) & (shift < length))
+        # T^shift |rep> is the state itself, and no two states share (rep, shift)
+        for pos in range(b.dim):
+            image = np.roll(b.states[rep[pos]], shift[pos] * step)
+            assert np.array_equal(image, b.states[pos])
+        assert len(set(zip(rep, shift))) == b.dim
+        reps, counts = np.unique(rep, return_counts=True)
+        assert np.array_equal(counts, length[reps])
 
 
 class TestOperators:

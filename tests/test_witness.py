@@ -1,10 +1,20 @@
 """Per-site thresholds, verdicts, proof-support quantities and thermal crossings."""
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spinwitness.eigensolvers import dense_spectrum
-from spinwitness.hamiltonians import Arc, SpinSystem, build_hamiltonian
+from spinwitness.cli import main
+from spinwitness.eigensolvers import DENSE_LIMIT, dense_spectrum
+from spinwitness.hamiltonians import (
+    Arc,
+    SpinSystem,
+    build_hamiltonian,
+    defected_ring,
+)
+from spinwitness.operators import sector_two_m_values
 from spinwitness.witness import (
     ThresholdTable,
     defect_series,
@@ -208,6 +218,55 @@ class TestThermal:
             threshold_temperature(self.spectrum, self.spectrum[0] - 0.1)
         with pytest.raises(ValueError):
             threshold_temperature(self.spectrum, self.spectrum.mean() + 0.1)
+
+    def test_zero_temperature_averages_degenerate_level(self):
+        # N=3 qubit ring: fourfold ground level at -3/4, then -3/4 + 3/2
+        spectrum = full_spectrum(SpinSystem.ring(3, "1/2"))
+        assert thermal_energy(spectrum, 0.0) == pytest.approx(-0.75, abs=1e-12)
+        assert thermal_energy(spectrum + 1e-13 * np.arange(8), 0.0) \
+            == pytest.approx(-0.75, abs=1e-12)
+
+
+def _oracle_spectrum(system):
+    """Dense spectrum of the whole Hamiltonian; above DENSE_LIMIT, of every
+    Sz sector (both signs, no translation or spin-flip blocking)."""
+    op = build_hamiltonian(system)
+    if op.dim <= DENSE_LIMIT:
+        return dense_spectrum(op)
+    return np.sort(np.concatenate([
+        dense_spectrum(build_hamiltonian(system, two_m))
+        for two_m in sector_two_m_values(system.site_two_s)]))
+
+
+SPECTRUM_SYSTEMS = (
+    [SpinSystem.ring(n, spin) for n in range(3, 9) for spin in ("1/2", "1")]
+    + [SpinSystem.from_spins("ring", ["1/2", "1"] * 3),  # translation step 2
+       defected_ring(5, "1/2", 2, "1")[0],               # no translation
+       SpinSystem.chain(6, "1/2"),
+       SpinSystem.ring(6, "1/2", coupling=0.7)])
+
+
+@pytest.mark.parametrize("system", SPECTRUM_SYSTEMS,
+                         ids=lambda s: f"{s.describe()} {s.site_two_s} J={s.coupling}")
+def test_full_spectrum_matches_oracle(system):
+    spectrum = full_spectrum(system)
+    assert len(spectrum) == np.prod([t + 1 for t in system.site_two_s])
+    assert np.abs(spectrum - _oracle_spectrum(system)).max() < 1e-10
+
+
+def test_thermal_cli_matches_golden(tmp_path):
+    """`thermal` on configs/qubit_ring8.yaml reproduces the committed table."""
+    root = Path(__file__).resolve().parent
+    out = tmp_path / "thermal.csv"
+    assert main(["thermal", "--config", str(root.parent / "configs" / "qubit_ring8.yaml"),
+                 "--out", str(out)]) == 0
+    with open(out) as fh_out, open(root / "golden" / "thermal_qubit_ring8.csv") as fh_gold:
+        rows, golden = list(csv.reader(fh_out)), list(csv.reader(fh_gold))
+    assert rows[0] == golden[0] and len(rows) == len(golden)
+    for row, gold in zip(rows[1:], golden[1:]):
+        assert row[0] == gold[0]
+        assert np.allclose([float(v) for v in row[1:]],
+                           [float(v) for v in gold[1:]], rtol=0, atol=1e-10)
 
 
 class TestGroundEnergy:
