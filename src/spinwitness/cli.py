@@ -94,27 +94,22 @@ def cmd_ground(cfg: RunConfig, seed: int, workers: int):
 
 def cmd_map(cfg: RunConfig, seed: int, workers: int):
     block = cfg.block("map")
-    lengths = block.get("lengths", [3, 4])
-    spin = block.get("spin", "1/2")
-    n_theta = int(block.get("theta_points", 13))
-    moduli = block.get("moduli", [0.5, 0.25, 0.05])
-    diffs = block.get("modulus_diffs", [0.0, 0.25, 0.45])
-    thetas = np.linspace(0.0, np.pi, n_theta)
+    thetas = np.linspace(0.0, np.pi, block["theta_points"])
     columns = ["n_a", "theta_b", "z_diff_b", "modulus_b",
                "thetabar_a", "z_diff_a", "modulus_a", "modulus_aprime"]
     rows = []
-    for n_a in lengths:
-        for zb in moduli:
-            for dz in diffs:
+    for n_a in block["lengths"]:
+        for zb in block["moduli"]:
+            for dz in block["modulus_diffs"]:
                 m2 = zb - dz
                 if m2 < 0:
                     continue  # second modulus would be negative
                 for th in thetas:
                     z_b = np.array([0.0, 0.0, zb])
                     z_bp = m2 * np.array([np.sin(th), 0.0, np.cos(th)])
-                    pair = boundary_map([spin] * int(n_a), z_b, z_bp)
+                    pair = boundary_map([block["spin"]] * n_a, z_b, z_bp)
                     geo = boundary_geometry(pair)
-                    rows.append([int(n_a), float(th), float(dz), float(zb),
+                    rows.append([n_a, float(th), float(dz), float(zb),
                                  float(geo.theta), float(geo.modulus_diff),
                                  float(geo.moduli[0]), float(geo.moduli[1])])
     return columns, rows
@@ -154,20 +149,15 @@ def cmd_scan(cfg: RunConfig, seed: int, workers: int):
 
 
 def cmd_defect(cfg: RunConfig, seed: int, workers: int):
-    if cfg.model is None:
-        raise ConfigError("config needs a 'model' block")
-    block = cfg.block("defect_series")
-    if "site" not in block or "spins" not in block:
-        raise ConfigError("defect command needs defect_series.site and .spins")
-    site = block["site"] - 1
-    spins = block["spins"]
-    labels = block.get("labels")
+    model, block = cfg.block("model"), cfg.block("defect_series")
+    n, spins, labels = model["N"], block["spins"], block.get("labels")
     if labels and len(labels) != len(spins):
         raise ConfigError("defect_series.labels length mismatch")
-    base = cfg.model.get("spin")
-    if base is None:
+    if "spin" not in model:
         raise ConfigError("defect command needs a homogeneous model.spin")
-    n = cfg.model["N"]
+    if block["site"] > n:
+        raise ConfigError("defect_series.site must be in 1..N")
+    base, site = model["spin"], block["site"] - 1
     tables = _defect_tables(base, n, site, spins, labels, seed, workers)
     columns = ["label", "defect_spin", "k", "e0", "ebs_k", "cost"]
     rows = []
@@ -191,10 +181,7 @@ def _defect_tables(base, n, site, spins, labels, seed, workers):
 
 def cmd_verdict(cfg: RunConfig, seed: int, workers: int):
     system, site_labels = cfg.build_system()
-    block = cfg.block("verdict")
-    if "energy" not in block:
-        raise ConfigError("verdict needs verdict.energy")
-    energy = block["energy"]
+    energy = cfg.block("verdict")["energy"]
     table = threshold_table(system, site_labels=site_labels, seed=seed)
     scan = biseparable_scan(system, cfg.scf_config(seed), workers=workers)
     v = verdict(energy, table, scan.ebs)
@@ -208,16 +195,12 @@ def cmd_verdict(cfg: RunConfig, seed: int, workers: int):
 def cmd_thermal(cfg: RunConfig, seed: int, workers: int):
     system, _ = cfg.build_system()
     block = cfg.block("thermal")
-    t_min = block.get("t_min", 0.0)
-    t_max = block.get("t_max", 2.0)
-    points = block.get("points", 21)
-    thresholds = block.get("thresholds", ())
     spectrum = full_spectrum(system)
     columns = ["kind", "temperature", "energy"]
     rows = []
-    for t in np.linspace(t_min, t_max, points):
+    for t in np.linspace(block["t_min"], block["t_max"], block["points"]):
         rows.append(["curve", float(t), thermal_energy(spectrum, float(t))])
-    for ebs in thresholds:
+    for ebs in block["thresholds"]:
         try:
             tstar = threshold_temperature(spectrum, ebs)
         except ValueError:
@@ -258,6 +241,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be >= 0")  # as the config's seed
         seed = args.seed if args.seed is not None else cfg.seed
         workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
         columns, rows = COMMANDS[args.command](cfg, seed, workers)

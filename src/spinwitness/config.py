@@ -1,19 +1,21 @@
 """Run-configuration parsing and validation for the command-line interface.
 
-Configs are YAML files.  Unknown keys are rejected so a typo never silently
-falls back to a default.  Site indices in configs and reports are 1-based to
-match the conventional ring labelling; the library API is 0-based.
+Configs are YAML files.  ``SCHEMA`` holds each key's converter (type and
+range) and default.  Unknown keys are rejected so a typo never silently falls
+back to a default.  Site indices in configs and reports are 1-based to match
+the conventional ring labelling; the library API is 0-based.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import yaml
 
-from .hamiltonians import Arc, SpinSystem, defected_ring
+from .hamiltonians import CHAIN, RING, Arc, SpinSystem, defected_ring
 from .operators import parse_spin, spin_str
 from .scf import ScfConfig
 
@@ -22,19 +24,56 @@ class ConfigError(ValueError):
     """A malformed or inconsistent run configuration."""
 
 
-_MODEL_KEYS = {"topology", "N", "spin", "spins", "defect", "coupling"}
-_DEFECT_KEYS = {"site", "spin"}
-_TOP_KEYS = {"model", "seed", "scf", "map", "defect_series", "thermal",
-             "verdict", "bisep"}
-_SCF_KEYS = {"damping", "tol", "max_iter", "init_grid", "etas"}
-_MAP_KEYS = {"lengths", "spin", "theta_points", "moduli", "modulus_diffs"}
-_SERIES_KEYS = {"site", "spins", "labels"}
-_THERMAL_KEYS = {"t_min", "t_max", "points", "thresholds"}
-_VERDICT_KEYS = {"energy"}
-_BISEP_KEYS = {"n_a", "offset"}
-_BLOCK_KEYS = {"scf": _SCF_KEYS, "map": _MAP_KEYS,
-               "defect_series": _SERIES_KEYS, "thermal": _THERMAL_KEYS,
-               "verdict": _VERDICT_KEYS, "bisep": _BISEP_KEYS}
+REQUIRED = object()  # default of a key that must be given
+ABSENT = object()  # default of a key that stays out of the parsed block
+
+
+def _at_least(value, low):
+    if low is not None and value < low:
+        raise ValueError(f"must be >= {low}")
+    return value
+
+
+def _integer(low=None):
+    def parse(value) -> int:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError("expected an integer")
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError("expected a whole number")
+        return _at_least(int(value), low)
+    return parse
+
+
+def _real(low=None):
+    def parse(value) -> float:
+        # strings too: YAML 1.1 reads an exponent without a dot (1e-8) as one
+        if isinstance(value, bool):
+            raise TypeError("expected a number")
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError("must be finite")
+        return _at_least(number, low)
+    return parse
+
+
+def _spin(value) -> str:
+    if isinstance(value, bool):
+        raise TypeError("expected a spin length")
+    return spin_str(parse_spin(value))
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _one_of(*options):
+    def parse(value):
+        if value not in options:
+            raise ValueError(f"expected one of {list(options)}")
+        return value
+    return parse
 
 
 def _list(convert):
@@ -45,55 +84,70 @@ def _list(convert):
     return parse
 
 
-def _spin(value) -> str:
-    return spin_str(parse_spin(value))
+def _block(name: str):
+    return lambda value: _parse(name, value)
 
 
-def _at_least(low: int):
-    def parse(value) -> int:
-        if int(value) < low:
-            raise ValueError(f"must be >= {low}")
-        return int(value)
-    return parse
-
-
-def _etas(value) -> tuple:
-    etas = tuple(int(e) for e in value)
-    if any(e not in (1, -1) for e in etas):
-        raise ValueError("etas must be +1 or -1")
-    return etas
-
-
-# typed keys, converted once at parse time: a malformed value is a config
-# error here, and the commands read plain numbers and canonical spin strings
-_NUMERIC = {
-    "model": {"coupling": float, "spin": _spin, "spins": _list(_spin)},
-    "model.defect": {"site": int, "spin": _spin},
-    "scf": {"damping": float, "tol": float, "max_iter": int,
-            "init_grid": _list(float), "etas": _etas},
-    "map": {"lengths": _list(_at_least(1)), "spin": _spin,
-            "theta_points": _at_least(0),
-            "moduli": _list(float), "modulus_diffs": _list(float)},
-    "defect_series": {"site": int, "spins": _list(_spin)},
-    "thermal": {"t_min": float, "t_max": float, "points": _at_least(0),
-                "thresholds": _list(float)},
-    "verdict": {"energy": float},
-    "bisep": {"n_a": int, "offset": int},
+# block ("" is the top level) -> key -> (converter, default); a default is
+# converted like a written value.  Unset scf keys stay absent, so ScfConfig's
+# defaults apply
+SCHEMA = {
+    "": {"model": (_block("model"), ABSENT), "seed": (_integer(0), 42),
+         "scf": (_block("scf"), {}), "map": (_block("map"), {}),
+         "defect_series": (_block("defect_series"), ABSENT),
+         "thermal": (_block("thermal"), {}),
+         "verdict": (_block("verdict"), ABSENT), "bisep": (_block("bisep"), ABSENT)},
+    "model": {"topology": (_one_of(RING, CHAIN), REQUIRED),
+              "N": (_integer(2), REQUIRED), "coupling": (_real(), 1.0),
+              "spin": (_spin, ABSENT), "spins": (_list(_spin), ABSENT),
+              "defect": (_block("model.defect"), ABSENT)},
+    "model.defect": {"site": (_integer(1), REQUIRED), "spin": (_spin, REQUIRED)},
+    "scf": {"damping": (_real(), ABSENT), "tol": (_real(), ABSENT),
+            "max_iter": (_integer(), ABSENT), "init_grid": (_list(_real()), ABSENT),
+            "etas": (_list(_integer()), ABSENT)},
+    "map": {"lengths": (_list(_integer(1)), [3, 4]), "spin": (_spin, "1/2"),
+            "theta_points": (_integer(0), 13),
+            "moduli": (_list(_real()), [0.5, 0.25, 0.05]),
+            "modulus_diffs": (_list(_real()), [0.0, 0.25, 0.45])},
+    "defect_series": {"site": (_integer(1), REQUIRED),
+                      "spins": (_list(_spin), REQUIRED),
+                      "labels": (_list(_text), ABSENT)},
+    "thermal": {"t_min": (_real(0.0), 0.0), "t_max": (_real(0.0), 2.0),
+                "points": (_integer(0), 21), "thresholds": (_list(_real()), [])},
+    "verdict": {"energy": (_real(), REQUIRED)},
+    "bisep": {"n_a": (_integer(), REQUIRED), "offset": (_integer(), 1)},
 }
 
 
-def _check_keys(block: dict, allowed: set, where: str):
+def _parse(name: str, block) -> dict:
+    """One block of SCHEMA: every key converted, unset ones defaulted."""
+    where = name or "config"
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a mapping")
-    unknown = set(block) - allowed
+    schema = SCHEMA[name]
+    unknown = set(block) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
+    parsed = {}
+    for key, (convert, default) in schema.items():
+        value = default if block.get(key) is None else block[key]
+        if value is REQUIRED:
+            raise ConfigError(f"{where} needs '{key}'")
+        if value is ABSENT:
+            continue
+        try:
+            parsed[key] = convert(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            path = f"{name}.{key}" if name else key
+            raise ConfigError(f"invalid {path} {value!r}: {exc}") from exc
+    return parsed
 
 
 @dataclass
 class RunConfig:
     raw: dict
-    model: dict | None
     seed: int
     blocks: dict
 
@@ -106,51 +160,35 @@ class RunConfig:
 
         Returns (system, site_labels) with 0-based original positions.
         """
-        if self.model is None:
-            raise ConfigError("config needs a 'model' block for this command")
-        m = self.model
-        topology = m["topology"]
-        n = m["N"]
-        coupling = m.get("coupling", 1.0)
-        if "spins" in m:
-            spins = [parse_spin(s) for s in m["spins"]]
-            if len(spins) != n:
-                raise ConfigError("'spins' length must equal N")
-        else:
-            spins = [parse_spin(m["spin"])] * n
-        defect = m.get("defect")
-        if defect:
-            if topology != "ring":
-                raise ConfigError("defects are only supported on rings")
-            site = defect["site"] - 1
-            if not 0 <= site < n:
-                raise ConfigError("defect site out of range")
-            base = spins[0]
-            sm = parse_spin(defect["spin"])
-            if len(set(spins)) != 1:
-                raise ConfigError("defect requires a homogeneous base ring")
-            return defected_ring(n, base, site, sm, coupling)
+        m = self.block("model")
+        n, defect = m["N"], m.get("defect")
+        spins = m["spins"] if "spins" in m else (m["spin"],) * n
+        if len(spins) != n:
+            raise ConfigError("'spins' length must equal N")
+        if defect is not None and m["topology"] != RING:
+            raise ConfigError("defects are only supported on rings")
+        if defect is not None and len(set(spins)) != 1:
+            raise ConfigError("defect requires a homogeneous base ring")
         try:
-            system = SpinSystem(topology, tuple(spins), coupling)
+            if defect is None:
+                return (SpinSystem.from_spins(m["topology"], spins, m["coupling"]),
+                        list(range(n)))
+            return defected_ring(n, spins[0], defect["site"] - 1, defect["spin"],
+                                 m["coupling"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return system, list(range(n))
 
     def scf_config(self, seed: int | None = None) -> ScfConfig:
-        block = self.block("scf")
-        kwargs = {key: block[key] for key in _SCF_KEYS if key in block}
         try:
             return ScfConfig(seed=seed if seed is not None else self.seed,
-                             **kwargs)
+                             **self.block("scf"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def bisep_arc(self, system: SpinSystem) -> Arc:
         """The bisep block's arc (1-based offset), checked against the system."""
         block = self.block("bisep")
-        if "n_a" not in block:
-            raise ConfigError("bisep needs bisep.n_a")
-        arc = Arc(block.get("offset", 1) - 1, block["n_a"])
+        arc = Arc(block["offset"] - 1, block["n_a"])
         try:
             arc.sites(system)
         except ValueError as exc:
@@ -158,7 +196,9 @@ class RunConfig:
         return arc
 
     def block(self, name: str) -> dict:
-        return self.blocks.get(name, {})
+        if name not in self.blocks:
+            raise ConfigError(f"config needs a '{name}' block for this command")
+        return self.blocks[name]
 
 
 def load_config(path: str) -> RunConfig:
@@ -169,46 +209,12 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
-    return parse_config(raw)
+    return parse_config({} if raw is None else raw)
 
 
 def parse_config(raw: dict) -> RunConfig:
-    _check_keys(raw, _TOP_KEYS, "config")
-    model = raw.get("model")
-    if model is not None:
-        _check_keys(model, _MODEL_KEYS, "model")
-        model = dict(model)
-        if "topology" not in model or model["topology"] not in ("ring", "chain"):
-            raise ConfigError("model.topology must be 'ring' or 'chain'")
-        if "N" not in model or not isinstance(model["N"], int) or model["N"] < 2:
-            raise ConfigError("model.N must be an integer >= 2")
-        if ("spin" in model) == ("spins" in model):
-            raise ConfigError("model needs exactly one of 'spin' or 'spins'")
-        if "defect" in model and model["defect"] is not None:
-            _check_keys(model["defect"], _DEFECT_KEYS, "model.defect")
-            for key in _DEFECT_KEYS:
-                if key not in model["defect"]:
-                    raise ConfigError(f"model.defect needs '{key}'")
-            model["defect"] = dict(model["defect"])
-    blocks = {} if model is None else {"model": model}
-    for name, keys in _BLOCK_KEYS.items():
-        if raw.get(name) is not None:
-            _check_keys(raw[name], keys, name)
-            blocks[name] = dict(raw[name])
-    for name, converters in _NUMERIC.items():
-        block = blocks
-        for part in name.split("."):
-            block = block.get(part) or {}
-        for key, convert in converters.items():
-            if key in block:
-                try:
-                    block[key] = convert(block[key])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"invalid {name}.{key} {block[key]!r}: "
-                                      f"{exc}") from exc
-    seed = raw.get("seed", 42)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    return RunConfig(raw=raw, model=model, seed=seed, blocks=blocks)
+    blocks = _parse("", raw)
+    model = blocks.get("model")
+    if model is not None and ("spin" in model) == ("spins" in model):
+        raise ConfigError("model needs exactly one of 'spin' or 'spins'")
+    return RunConfig(raw=raw, seed=blocks.pop("seed"), blocks=blocks)

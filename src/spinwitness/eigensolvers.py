@@ -6,9 +6,9 @@ only; larger blocks go to a restarted Lanczos iteration with full
 reorthogonalization and a seeded start vector.  On the Lanczos route the gap
 comes from a second, deflated solve kept orthogonal to the converged ground
 vector, so a degenerate ground level reappears in that complement and is
-reported with gap 0.  ``dense_spectrum`` (capped at ``DENSE_LIMIT``) is the
-full-spectrum oracle the tests hold both routes to.  Sector-blocked solving
-takes the global minimum over total-Sz sectors.
+reported with gap 0.  ``dense_spectrum`` (capped at ``DENSE_LIMIT``) gives
+whole spectra and is the oracle the tests hold both routes to.
+Sector-blocked solving takes the global minimum over total-Sz sectors.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import scipy.linalg
 from .hamiltonians import SpinSystem, build_hamiltonian
 from .operators import SparseHermitianOperator, sector_two_m_values
 
-DENSE_LIMIT = 4096  # cap of the dense_spectrum oracle
+DENSE_LIMIT = 8192  # largest matrix dense_spectrum makes dense
 # ground_state solves larger sectors by Lanczos.  Measured break-even of the
 # partial LAPACK solve against the two Lanczos solves: between dim 336 and
 # 357 (2-vCPU Xeon, one BLAS thread)
 LANCZOS_CROSSOVER = 340
-SECTOR_DENSE_LIMIT = 8192
 DEGENERACY_TOL = 1e-9
 DEFAULT_TOL = 1e-10
 DEFAULT_SEED = 42
@@ -53,13 +52,12 @@ class GroundStateResult:
     sector_two_m: int | None = None
 
 
-def dense_spectrum(op, limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Full ascending spectrum via LAPACK of an operator or a sparse Hermitian
-    matrix; refuses dimensions above `limit` before densifying."""
-    mat = op.matrix if isinstance(op, SparseHermitianOperator) else op
-    if mat.shape[0] > limit:
-        raise SolverError(f"dimension {mat.shape[0]} exceeds dense limit {limit}; "
-                          "sector-block the operator first")
+def dense_spectrum(mat) -> np.ndarray:
+    """Full ascending spectrum via LAPACK of a sparse Hermitian matrix;
+    refuses dimensions above DENSE_LIMIT before densifying."""
+    if mat.shape[0] > DENSE_LIMIT:
+        raise SolverError(f"dimension {mat.shape[0]} exceeds dense limit "
+                          f"{DENSE_LIMIT}; sector-block the operator first")
     if mat.shape[0] == 0:
         return np.array([])
     return scipy.linalg.eigvalsh(mat.toarray())

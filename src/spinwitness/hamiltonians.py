@@ -129,7 +129,7 @@ def build_hamiltonian(system: SpinSystem,
     """Full Heisenberg Hamiltonian of the system (N bonds for a ring, N-1 for a chain)."""
     basis = ProductBasis(system.site_two_s, sector_two_m)
     h = heisenberg_matrix(basis, system.bonds(), system.coupling)
-    return SparseHermitianOperator(basis, h, check=False)
+    return SparseHermitianOperator(basis, h)
 
 
 def subsystem_bonds(system: SpinSystem, sites: list) -> list:
@@ -144,7 +144,7 @@ def build_on_sites(system: SpinSystem, sites: list,
     """Hamiltonian restricted to the given sites (only internal bonds kept)."""
     basis = ProductBasis([system.site_two_s[i] for i in sites], sector_two_m)
     h = heisenberg_matrix(basis, subsystem_bonds(system, sites), system.coupling)
-    return SparseHermitianOperator(basis, h, check=False)
+    return SparseHermitianOperator(basis, h)
 
 
 def coupling_bonds(system: SpinSystem, arc: Arc) -> list:

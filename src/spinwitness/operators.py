@@ -15,8 +15,6 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-HERMITICITY_TOL = 1e-12
-
 
 def parse_spin(value) -> int:
     """Convert a spin length (int, float, Fraction or string like "3/2") to 2s."""
@@ -158,20 +156,14 @@ class SparseHermitianOperator:
     """A Hermitian operator on a ProductBasis, stored sparse (CSR).
 
     Real-symmetric storage is used whenever all terms are z-collinear in the
-    product basis; complex-Hermitian otherwise.  Hermiticity is verified at
-    construction time.
+    product basis; complex-Hermitian otherwise.
     """
 
-    def __init__(self, basis: ProductBasis, matrix: sp.spmatrix, check: bool = True):
+    def __init__(self, basis: ProductBasis, matrix: sp.spmatrix):
         self.basis = basis
         self.matrix = sp.csr_matrix(matrix)
         if self.matrix.shape != (basis.dim, basis.dim):
             raise ValueError("matrix shape does not match basis dimension")
-        if check and self.matrix.nnz:
-            dev = abs(self.matrix - self.matrix.getH()).max()
-            scale = max(1.0, abs(self.matrix).max())
-            if dev > HERMITICITY_TOL * scale:
-                raise ValueError(f"operator is not Hermitian (deviation {dev:g})")
 
     @property
     def dim(self) -> int:
@@ -196,11 +188,11 @@ class SparseHermitianOperator:
     def __add__(self, other: "SparseHermitianOperator") -> "SparseHermitianOperator":
         if other.basis is not self.basis and other.basis.dim != self.dim:
             raise ValueError("operator dimensions differ")
-        return SparseHermitianOperator(self.basis, self.matrix + other.matrix, check=False)
+        return SparseHermitianOperator(self.basis, self.matrix + other.matrix)
 
 
 def diagonal_operator(basis: ProductBasis, diag: np.ndarray) -> SparseHermitianOperator:
-    return SparseHermitianOperator(basis, sp.diags(diag, format="csr"), check=False)
+    return SparseHermitianOperator(basis, sp.diags(diag, format="csr"))
 
 
 def szsz_diagonal(basis: ProductBasis, i: int, j: int) -> np.ndarray:
@@ -285,7 +277,7 @@ def field_term(basis: ProductBasis, site: int, b) -> SparseHermitianOperator:
     vals = np.concatenate([vals_up, np.conj(vals_up)])
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
     mat = mat + sp.diags(diag)
-    return SparseHermitianOperator(basis, mat, check=False)
+    return SparseHermitianOperator(basis, mat)
 
 
 def total_spin_squared(basis: ProductBasis) -> SparseHermitianOperator:
@@ -297,4 +289,4 @@ def total_spin_squared(basis: ProductBasis) -> SparseHermitianOperator:
     n = basis.n_sites
     for i in range(n - 1):
         mat = mat + heisenberg_matrix(basis, [(i, j) for j in range(i + 1, n)], 2.0)
-    return SparseHermitianOperator(basis, mat, check=False)
+    return SparseHermitianOperator(basis, mat)

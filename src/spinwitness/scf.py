@@ -128,7 +128,7 @@ class CollinearChainSolver:
             if basis.dim <= DENSE_DIM:
                 sec["dense"] = mat.toarray()
             else:
-                sec["op"] = SparseHermitianOperator(basis, mat, check=False)
+                sec["op"] = SparseHermitianOperator(basis, mat)
                 sec["v0"] = None
             self.sectors.append(sec)
 
@@ -230,8 +230,15 @@ class ScfConfig:
     def __post_init__(self):
         if not 0 < self.damping <= 1:
             raise ValueError("damping must be in (0, 1]")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        # an infinite tol would accept the first cycle as converged
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.init_grid is not None and not len(self.init_grid):
+            raise ValueError("init_grid must be None or non-empty")
+        if not self.etas or any(e not in (1, -1) for e in self.etas):
+            raise ValueError("etas must be a non-empty list of +1 and -1")
 
 
 @dataclass

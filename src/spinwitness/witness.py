@@ -15,7 +15,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .eigensolvers import (
-    SECTOR_DENSE_LIMIT,
     degenerate_with,
     dense_spectrum,
     sectored_ground_state,
@@ -270,8 +269,7 @@ def full_spectrum(system: SpinSystem) -> np.ndarray:
             real = 2 * k % n_k == 0
             pk = sp.csr_matrix((phase.real if real else phase, (states, col)),
                                shape=(op.dim, reps.size))
-            vals = dense_spectrum(pk.conj().T @ op.matrix @ pk,
-                                  limit=SECTOR_DENSE_LIMIT)
+            vals = dense_spectrum(pk.conj().T @ op.matrix @ pk)
             pieces += [vals] * ((1 if real else 2) * (2 if two_m else 1))
     return np.sort(np.concatenate(pieces))
 

@@ -96,7 +96,7 @@ def test_criterion_02_lanczos_matches_dense_oracle():
     for system in systems:
         op = build_hamiltonian(system)
         assert op.dim <= 4096
-        e_dense = dense_spectrum(op)[0]
+        e_dense = dense_spectrum(op.matrix)[0]
         vals, _, _, _ = lanczos_ground(op, k=2)
         assert abs(vals[0] - e_dense) < 1e-9, system.describe()
     ok(f"criterion 2: Lanczos vs dense oracle on {len(systems)} instances")
@@ -117,9 +117,10 @@ def test_criterion_04_even_even_qubit_decoupling():
     system = SpinSystem.ring(8, "1/2")
     for n_a in (2, 4):
         res = biseparable_minimum(system, Arc(0, n_a))
-        ea = dense_spectrum(build_hamiltonian(SpinSystem.chain(n_a, "1/2")))[0]
+        ea = dense_spectrum(
+            build_hamiltonian(SpinSystem.chain(n_a, "1/2")).matrix)[0]
         eb = dense_spectrum(
-            build_hamiltonian(SpinSystem.chain(8 - n_a, "1/2")))[0]
+            build_hamiltonian(SpinSystem.chain(8 - n_a, "1/2")).matrix)[0]
         assert abs(res.ebs - (ea + eb)) < 1e-8, f"n_a={n_a}"
         assert abs(res.z_a) < 1e-8 and abs(res.z_b) < 1e-8, f"n_a={n_a}"
     ok("criterion 4: even-even decoupling for N_A in {2, 4} (z = 0 branch)")

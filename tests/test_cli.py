@@ -172,12 +172,51 @@ class TestExitCodes:
         ("map", "map: {lengths: [0]}"),
         ("ground", "  defect: {site: abc, spin: \"1\"}"),  # continues RING4's model
         ("defect", "defect_series: {site: 1, spins: [abc]}"),
+        # a whole number is required, never truncated
+        ("bisep", "bisep: {n_a: 2.5}"),
+        ("thermal", "thermal: {points: 2.7}"),
+        ("ground", "  defect: {site: 1.5, spin: \"1\"}"),  # continues RING4's model
+        ("bisep", "bisep: {n_a: 1}\nscf: {max_iter: 2.9}"),
+        ("bisep", "bisep: {n_a: 1}\nscf: {etas: [1.9]}"),
+        ("ground", "seed: true"),
+        ("ground", "seed: -1"),  # Lanczos start vectors need a seed >= 0
+        # a config that starts with its own model replaces RING4
+        ("ground", 'model: {topology: ring, N: 2, spin: "1/2", '
+                   'defect: {site: 1, spin: "1"}}'),
+        ("ground", 'model: {topology: ring, N: 3, spin: "0", '
+                   'defect: {site: 1, spin: "1"}}'),
+        ("defect", "defect_series: {site: 9, spins: [\"1\"]}"),
+        ("defect", "defect_series: {site: 1, spins: [\"1\"], labels: 5}"),
+        ("defect", "defect_series: {site: 1, spins: [\"1\"], labels: [yes]}"),
+        ("bisep", "bisep: {n_a: 1}\nscf: {max_iter: 0}"),
+        ("bisep", "bisep: {n_a: 1}\nscf: {init_grid: []}"),
+        ("bisep", "bisep: {n_a: 1}\nscf: {etas: []}"),
+        # accepted the first SCF cycle and reported E_bs 1.5e-6 too high
+        ("bisep", 'model: {topology: ring, N: 8, spin: "1"}\n'
+                  "bisep: {n_a: 2}\nscf: {tol: .inf}"),
+        ("thermal", "thermal: {t_min: -1}"),
     ], ids=["points-abc", "points-negative", "energy-abc", "coupling-abc",
             "init-grid-scalar", "arc-too-long", "bisep-eta", "theta-points-abc",
-            "map-length-zero", "defect-site-abc", "series-spin-abc"])
+            "map-length-zero", "defect-site-abc", "series-spin-abc",
+            "n-a-fraction", "points-fraction", "defect-site-fraction",
+            "max-iter-fraction", "etas-fraction", "seed-bool", "seed-negative",
+            "defected-ring-too-short", "defected-ring-spinless-base",
+            "series-site-out-of-range", "series-labels-scalar", "series-label-bool",
+            "max-iter-zero",
+            "init-grid-empty", "etas-empty", "tol-infinite",
+            "negative-temperature"])
     def test_malformed_value_is_2(self, tmp_path, capsys, command, extra):
+        text = extra if extra.startswith("model:") else RING4 + extra
         code, out, err = run_main(
-            [command, "--config", write(tmp_path, RING4 + extra + "\n")], capsys)
+            [command, "--config", write(tmp_path, text + "\n")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:")
+
+    def test_negative_seed_flag_is_2(self, tmp_path, capsys):
+        code, out, err = run_main(
+            ["ground", "--config", write(tmp_path, RING4), "--seed", "-1"],
+            capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("config error:")

@@ -1,8 +1,13 @@
 """Run-configuration parsing and validation."""
 
-import pytest
+from pathlib import Path
 
-from spinwitness.config import ConfigError, load_config, parse_config
+import pytest
+import yaml
+
+from spinwitness.config import SCHEMA, ConfigError, load_config, parse_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_minimal_model():
@@ -143,10 +148,37 @@ def test_load_config_empty_file(tmp_path):
     p = tmp_path / "empty.yaml"
     p.write_text("")
     cfg = load_config(str(p))
-    assert cfg.model is None
+    assert "model" not in cfg.blocks
+    assert cfg.seed == 42
 
 
 def test_build_system_requires_model():
     cfg = parse_config({"seed": 1})
     with pytest.raises(ConfigError):
         cfg.build_system()
+
+
+def test_defaults_filled_at_parse_time():
+    cfg = parse_config({"thermal": {"points": 3}})
+    assert cfg.block("thermal") == {"t_min": 0.0, "t_max": 2.0, "points": 3,
+                                    "thresholds": ()}
+    assert cfg.block("map")["lengths"] == (3, 4)
+    assert cfg.block("scf") == {}  # ScfConfig holds the SCF defaults
+    with pytest.raises(ConfigError):
+        cfg.block("verdict")
+
+
+def test_null_value_leaves_key_unset():
+    cfg = parse_config({"seed": None, "thermal": {"points": None}})
+    assert cfg.seed == 42
+    assert cfg.block("thermal")["points"] == 21
+
+
+def test_readme_schema_lists_every_key():
+    text = README.read_text().split("### Config schema", 1)[1]
+    documented = yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])
+    for name, keys in SCHEMA.items():
+        block = documented
+        for part in filter(None, name.split(".")):
+            block = block[part]
+        assert set(block) == set(keys), name or "top level"

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinwitness.eigensolvers import (
+    DENSE_LIMIT,
     LANCZOS_CROSSOVER,
     SolverError,
     degenerate_with,
@@ -42,9 +44,12 @@ def test_two_site_singlet_gap():
 
 
 def test_dense_limit_enforced():
-    op = build_hamiltonian(SpinSystem.ring(8, "1/2"))
+    class NeverDense(sp.csr_matrix):
+        def toarray(self, *args, **kwargs):
+            raise AssertionError("densified a matrix above the cap")
+
     with pytest.raises(SolverError):
-        dense_spectrum(op, limit=100)
+        dense_spectrum(NeverDense(sp.identity(DENSE_LIMIT + 1, format="csr")))
 
 
 def test_degenerate_detection():
@@ -72,7 +77,7 @@ def test_degenerate_detection_lanczos_small_dim():
 ])
 def test_lanczos_matches_dense(system):
     op = build_hamiltonian(system)
-    e_dense = dense_spectrum(op)[0]
+    e_dense = dense_spectrum(op.matrix)[0]
     vals, vecs, iters, resid = lanczos_ground(op, k=2)
     assert abs(vals[0] - e_dense) < 1e-9
     v = vecs[:, 0]
@@ -96,7 +101,7 @@ def test_lanczos_deterministic():
 
 def test_variational_bound():
     op = build_hamiltonian(SpinSystem.ring(6, "1/2"))
-    e0 = dense_spectrum(op)[0]
+    e0 = dense_spectrum(op.matrix)[0]
     rng = np.random.default_rng(3)
     for _ in range(50):
         v = rng.standard_normal(op.dim)
@@ -107,7 +112,7 @@ def test_variational_bound():
 def test_sectored_matches_full_dense():
     for system in (SpinSystem.ring(6, "1/2"), SpinSystem.ring(4, "1"),
                    SpinSystem.chain(5, "1")):
-        full = dense_spectrum(build_hamiltonian(system))
+        full = dense_spectrum(build_hamiltonian(system).matrix)
         r = sectored_ground_state(system)
         assert abs(r.energy - full[0]) < 1e-10
         assert abs(r.gap - (full[1] - full[0])) < 1e-8
@@ -123,7 +128,7 @@ def test_flip_symmetry_consistent():
         assert abs(a.energy - b.energy) < 1e-10
         assert a.gap == b.gap or abs(a.gap - b.gap) < 1e-8
     r = sectored_ground_state(system)
-    full = dense_spectrum(build_hamiltonian(system))
+    full = dense_spectrum(build_hamiltonian(system).matrix)
     assert abs(r.energy - full[0]) < 1e-10
     assert abs(r.gap - (full[1] - full[0])) < 1e-8
 
@@ -154,7 +159,7 @@ def test_lanczos_no_restarts_raises_solver_error():
 
 def test_lanczos_lock_keeps_complement():
     op = build_hamiltonian(SpinSystem.ring(10, "1/2"), 0)
-    spectrum = dense_spectrum(op)
+    spectrum = dense_spectrum(op.matrix)
     _, v0, _, _ = lanczos_ground(op, k=1)
     vals, v1, _, _ = lanczos_ground(op, k=1, lock=v0)
     assert abs(vals[0] - spectrum[1]) < 1e-9
@@ -181,7 +186,7 @@ def test_lanczos_gap_never_negative():
         if not degenerate_with(r.energy, vals[0]):
             break
         lock = np.hstack([lock, vecs])
-    assert lock.shape[1] == _multiplicity(dense_spectrum(op)) == 2
+    assert lock.shape[1] == _multiplicity(dense_spectrum(op.matrix)) == 2
 
 
 @pytest.mark.parametrize("system, two_m", [
@@ -194,7 +199,7 @@ def test_lanczos_route_matches_dense_oracle(system, two_m):
     op = build_hamiltonian(system, two_m)
     assert op.dim > LANCZOS_CROSSOVER
     r = ground_state(op)
-    spectrum = dense_spectrum(op)
+    spectrum = dense_spectrum(op.matrix)
     assert r.iterations > 0
     assert abs(r.energy - spectrum[0]) < 1e-9
     assert abs(r.gap - (spectrum[1] - spectrum[0])) < 1e-8
@@ -222,7 +227,7 @@ def test_lanczos_sees_degenerate_n15_ring():
 def test_lowest_level_matches_oracle_on_degenerate_level():
     # N=3 ring, 2M=1: the two chiral doublets give a twofold level in-sector
     op = build_hamiltonian(SpinSystem.ring(3, "1/2"), 1)
-    spectrum = dense_spectrum(op)
+    spectrum = dense_spectrum(op.matrix)
     e0, e1, manifold = lowest_level(op.to_dense())
     assert manifold.shape[1] == _multiplicity(spectrum) == 2
     assert abs(e0 - spectrum[0]) < 1e-12 and abs(e1 - spectrum[1]) < 1e-12
@@ -233,7 +238,7 @@ def test_lowest_level_matches_oracle_on_degenerate_level():
 def test_lowest_level_nondegenerate_keeps_one_vector():
     op = build_hamiltonian(SpinSystem.ring(6, "1/2"), 0)
     e0, e1, manifold = lowest_level(op.to_dense())
-    spectrum = dense_spectrum(op)
+    spectrum = dense_spectrum(op.matrix)
     assert manifold.shape[1] == 1
     assert abs(e0 - spectrum[0]) < 1e-12 and abs(e1 - spectrum[1]) < 1e-12
 

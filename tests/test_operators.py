@@ -227,13 +227,6 @@ class TestOperators:
         with pytest.raises(ValueError):
             field_term(b, 0, [np.inf, 0.0, 0.0])
 
-    def test_hermiticity_check_fires(self):
-        import scipy.sparse as sp
-        b = ProductBasis([1])
-        bad = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            SparseHermitianOperator(b, bad)
-
     def test_total_sz(self):
         b = ProductBasis([1, 1])
         assert np.allclose(b.two_m.sum(axis=1) / 2.0, [1, 0, 0, -1])

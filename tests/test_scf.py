@@ -145,14 +145,35 @@ class TestScfConfig:
         with pytest.raises(ValueError):
             ScfConfig(tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-10])
+    def test_tol_finite_and_positive(self, tol):
+        with pytest.raises(ValueError):
+            ScfConfig(tol=tol)
+
+    def test_max_iter_at_least_one(self):
+        with pytest.raises(ValueError):
+            ScfConfig(max_iter=0)
+        assert ScfConfig(max_iter=1).max_iter == 1
+
+    def test_init_grid_none_or_nonempty(self):
+        with pytest.raises(ValueError):
+            ScfConfig(init_grid=())
+        assert ScfConfig(init_grid=None).init_grid is None
+        assert ScfConfig(init_grid=(0.5,)).init_grid == (0.5,)
+
+    @pytest.mark.parametrize("etas", [(), (0,), (1, 2)])
+    def test_etas_nonempty_signs(self, etas):
+        with pytest.raises(ValueError):
+            ScfConfig(etas=etas)
+
 
 class TestBiseparableMinimum:
     def test_even_even_decouples(self):
         # qubit ring: even-even splits exactly into two open chains
         system = SpinSystem.ring(6, "1/2")
         res = biseparable_minimum(system, Arc(0, 2))
-        e2 = dense_spectrum(build_hamiltonian(SpinSystem.chain(2, "1/2")))[0]
-        e4 = dense_spectrum(build_hamiltonian(SpinSystem.chain(4, "1/2")))[0]
+        e2 = dense_spectrum(build_hamiltonian(SpinSystem.chain(2, "1/2")).matrix)[0]
+        e4 = dense_spectrum(build_hamiltonian(SpinSystem.chain(4, "1/2")).matrix)[0]
         assert res.decoupled
         assert abs(res.ebs - (e2 + e4)) < 1e-8
         assert abs(res.z_a) < 1e-8 and abs(res.z_b) < 1e-8
@@ -170,7 +191,7 @@ class TestBiseparableMinimum:
 
     def test_ebs_above_ground(self):
         system = SpinSystem.ring(6, "1/2")
-        e0 = dense_spectrum(build_hamiltonian(system))[0]
+        e0 = dense_spectrum(build_hamiltonian(system).matrix)[0]
         for n_a in (1, 2, 3):
             res = biseparable_minimum(system, Arc(0, n_a))
             assert res.ebs > e0 + 1e-6
