@@ -20,7 +20,7 @@ substitution runs per-sector Lanczos on dimensions up to ~10^4).
 import csv
 import pathlib
 
-from spinwitness import defect_series
+from spinwitness import SpinSystem, defect_series
 
 OUT = pathlib.Path(__file__).resolve().parent / "results"
 OUT.mkdir(exist_ok=True)
@@ -30,7 +30,7 @@ SPINS = ["0", "1/2", "1", "3/2", "2", "5/2"]
 
 
 def main():
-    tables = defect_series("3/2", 8, 4, SPINS, labels=LABELS)
+    tables = defect_series(SpinSystem.ring(8, "3/2"), 4, SPINS, labels=LABELS)
     with open(OUT / "substitution_series.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["label", "s_m", "site", "cost"])

@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .eigensolvers import SolverError, sectored_ground_state
-from .operators import ProductBasis, total_spin_squared
+from .hamiltonians import defected_ring
+from .operators import ProductBasis, parse_spin, product_dim, total_spin_squared
 from .scf import (ScfError, biseparable_minimum_detailed, biseparable_scan,
                   boundary_geometry, boundary_map, map_jobs)
 from .witness import (
@@ -85,8 +86,8 @@ def _metadata(cfg: RunConfig, seed: int, command: str) -> dict:
 def cmd_ground(cfg: RunConfig, seed: int, workers: int):
     system, _ = cfg.build_system()
     res = sectored_ground_state(system, seed=seed)
-    basis = ProductBasis(system.site_two_s, res.sector_two_m)
-    s_sq = total_spin_squared(basis).expectation(res.vector)
+    s2 = total_spin_squared(ProductBasis(system.site_two_s, res.sector_two_m))
+    s_sq = float(np.real(np.vdot(res.vector, s2 @ res.vector)))
     columns = ["e0", "gap", "s_squared", "degenerate"]
     rows = [[res.energy, res.gap, s_sq, bool(res.degenerate)]]
     return columns, rows
@@ -94,6 +95,10 @@ def cmd_ground(cfg: RunConfig, seed: int, workers: int):
 
 def cmd_map(cfg: RunConfig, seed: int, workers: int):
     block = cfg.block("map")
+    try:  # the longest chain is checked before any job starts
+        product_dim([parse_spin(block["spin"])] * max(block["lengths"], default=0))
+    except ValueError as exc:
+        raise ConfigError(f"map: {exc}") from exc
     thetas = np.linspace(0.0, np.pi, block["theta_points"])
     columns = ["n_a", "theta_b", "z_diff_b", "modulus_b",
                "thetabar_a", "z_diff_a", "modulus_a", "modulus_aprime"]
@@ -149,16 +154,21 @@ def cmd_scan(cfg: RunConfig, seed: int, workers: int):
 
 
 def cmd_defect(cfg: RunConfig, seed: int, workers: int):
-    model, block = cfg.block("model"), cfg.block("defect_series")
-    n, spins, labels = model["N"], block["spins"], block.get("labels")
+    block = cfg.block("defect_series")
+    site, spins, labels = block["site"] - 1, block["spins"], block.get("labels")
     if labels and len(labels) != len(spins):
         raise ConfigError("defect_series.labels length mismatch")
-    if "spin" not in model:
-        raise ConfigError("defect command needs a homogeneous model.spin")
-    if block["site"] > n:
-        raise ConfigError("defect_series.site must be in 1..N")
-    base, site = model["spin"], block["site"] - 1
-    tables = _defect_tables(base, n, site, spins, labels, seed, workers)
+    if "defect" in cfg.block("model"):
+        raise ConfigError("defect command needs a model without a defect")
+    system, _ = cfg.build_system()
+    try:  # every substitution is checked before any job starts
+        for sm in spins:
+            defected_ring(system, site, sm)
+    except ValueError as exc:
+        raise ConfigError(f"defect_series: {exc}") from exc
+    jobs = [(system, site, sm, labels[i] if labels else None, seed)
+            for i, sm in enumerate(spins)]
+    tables = map_jobs(_defect_one, jobs, workers)
     columns = ["label", "defect_spin", "k", "e0", "ebs_k", "cost"]
     rows = []
     for table, sm in zip(tables, spins):
@@ -168,15 +178,9 @@ def cmd_defect(cfg: RunConfig, seed: int, workers: int):
 
 
 def _defect_one(args):
-    base, n, site, sm, label, seed = args
-    return defect_series(base, n, site, [sm],
+    system, site, sm, label, seed = args
+    return defect_series(system, site, [sm],
                          labels=[label] if label else None, seed=seed)[0]
-
-
-def _defect_tables(base, n, site, spins, labels, seed, workers):
-    jobs = [(base, n, site, sm, labels[i] if labels else None, seed)
-            for i, sm in enumerate(spins)]
-    return map_jobs(_defect_one, jobs, workers)
 
 
 def cmd_verdict(cfg: RunConfig, seed: int, workers: int):

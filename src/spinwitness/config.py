@@ -165,16 +165,11 @@ class RunConfig:
         spins = m["spins"] if "spins" in m else (m["spin"],) * n
         if len(spins) != n:
             raise ConfigError("'spins' length must equal N")
-        if defect is not None and m["topology"] != RING:
-            raise ConfigError("defects are only supported on rings")
-        if defect is not None and len(set(spins)) != 1:
-            raise ConfigError("defect requires a homogeneous base ring")
         try:
+            system = SpinSystem.from_spins(m["topology"], spins, m["coupling"])
             if defect is None:
-                return (SpinSystem.from_spins(m["topology"], spins, m["coupling"]),
-                        list(range(n)))
-            return defected_ring(n, spins[0], defect["site"] - 1, defect["spin"],
-                                 m["coupling"])
+                return system, list(range(n))
+            return defected_ring(system, defect["site"] - 1, defect["spin"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -96,67 +96,40 @@ def select_in_manifold(manifold: np.ndarray, selector):
     return float(vals[0]), manifold @ vecs[:, 0]
 
 
-def _dense_lowest(op: SparseHermitianOperator, k: int, lock, shift):
-    """Lowest k eigenpairs of op + diag(shift) by LAPACK, in the complement
-    of `lock` if given."""
-    mat = op.to_dense()
-    if shift is not None:
-        mat[np.diag_indices_from(mat)] += shift
-    basis = None
-    if lock is not None:
-        basis = scipy.linalg.null_space(lock.conj().T)
-        mat = basis.conj().T @ mat @ basis
-    k = min(k, mat.shape[0])
-    vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[0, k - 1])
-    if basis is not None:
-        vecs = basis @ vecs
-    return vals, vecs
-
-
 def lanczos_ground(op: SparseHermitianOperator,
-                   k: int = 2,
-                   tol: float = DEFAULT_TOL,
                    seed: int = DEFAULT_SEED,
-                   max_krylov: int = 300,
                    max_restarts: int = 40,
                    v0: np.ndarray | None = None,
                    lock: np.ndarray | None = None,
                    shift: np.ndarray | None = None):
-    """Lowest k eigenpairs by restarted Lanczos with full reorthogonalization.
+    """Lowest eigenpair by restarted Lanczos with full reorthogonalization.
 
     `shift` is a diagonal added to the operator inside the matrix-vector
     product, so a field-dressed block needs no new matrix.  `lock` holds
     orthonormal columns that the Krylov basis is kept orthogonal to; the
-    pairs returned are then those of the operator restricted to their
-    complement.  Returns (values, vectors, iterations, residual) where
-    residual is the Ritz residual estimate of the lowest pair.  Raises
-    SolverError on non-convergence.
+    pair returned is then that of the operator restricted to their
+    complement.  The Krylov basis takes its dtype from the matrix.  Returns
+    (values, vectors, iterations, residual): one value, one column, and the
+    Ritz residual estimate of the pair.  Raises SolverError on
+    non-convergence.
     """
     n = op.dim
     mat = op.matrix
-    dtype = mat.dtype if not op.is_real else np.float64
-    if n == 0:
-        raise SolverError("empty operator")
     n_free = n - (0 if lock is None else lock.shape[1])
-    if n_free <= max(8, k + 2):
-        vals, vecs = _dense_lowest(op, k, lock, shift)
-        return vals, vecs, 0, 0.0
-    k = min(k, n_free - 1)
-    rng = np.random.default_rng(seed)
+    if n_free < 1:
+        raise SolverError("empty operator")
     if v0 is None:
-        v0 = rng.standard_normal(n).astype(np.float64)
-        if dtype == np.complex128:
-            v0 = v0 + 1j * rng.standard_normal(n)
+        v0 = np.random.default_rng(seed).standard_normal(n)
     if lock is not None:
         v0 = v0 - lock @ (lock.conj().T @ v0)
     v0 = v0 / np.linalg.norm(v0)
 
-    m = min(max_krylov, n_free)
+    m = min(300, n_free)  # Krylov vectors per restart
     total_iter = 0
     scale = 1.0
     resid = np.array([np.inf])
     for restart in range(max_restarts):
-        V = np.empty((m, n), dtype=dtype)
+        V = np.empty((m, n), dtype=mat.dtype)
         alphas = np.empty(m)
         betas = np.empty(m)
         V[0] = v0
@@ -186,12 +159,12 @@ def lanczos_ground(op: SparseHermitianOperator,
                 exhausted = True
                 break
             # periodic Ritz-residual check to stop the sweep early
-            if j + 1 >= 2 * k + 4 and (j + 1) % 8 == 0:
+            if j + 1 >= 6 and (j + 1) % 8 == 0:
                 th = scipy.linalg.eigh_tridiagonal(
                     alphas[:j + 1], betas[:j], select="i",
-                    select_range=(0, k - 1), eigvals_only=False)
+                    select_range=(0, 0), eigvals_only=False)
                 if np.all(np.abs(b * th[1][j, :]) <
-                          tol * max(1.0, abs(th[0][0]))):
+                          DEFAULT_TOL * max(1.0, abs(th[0][0]))):
                     j_end = j + 1
                     break
             if j + 1 < m:
@@ -202,48 +175,43 @@ def lanczos_ground(op: SparseHermitianOperator,
         T_a = alphas[:nv]
         T_b = betas[:nv - 1] if nv > 1 else np.array([])
         theta, S = scipy.linalg.eigh_tridiagonal(T_a, T_b)
-        kk = min(k, nv)
         if exhausted:
-            resid = np.zeros(kk)
+            resid = np.zeros(1)
         else:
-            resid = np.abs(betas[nv - 1] * S[nv - 1, :kk])
+            resid = np.abs(betas[nv - 1] * S[nv - 1, :1])
         ritz_scale = max(1.0, float(np.abs(theta[0])))
-        if exhausted or np.all(resid < tol * ritz_scale):
-            vecs = (S[:, :kk].T @ V[:nv]).T
+        if exhausted or np.all(resid < DEFAULT_TOL * ritz_scale):
+            vecs = (S[:, :1].T @ V[:nv]).T
             # re-normalize (reorthogonalization keeps this near 1)
-            for c in range(kk):
-                vecs[:, c] /= np.linalg.norm(vecs[:, c])
-            res0 = float(resid[0]) if len(resid) else 0.0
-            return theta[:kk], vecs, total_iter, res0
+            vecs[:, 0] /= np.linalg.norm(vecs[:, 0])
+            return theta[:1], vecs, total_iter, float(resid[0])
         # restart from the lowest Ritz vector
         v0 = (S[:, 0].T @ V[:nv])
         v0 = v0 / np.linalg.norm(v0)
     raise SolverError(
         "Lanczos failed to converge",
         {"dim": n, "iterations": total_iter, "residual": float(resid[0]),
-         "tol": tol, "restarts": max_restarts})
+         "tol": DEFAULT_TOL, "restarts": max_restarts})
 
 
 def ground_state(op: SparseHermitianOperator,
-                 tol: float = DEFAULT_TOL,
                  seed: int = DEFAULT_SEED) -> GroundStateResult:
     """Lowest eigenpair and gap of a single operator (no sector blocking here).
 
     Dense up to LANCZOS_CROSSOVER, Lanczos above.
     """
     if op.dim <= LANCZOS_CROSSOVER:
-        e0, e1, manifold = lowest_level(op.to_dense())
+        e0, e1, manifold = lowest_level(op.matrix.toarray())
         vec = manifold[:, 0]
-        iters, resid = 0, float(np.linalg.norm(op.matvec(vec) - e0 * vec))
+        iters, resid = 0, float(np.linalg.norm(op.matrix @ vec - e0 * vec))
     else:
-        vals, vecs, iters, resid = lanczos_ground(op, k=1, tol=tol, seed=seed)
+        vals, vecs, iters, resid = lanczos_ground(op, seed=seed)
         e0, vec = float(vals[0]), vecs[:, 0]
         # the second level is the lowest one left in the complement of the
         # ground vector; a degenerate e0 reappears there.  The start vector
         # needs a fresh seed: the first one has no component along the
         # degenerate partners once the ground vector is projected out
-        vals, _, iters1, _ = lanczos_ground(op, k=1, tol=tol, seed=seed + 1,
-                                            lock=vecs)
+        vals, _, iters1, _ = lanczos_ground(op, seed=seed + 1, lock=vecs)
         e1 = float(vals[0])
         iters += iters1
     # the deflated e1 can undershoot e0 by rounding
@@ -252,7 +220,6 @@ def ground_state(op: SparseHermitianOperator,
 
 
 def sectored_ground_state(system: SpinSystem,
-                          tol: float = DEFAULT_TOL,
                           seed: int = DEFAULT_SEED) -> GroundStateResult:
     """Global ground state of a system's Hamiltonian over total-Sz sectors.
 
@@ -264,7 +231,7 @@ def sectored_ground_state(system: SpinSystem,
     for two_m in sector_two_m_values(system.site_two_s):
         if two_m < 0:
             continue
-        r = ground_state(build_hamiltonian(system, two_m), tol=tol, seed=seed)
+        r = ground_state(build_hamiltonian(system, two_m), seed=seed)
         for _ in range(2 if two_m else 1):
             entries.append((r.energy, two_m, r))
             if np.isfinite(r.gap):

@@ -13,6 +13,7 @@ from .operators import (
     SparseHermitianOperator,
     heisenberg_matrix,
     parse_spin,
+    product_dim,
     spin_str,
 )
 
@@ -39,6 +40,7 @@ class SpinSystem:
         if any(int(t) <= 0 for t in self.site_two_s):
             raise ValueError("all spins must be > 0; model a spinless defect "
                              "by removing the site (chain topology)")
+        product_dim(self.site_two_s)  # refuse a space too large to enumerate
 
     @classmethod
     def ring(cls, n: int, spin, coupling: float = 1.0) -> "SpinSystem":
@@ -70,26 +72,24 @@ class SpinSystem:
         return f"{self.topology} N={self.n_sites} s={tag}"
 
 
-def defected_ring(n: int, base_spin, defect_site: int, defect_spin,
-                  coupling: float = 1.0):
-    """A homogeneous ring with one substituted spin.
+def defected_ring(base: SpinSystem, defect_site: int, defect_spin):
+    """A homogeneous ring `base` with one substituted spin; same coupling.
 
     A spinless substitution (defect_spin = 0) removes the site, leaving an
     open chain.  Returns (system, labels) where labels[i] is the original
     0-based ring position of system site i.
     """
-    base = parse_spin(base_spin)
-    sub = parse_spin(defect_spin)
+    if base.topology != RING or len(set(base.site_two_s)) != 1:
+        raise ValueError("a substitution needs a homogeneous ring")
+    n, sub = base.n_sites, parse_spin(defect_spin)
     if not 0 <= defect_site < n:
         raise ValueError("defect site out of range")
     if sub == 0:
         order = [(defect_site + 1 + i) % n for i in range(n - 1)]
-        system = SpinSystem(CHAIN, (base,) * (n - 1), coupling)
-        return system, order
-    spins = [base] * n
+        return SpinSystem(CHAIN, base.site_two_s[1:], base.coupling), order
+    spins = list(base.site_two_s)
     spins[defect_site] = sub
-    system = SpinSystem(RING, tuple(spins), coupling)
-    return system, list(range(n))
+    return SpinSystem(RING, tuple(spins), base.coupling), list(range(n))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,16 @@ the restriction is only legal for operators that commute with total Sz.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+
+# largest product space a basis enumerates; the largest configs/ system, the
+# Cr7Mn ring (seven spins 3/2 and one 5/2), has 98304 states
+MAX_PRODUCT_DIM = 2**20
 
 
 def parse_spin(value) -> int:
@@ -62,6 +67,15 @@ def local_spin_matrices(two_s: int) -> LocalSpinMatrices:
     return LocalSpinMatrices(two_s=two_s, sx=sx, sy=sy, sz=sz, splus=splus, sminus=sminus)
 
 
+def product_dim(site_two_s) -> int:
+    """Dimension of the product space, exact in Python integers; ValueError
+    above MAX_PRODUCT_DIM."""
+    dim = math.prod(int(t) + 1 for t in site_two_s)
+    if dim > MAX_PRODUCT_DIM:
+        raise ValueError(f"product space above {MAX_PRODUCT_DIM} states")
+    return dim
+
+
 def _raising_coeff(two_s: int) -> np.ndarray:
     """c[idx] = <idx-1| s+ |idx> for local index idx = s - m (0 invalid, kept 0)."""
     s = two_s / 2.0
@@ -87,8 +101,8 @@ class ProductBasis:
         if any(t < 0 for t in self.site_two_s):
             raise ValueError("spin lengths must be non-negative")
         self.n_sites = len(self.site_two_s)
+        self.total_dim = product_dim(self.site_two_s)
         self.local_dims = np.array([t + 1 for t in self.site_two_s], dtype=np.int64)
-        self.total_dim = int(np.prod(self.local_dims))
         self.sector_two_m = sector_two_m
 
         # strides for the mixed-radix full-space index, site 0 slowest
@@ -153,11 +167,7 @@ def sector_two_m_values(site_two_s) -> list[int]:
 
 
 class SparseHermitianOperator:
-    """A Hermitian operator on a ProductBasis, stored sparse (CSR).
-
-    Real-symmetric storage is used whenever all terms are z-collinear in the
-    product basis; complex-Hermitian otherwise.
-    """
+    """A Hermitian matrix (CSR) paired with the ProductBasis it acts on."""
 
     def __init__(self, basis: ProductBasis, matrix: sp.spmatrix):
         self.basis = basis
@@ -168,31 +178,6 @@ class SparseHermitianOperator:
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    @property
-    def is_real(self) -> bool:
-        return not np.issubdtype(self.matrix.dtype, np.complexfloating)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def expectation(self, state: np.ndarray) -> float:
-        """<state|O|state>; real by Hermiticity."""
-        if state.shape[0] != self.dim:
-            raise ValueError("state dimension does not match operator")
-        return float(np.real(np.vdot(state, self.matrix @ state)))
-
-    def __add__(self, other: "SparseHermitianOperator") -> "SparseHermitianOperator":
-        if other.basis is not self.basis and other.basis.dim != self.dim:
-            raise ValueError("operator dimensions differ")
-        return SparseHermitianOperator(self.basis, self.matrix + other.matrix)
-
-
-def diagonal_operator(basis: ProductBasis, diag: np.ndarray) -> SparseHermitianOperator:
-    return SparseHermitianOperator(basis, sp.diags(diag, format="csr"))
 
 
 def szsz_diagonal(basis: ProductBasis, i: int, j: int) -> np.ndarray:
@@ -244,8 +229,8 @@ def heisenberg_matrix(basis: ProductBasis, bonds,
     return mat
 
 
-def field_term(basis: ProductBasis, site: int, b) -> SparseHermitianOperator:
-    """b . s_site embedded in the product space.
+def field_term(basis: ProductBasis, site: int, b) -> sp.csr_matrix:
+    """b . s_site embedded in the product space, as a CSR matrix.
 
     A transverse component (bx, by) breaks Sz conservation, so it is rejected
     on sector-restricted bases.  by != 0 promotes the operator to complex.
@@ -262,7 +247,7 @@ def field_term(basis: ProductBasis, site: int, b) -> SparseHermitianOperator:
                          "use an unrestricted basis")
     diag = bz * sz_diagonal(basis, site)
     if not transverse:
-        return diagonal_operator(basis, diag)
+        return sp.diags(diag, format="csr")
     idx = basis.states
     c = _raising_coeff(basis.site_two_s[site])
     mask = idx[:, site] > 0
@@ -276,12 +261,12 @@ def field_term(basis: ProductBasis, site: int, b) -> SparseHermitianOperator:
     cols = np.concatenate([src, tgt])
     vals = np.concatenate([vals_up, np.conj(vals_up)])
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
-    mat = mat + sp.diags(diag)
-    return SparseHermitianOperator(basis, mat)
+    return mat + sp.diags(diag)
 
 
-def total_spin_squared(basis: ProductBasis) -> SparseHermitianOperator:
-    """S^2 = (sum_i s_i)^2; conserves Sz, so legal on sector bases."""
+def total_spin_squared(basis: ProductBasis) -> sp.csr_matrix:
+    """S^2 = (sum_i s_i)^2 as a CSR matrix; conserves Sz, so legal on sector
+    bases."""
     casimir = sum(t / 2.0 * (t / 2.0 + 1.0) for t in basis.site_two_s)
     mat = sp.diags(np.full(basis.dim, casimir)).tocsr()
     # one call per site: a single call would hold the COO arrays of all
@@ -289,4 +274,4 @@ def total_spin_squared(basis: ProductBasis) -> SparseHermitianOperator:
     n = basis.n_sites
     for i in range(n - 1):
         mat = mat + heisenberg_matrix(basis, [(i, j) for j in range(i + 1, n)], 2.0)
-    return SparseHermitianOperator(basis, mat)
+    return mat

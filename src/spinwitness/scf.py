@@ -15,7 +15,7 @@ Two layers:
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,13 +55,12 @@ DENSE_DIM = 128
 class ScfError(RuntimeError):
     """No self-consistent branch converged.
 
-    Carries every branch's iteration history and a diagnostics summary: the
-    branch count and each branch's last residual.
+    Carries a diagnostics summary: the branch count and each branch's last
+    residual.
     """
 
     def __init__(self, message: str, branches=()):
         super().__init__(message)
-        self.histories = [b.history for b in branches]
         self.diagnostics = ({"branches": len(branches),
                              "last_residuals": [float(b.residual)
                                                 for b in branches]}
@@ -157,7 +156,7 @@ class CollinearChainSolver:
                     mat if shift is None else mat + np.diag(shift))
             else:
                 vals, manifold, _, _ = lanczos_ground(
-                    sec["op"], k=1, seed=self.seed, v0=sec["v0"], shift=shift)
+                    sec["op"], seed=self.seed, v0=sec["v0"], shift=shift)
                 sec["v0"] = manifold[:, 0]
                 e0 = float(vals[0])
             results.append((e0, sec, manifold))
@@ -195,7 +194,7 @@ def boundary_map(chain_spins, z_b, z_bprime) -> BoundaryPair:
     basis = ProductBasis(spins)
     last = basis.n_sites - 1
     chain = heisenberg_matrix(basis, [(k, k + 1) for k in range(last)])
-    fields = field_term(basis, last, z_b).matrix + field_term(basis, 0, z_bp).matrix
+    fields = field_term(basis, last, z_b) + field_term(basis, 0, z_bp)
     _, _, manifold = lowest_level((chain + fields).toarray())
     vec = manifold[:, 0]
     if manifold.shape[1] > 1:
@@ -209,7 +208,7 @@ def boundary_map(chain_spins, z_b, z_bprime) -> BoundaryPair:
         out = np.empty(3)
         for k, unit in enumerate(np.eye(3)):
             comp = field_term(basis, site, unit)
-            out[k] = comp.expectation(vec)
+            out[k] = float(np.real(np.vdot(vec, comp @ vec)))
         return out
 
     return BoundaryPair(z=spin_vector(last), zprime=spin_vector(0))
@@ -225,7 +224,6 @@ class ScfConfig:
     max_iter: int = 10000
     init_grid: tuple | None = None  # moduli in [0, s_boundary]; default 5-point
     seed: int = 42
-    damping_floor: float = 0.05
 
     def __post_init__(self):
         if not 0 < self.damping <= 1:
@@ -253,9 +251,7 @@ class ScfResult:
     eta: int
     converged: bool
     residual: float
-    history: list = field(default_factory=list)
     decoupled: bool = False
-    start: float = 0.0
     iterations: int = 0
 
 
@@ -265,7 +261,6 @@ class BipartitionReport:
     n_b: int
     offset: int
     result: ScfResult | None
-    branches: list = field(default_factory=list)
     failed: bool = False
     message: str = ""
 
@@ -306,17 +301,14 @@ def _run_branch(solver_a, solver_b, npair, eta, z0, cfg):
     z_b = np.array([z0 * s for s in sign])
     z_a = np.zeros(npair)
     alpha = cfg.damping
-    history = []
     residuals = []
     converged = False
     best_resid = np.inf
     since_progress = 0
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        za_meas, zb_meas, energy = cycle(z_b)
+        za_meas, zb_meas, _ = cycle(z_b)
         resid = max(np.max(np.abs(za_meas - z_a)), np.max(np.abs(zb_meas - z_b)))
-        history.append((float(np.abs(za_meas).max()),
-                        float(np.abs(zb_meas).max()), energy))
         residuals.append(resid)
         if resid < cfg.tol:
             converged = True
@@ -339,12 +331,11 @@ def _run_branch(solver_a, solver_b, npair, eta, z0, cfg):
             if (abs(r[-1] - r[-3]) < 0.05 * max(r[-1], 1e-300)
                     and abs(r[-2] - r[-4]) < 0.05 * max(r[-2], 1e-300)
                     and r[-1] > 0.9 * r[-3]):
-                alpha = max(cfg.damping_floor, alpha / 2)
+                alpha = max(0.05, alpha / 2)
                 residuals.clear()
     if not converged:
         return ScfResult(np.inf, 0, 0, 0, 0, eta, False,
-                         residuals[-1] if residuals else np.inf,
-                         history, start=z0, iterations=it)
+                         residuals[-1] if residuals else np.inf, iterations=it)
     # one exact (undamped) verification cycle from the converged point
     za_v, zb_v, ebs = cycle(z_b)
     verify = max(np.max(np.abs(za_v - z_a)), np.max(np.abs(zb_v - z_b)))
@@ -353,8 +344,7 @@ def _run_branch(solver_a, solver_b, npair, eta, z0, cfg):
     zb0, zb1 = pad(zb_v)
     return ScfResult(ebs=float(ebs), z_a=za0, z_aprime=za1, z_b=zb0,
                      z_bprime=zb1, eta=eta, converged=verify < 10 * cfg.tol,
-                     residual=float(verify), history=history, start=z0,
-                     iterations=it)
+                     residual=float(verify), iterations=it)
 
 
 def biseparable_minimum(system: SpinSystem, arc: Arc,
@@ -393,10 +383,9 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc,
             try:
                 branches.append(_run_branch(solver_a, solver_b, len(pairs),
                                             eta, float(z0), cfg))
-            except SolverError as exc:
+            except SolverError:
                 branches.append(ScfResult(np.inf, 0, 0, 0, 0, eta, False,
-                                          np.inf, [("error", str(exc))],
-                                          start=float(z0)))
+                                          np.inf))
     # the decoupled value alone is only an upper bound on the minimum, so it
     # must not stand in for an arc where every branch failed
     if not any(b.converged for b in branches):
@@ -406,7 +395,7 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc,
              + solver_b.ground([0.0] * len(pairs))["e_bare"])
     decoupled = ScfResult(ebs=float(e_dec), z_a=0.0, z_aprime=0.0, z_b=0.0,
                           z_bprime=0.0, eta=1, converged=True, residual=0.0,
-                          history=[], decoupled=True)
+                          decoupled=True)
     candidates = [b for b in branches if b.converged] + [decoupled]
     # branches reaching one fixed point differ only by rounding, so ties
     # within 1e-12 go to the decoupled candidate, then to eta = +1 (the
@@ -443,12 +432,11 @@ def map_jobs(fn, jobs, workers: int = 1) -> list:
 def _scan_one(args):
     system, arc, cfg = args
     try:
-        best, branches = biseparable_minimum_detailed(system, arc, cfg)
         return BipartitionReport(arc.length, system.n_sites - arc.length,
-                                 arc.offset, best, branches)
+                                 arc.offset, biseparable_minimum(system, arc, cfg))
     except (ScfError, SolverError) as exc:
         return BipartitionReport(arc.length, system.n_sites - arc.length,
-                                 arc.offset, None, [], failed=True,
+                                 arc.offset, None, failed=True,
                                  message=str(exc))
 
 

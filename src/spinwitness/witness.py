@@ -105,11 +105,9 @@ def single_site_threshold(system: SpinSystem, k: int, seed: int = 42) -> float:
 
 def threshold_table(system: SpinSystem, label: str = "",
                     site_labels=None, seed: int = 42,
-                    e0: float | None = None,
                     defect_site: int | None = None) -> ThresholdTable:
     """Thresholds E_bs^k for every site, referred to the ground energy."""
-    if e0 is None:
-        e0 = ground_energy(system, seed=seed)
+    e0 = ground_energy(system, seed=seed)
     if site_labels is None:
         site_labels = list(range(system.n_sites))
     entries = []
@@ -121,9 +119,10 @@ def threshold_table(system: SpinSystem, label: str = "",
                           defect_site=defect_site)
 
 
-def defect_series(base_spin, n: int, defect_site: int, defect_spins,
+def defect_series(system: SpinSystem, defect_site: int, defect_spins,
                   labels=None, seed: int = 42) -> list:
-    """Threshold tables for a ring with one substituted spin, one per s_M.
+    """Threshold tables for the homogeneous ring `system` with one
+    substituted spin, one per s_M.
 
     A spinless substitution contributes a zero-cost entry at the defect site
     (a spin-0 site is in a product state with everything) and the open-chain
@@ -133,8 +132,8 @@ def defect_series(base_spin, n: int, defect_site: int, defect_spins,
     for idx, sm in enumerate(defect_spins):
         sm_two = parse_spin(sm)
         label = labels[idx] if labels else f"s_M={spin_str(sm_two)}"
-        system, site_labels = defected_ring(n, base_spin, defect_site, sm)
-        table = threshold_table(system, label=label, site_labels=site_labels,
+        defected, site_labels = defected_ring(system, defect_site, sm)
+        table = threshold_table(defected, label=label, site_labels=site_labels,
                                 seed=seed, defect_site=defect_site)
         if sm_two == 0:
             table.entries.append((defect_site, table.e0, 0.0))
@@ -198,7 +197,7 @@ def _singlet_projector(site_two_s) -> np.ndarray | None:
     basis = ProductBasis(site_two_s, 0)
     if basis.dim == 0:
         return None
-    s2 = total_spin_squared(basis).to_dense()
+    s2 = total_spin_squared(basis).toarray()
     vals, vecs = scipy.linalg.eigh(s2)
     keep = vals < 1e-8
     if not np.any(keep):
@@ -285,12 +284,11 @@ def thermal_energy(spectrum: np.ndarray, temperature: float) -> float:
     return float((e * w).sum() / w.sum())
 
 
-def threshold_temperature(spectrum: np.ndarray, ebs: float,
-                          tol: float = 1e-10, max_t: float = 1e6) -> float:
+def threshold_temperature(spectrum: np.ndarray, ebs: float) -> float:
     """Temperature T* at which <H>_T crosses a biseparable threshold.
 
     <H>_T increases monotonically in T, so the root is unique; found by
-    bisection to |<H>_T - ebs| < tol.
+    bisection to |<H>_T - ebs| < 1e-10, searched up to T = 1e6.
     """
     e = np.asarray(spectrum, dtype=float)
     e0 = e.min()
@@ -301,12 +299,12 @@ def threshold_temperature(spectrum: np.ndarray, ebs: float,
     lo, hi = 0.0, 1.0
     while thermal_energy(e, hi) < ebs:
         hi *= 2.0
-        if hi > max_t:
-            raise ValueError("no crossing below max_t")
+        if hi > 1e6:
+            raise ValueError("no crossing below T = 1e6")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = thermal_energy(e, mid)
-        if abs(val - ebs) < tol:
+        if abs(val - ebs) < 1e-10:
             return mid
         if val < ebs:
             lo = mid

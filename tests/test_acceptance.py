@@ -62,7 +62,8 @@ def ring8_scans():
 @pytest.fixture(scope="module")
 def substitution_series():
     """N=8 base-s=3/2 ring with the site-5 spin replaced by s_M = 0..5/2."""
-    return defect_series("3/2", 8, 4, ["0", "1/2", "1", "3/2", "2", "5/2"])
+    return defect_series(SpinSystem.ring(8, "3/2"), 4,
+                         ["0", "1/2", "1", "3/2", "2", "5/2"])
 
 
 def test_criterion_01_nondegenerate_singlet_ground_states():
@@ -75,7 +76,7 @@ def test_criterion_01_nondegenerate_singlet_ground_states():
         assert r.gap > 1e-6, system.describe()
         assert not r.degenerate, system.describe()
         basis = ProductBasis(system.site_two_s, r.sector_two_m)
-        s_sq = total_spin_squared(basis).expectation(r.vector)
+        s_sq = np.vdot(r.vector, total_spin_squared(basis) @ r.vector).real
         assert abs(s_sq) < 1e-8, system.describe()
     ok("criterion 1: nondegenerate singlet ground states "
        f"({len(systems)} systems)")
@@ -97,7 +98,7 @@ def test_criterion_02_lanczos_matches_dense_oracle():
         op = build_hamiltonian(system)
         assert op.dim <= 4096
         e_dense = dense_spectrum(op.matrix)[0]
-        vals, _, _, _ = lanczos_ground(op, k=2)
+        vals, _, _, _ = lanczos_ground(op)
         assert abs(vals[0] - e_dense) < 1e-9, system.describe()
     ok(f"criterion 2: Lanczos vs dense oracle on {len(systems)} instances")
 

@@ -195,6 +195,19 @@ class TestExitCodes:
         ("bisep", 'model: {topology: ring, N: 8, spin: "1"}\n'
                   "bisep: {n_a: 2}\nscf: {tol: .inf}"),
         ("thermal", "thermal: {t_min: -1}"),
+        # product spaces too large to enumerate: overflow, memory, int64 wrap
+        ("ground", "model: {topology: ring, N: 4, spin: 1e400}"),
+        ("ground", 'model: {topology: ring, N: 40, spin: "1/2"}'),
+        ("ground", 'model: {topology: ring, N: 64, spin: "1/2"}'),
+        ("map", "map: {lengths: [64]}"),
+        ("defect", 'defect_series: {site: 1, spins: ["1e400"]}'),
+        # a defect series substitutes one site of a homogeneous ring
+        ("defect", 'model: {topology: chain, N: 4, spin: "1/2"}\n'
+                   'defect_series: {site: 1, spins: ["1"]}'),
+        ("defect", 'model: {topology: ring, N: 4, spins: ["1/2", "1/2", "1/2", "1"]}\n'
+                   'defect_series: {site: 1, spins: ["1"]}'),
+        ("defect", '  defect: {site: 2, spin: "1"}\n'  # continues RING4's model
+                   'defect_series: {site: 1, spins: ["1"]}'),
     ], ids=["points-abc", "points-negative", "energy-abc", "coupling-abc",
             "init-grid-scalar", "arc-too-long", "bisep-eta", "theta-points-abc",
             "map-length-zero", "defect-site-abc", "series-spin-abc",
@@ -204,7 +217,9 @@ class TestExitCodes:
             "series-site-out-of-range", "series-labels-scalar", "series-label-bool",
             "max-iter-zero",
             "init-grid-empty", "etas-empty", "tol-infinite",
-            "negative-temperature"])
+            "negative-temperature", "spin-overflow", "qubits-40", "qubits-64",
+            "map-length-64", "series-spin-overflow", "series-chain-base",
+            "series-mixed-base", "series-defected-base"])
     def test_malformed_value_is_2(self, tmp_path, capsys, command, extra):
         text = extra if extra.startswith("model:") else RING4 + extra
         code, out, err = run_main(
@@ -325,6 +340,22 @@ class TestDefectCommand:
         assert len(lines) == 9  # 2 substitutions x 4 sites
         zero_cost = [l for l in lines if l.startswith("s_M=0,0,1,")]
         assert zero_cost and zero_cost[0].endswith("0.000000000000e+00")
+
+    def test_coupling_scales_every_energy(self, tmp_path, capsys):
+        tables = []
+        for coupling in (1.0, 2.0):
+            cfg = (f'model: {{topology: ring, N: 4, spin: "1/2", coupling: {coupling}}}\n'
+                   'defect_series: {site: 2, spins: ["0", "1/2", "1"]}\n')
+            code, out, _ = run_main(
+                ["defect", "--config", write(tmp_path, cfg), "--workers", "1"], capsys)
+            assert code == 0
+            tables.append([dict(zip(out.splitlines()[0].split(","), l.split(",")))
+                           for l in out.splitlines()[1:]])
+        assert len(tables[0]) == len(tables[1]) == 12
+        for one, two in zip(*tables):
+            for column in ("e0", "ebs_k", "cost"):
+                assert float(two[column]) == pytest.approx(
+                    2.0 * float(one[column]), rel=1e-12, abs=0.0)
 
     def test_labels_mismatch_is_config_error(self, tmp_path, capsys):
         cfg = RING4 + ("defect_series:\n  site: 1\n  spins: [\"0\", \"1\"]\n"

@@ -20,7 +20,6 @@ from spinwitness.hamiltonians import SpinSystem, build_hamiltonian
 from spinwitness.operators import (
     ProductBasis,
     SparseHermitianOperator,
-    diagonal_operator,
     heisenberg_matrix,
     sector_two_m_values,
     sz_diagonal,
@@ -59,12 +58,10 @@ def test_degenerate_detection():
 
 
 def test_degenerate_detection_lanczos_small_dim():
-    # dim 8: both Lanczos solves fall back to LAPACK, the second one in the
-    # complement of the ground vector
+    # dim 8: the second solve runs in the complement of the ground vector
     op = build_hamiltonian(SpinSystem.ring(3, "1/2"))
-    e0, v0, iters, _ = lanczos_ground(op, k=1)
-    e1, _, _, _ = lanczos_ground(op, k=1, seed=43, lock=v0)
-    assert iters == 0
+    e0, v0, _, _ = lanczos_ground(op)
+    e1, _, _, _ = lanczos_ground(op, seed=43, lock=v0)
     assert 0.0 <= e1[0] - e0[0] < 1e-12
 
 
@@ -78,23 +75,16 @@ def test_degenerate_detection_lanczos_small_dim():
 def test_lanczos_matches_dense(system):
     op = build_hamiltonian(system)
     e_dense = dense_spectrum(op.matrix)[0]
-    vals, vecs, iters, resid = lanczos_ground(op, k=2)
+    vals, vecs, iters, resid = lanczos_ground(op)
     assert abs(vals[0] - e_dense) < 1e-9
     v = vecs[:, 0]
-    assert np.linalg.norm(op.matvec(v) - vals[0] * v) < 1e-8
-
-
-def test_lanczos_small_dim_falls_back_to_dense():
-    op = build_hamiltonian(SpinSystem.chain(2, "1/2"))
-    vals, vecs, iters, resid = lanczos_ground(op, k=2)
-    assert iters == 0
-    assert abs(vals[0] + 0.75) < 1e-12
+    assert np.linalg.norm(op.matrix @ v - vals[0] * v) < 1e-8
 
 
 def test_lanczos_deterministic():
     op = build_hamiltonian(SpinSystem.ring(8, "1/2"))
-    a = lanczos_ground(op, k=2, seed=7)
-    b = lanczos_ground(op, k=2, seed=7)
+    a = lanczos_ground(op, seed=7)
+    b = lanczos_ground(op, seed=7)
     assert a[0][0] == b[0][0]
     assert np.array_equal(a[1], b[1])
 
@@ -106,7 +96,7 @@ def test_variational_bound():
     for _ in range(50):
         v = rng.standard_normal(op.dim)
         v /= np.linalg.norm(v)
-        assert op.expectation(v) >= e0 - 1e-9
+        assert v @ (op.matrix @ v) >= e0 - 1e-9
 
 
 def test_sectored_matches_full_dense():
@@ -145,23 +135,23 @@ def test_lanczos_diagonal_invariant_subspace():
     # a diagonal operator exhausts the Krylov space early; must still converge
     basis = ProductBasis([3, 3])
     diag = np.arange(basis.dim, dtype=float)
-    op = diagonal_operator(basis, diag)
-    vals, vecs, _, _ = lanczos_ground(op, k=2, seed=1)
+    op = SparseHermitianOperator(basis, sp.diags(diag))
+    vals, vecs, _, _ = lanczos_ground(op, seed=1)
     assert abs(vals[0] - 0.0) < 1e-9
 
 
 def test_lanczos_no_restarts_raises_solver_error():
     op = build_hamiltonian(SpinSystem.ring(8, "1/2"), 0)
     with pytest.raises(SolverError) as info:
-        lanczos_ground(op, k=1, max_restarts=0)
+        lanczos_ground(op, max_restarts=0)
     assert info.value.diagnostics["restarts"] == 0
 
 
 def test_lanczos_lock_keeps_complement():
     op = build_hamiltonian(SpinSystem.ring(10, "1/2"), 0)
     spectrum = dense_spectrum(op.matrix)
-    _, v0, _, _ = lanczos_ground(op, k=1)
-    vals, v1, _, _ = lanczos_ground(op, k=1, lock=v0)
+    _, v0, _, _ = lanczos_ground(op)
+    vals, v1, _, _ = lanczos_ground(op, lock=v0)
     assert abs(vals[0] - spectrum[1]) < 1e-9
     assert abs(np.vdot(v0[:, 0], v1[:, 0])) < 1e-10
 
@@ -182,7 +172,7 @@ def test_lanczos_gap_never_negative():
     # lock the ground vectors one at a time to count the multiplicity
     lock = r.vector[:, None]
     for _ in range(4):
-        vals, vecs, _, _ = lanczos_ground(op, k=1, lock=lock)
+        vals, vecs, _, _ = lanczos_ground(op, lock=lock)
         if not degenerate_with(r.energy, vals[0]):
             break
         lock = np.hstack([lock, vecs])
@@ -228,7 +218,7 @@ def test_lowest_level_matches_oracle_on_degenerate_level():
     # N=3 ring, 2M=1: the two chiral doublets give a twofold level in-sector
     op = build_hamiltonian(SpinSystem.ring(3, "1/2"), 1)
     spectrum = dense_spectrum(op.matrix)
-    e0, e1, manifold = lowest_level(op.to_dense())
+    e0, e1, manifold = lowest_level(op.matrix.toarray())
     assert manifold.shape[1] == _multiplicity(spectrum) == 2
     assert abs(e0 - spectrum[0]) < 1e-12 and abs(e1 - spectrum[1]) < 1e-12
     assert np.allclose(manifold.T @ manifold, np.eye(2), atol=1e-12)
@@ -237,21 +227,21 @@ def test_lowest_level_matches_oracle_on_degenerate_level():
 
 def test_lowest_level_nondegenerate_keeps_one_vector():
     op = build_hamiltonian(SpinSystem.ring(6, "1/2"), 0)
-    e0, e1, manifold = lowest_level(op.to_dense())
+    e0, e1, manifold = lowest_level(op.matrix.toarray())
     spectrum = dense_spectrum(op.matrix)
     assert manifold.shape[1] == 1
     assert abs(e0 - spectrum[0]) < 1e-12 and abs(e1 - spectrum[1]) < 1e-12
 
 
 @pytest.mark.parametrize("system, two_m", [
-    (SpinSystem.chain(3, "1/2"), 1),   # dim 3: the dense fallback
+    (SpinSystem.chain(3, "1/2"), 1),   # dim 3: the Krylov space is exhausted
     (SpinSystem.ring(10, "1/2"), 0),   # dim 252: the Lanczos iteration
-], ids=["dense-fallback", "lanczos"])
+], ids=["small-dim", "lanczos"])
 def test_lanczos_shift_matches_shifted_matrix(system, two_m):
     op = build_hamiltonian(system, two_m)
     d = np.random.default_rng(5).standard_normal(op.dim)
-    vals, vecs, _, _ = lanczos_ground(op, k=1, shift=d)
-    shifted = op.to_dense() + np.diag(d)
+    vals, vecs, _, _ = lanczos_ground(op, shift=d)
+    shifted = op.matrix.toarray() + np.diag(d)
     assert abs(vals[0] - np.linalg.eigvalsh(shifted)[0]) < 1e-9
     v = vecs[:, 0]
     assert np.linalg.norm(shifted @ v - vals[0] * v) < 1e-8
@@ -259,7 +249,7 @@ def test_lanczos_shift_matches_shifted_matrix(system, two_m):
 
 def test_selection_independent_of_manifold_basis():
     op = build_hamiltonian(SpinSystem.ring(3, "1/2"), 1)
-    _, _, manifold = lowest_level(op.to_dense())
+    _, _, manifold = lowest_level(op.matrix.toarray())
     selector = sz_diagonal(op.basis, 0) - sz_diagonal(op.basis, 1)
     q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((2, 2)))
     s1, v1 = select_in_manifold(manifold, selector)

