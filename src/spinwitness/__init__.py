@@ -34,7 +34,6 @@ from .operators import (
 from .scf import (
     BoundaryGeometry,
     BoundaryPair,
-    ScfConfig,
     ScfError,
     ScfResult,
     biseparable_minimum,

@@ -123,8 +123,7 @@ def cmd_map(cfg: RunConfig, seed: int, workers: int):
 def cmd_bisep(cfg: RunConfig, seed: int, workers: int):
     system, _ = cfg.build_system()
     arc = cfg.bisep_arc(system)
-    scf_cfg = cfg.scf_config(seed)
-    best, branches = biseparable_minimum_detailed(system, arc, scf_cfg)
+    best, _ = biseparable_minimum_detailed(system, arc, seed)
     columns = ["n_a", "offset", "eta", "e_bs", "z_a", "z_aprime",
                "z_b", "z_bprime", "decoupled", "converged", "residual"]
     rows = [[arc.length, arc.offset + 1, best.eta, best.ebs, best.z_a,
@@ -135,9 +134,8 @@ def cmd_bisep(cfg: RunConfig, seed: int, workers: int):
 
 def cmd_scan(cfg: RunConfig, seed: int, workers: int):
     system, _ = cfg.build_system()
-    scf_cfg = cfg.scf_config(seed)
     e0 = ground_energy(system, seed=seed)
-    scan = biseparable_scan(system, scf_cfg, workers=workers)
+    scan = biseparable_scan(system, seed, workers=workers)
     columns = ["n_a", "offset", "eta", "e_bs", "gap_to_e0", "decoupled",
                "z_a", "z_b", "is_global_min", "warning"]
     rows = []
@@ -156,7 +154,9 @@ def cmd_scan(cfg: RunConfig, seed: int, workers: int):
 def cmd_defect(cfg: RunConfig, seed: int, workers: int):
     block = cfg.block("defect_series")
     site, spins, labels = block["site"] - 1, block["spins"], block.get("labels")
-    if labels and len(labels) != len(spins):
+    if not spins:
+        raise ConfigError("defect_series.spins must not be empty")
+    if labels is not None and len(labels) != len(spins):
         raise ConfigError("defect_series.labels length mismatch")
     if "defect" in cfg.block("model"):
         raise ConfigError("defect command needs a model without a defect")
@@ -187,7 +187,7 @@ def cmd_verdict(cfg: RunConfig, seed: int, workers: int):
     system, site_labels = cfg.build_system()
     energy = cfg.block("verdict")["energy"]
     table = threshold_table(system, site_labels=site_labels, seed=seed)
-    scan = biseparable_scan(system, cfg.scf_config(seed), workers=workers)
+    scan = biseparable_scan(system, seed, workers=workers)
     v = verdict(energy, table, scan.ebs)
     columns = ["measured_energy", "global_ebs", "multipartite_detected",
                "sites_provably_entangled"]
@@ -247,6 +247,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed must be >= 0")  # as the config's seed
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
         seed = args.seed if args.seed is not None else cfg.seed
         workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
         columns, rows = COMMANDS[args.command](cfg, seed, workers)

@@ -17,7 +17,6 @@ import yaml
 
 from .hamiltonians import CHAIN, RING, Arc, SpinSystem, defected_ring
 from .operators import parse_spin, spin_str
-from .scf import ScfConfig
 
 
 class ConfigError(ValueError):
@@ -89,11 +88,10 @@ def _block(name: str):
 
 
 # block ("" is the top level) -> key -> (converter, default); a default is
-# converted like a written value.  Unset scf keys stay absent, so ScfConfig's
-# defaults apply
+# converted like a written value
 SCHEMA = {
     "": {"model": (_block("model"), ABSENT), "seed": (_integer(0), 42),
-         "scf": (_block("scf"), {}), "map": (_block("map"), {}),
+         "map": (_block("map"), {}),
          "defect_series": (_block("defect_series"), ABSENT),
          "thermal": (_block("thermal"), {}),
          "verdict": (_block("verdict"), ABSENT), "bisep": (_block("bisep"), ABSENT)},
@@ -102,9 +100,6 @@ SCHEMA = {
               "spin": (_spin, ABSENT), "spins": (_list(_spin), ABSENT),
               "defect": (_block("model.defect"), ABSENT)},
     "model.defect": {"site": (_integer(1), REQUIRED), "spin": (_spin, REQUIRED)},
-    "scf": {"damping": (_real(), ABSENT), "tol": (_real(), ABSENT),
-            "max_iter": (_integer(), ABSENT), "init_grid": (_list(_real()), ABSENT),
-            "etas": (_list(_integer()), ABSENT)},
     "map": {"lengths": (_list(_integer(1)), [3, 4]), "spin": (_spin, "1/2"),
             "theta_points": (_integer(0), 13),
             "moduli": (_list(_real()), [0.5, 0.25, 0.05]),
@@ -170,13 +165,6 @@ class RunConfig:
             if defect is None:
                 return system, list(range(n))
             return defected_ring(system, defect["site"] - 1, defect["spin"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def scf_config(self, seed: int | None = None) -> ScfConfig:
-        try:
-            return ScfConfig(seed=seed if seed is not None else self.seed,
-                             **self.block("scf"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

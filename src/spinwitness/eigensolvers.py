@@ -28,6 +28,7 @@ DENSE_LIMIT = 8192  # largest matrix dense_spectrum makes dense
 LANCZOS_CROSSOVER = 340
 DEGENERACY_TOL = 1e-9
 DEFAULT_TOL = 1e-10
+MAX_RESTARTS = 40  # Lanczos sweeps before lanczos_ground gives up
 DEFAULT_SEED = 42
 
 
@@ -98,7 +99,6 @@ def select_in_manifold(manifold: np.ndarray, selector):
 
 def lanczos_ground(op: SparseHermitianOperator,
                    seed: int = DEFAULT_SEED,
-                   max_restarts: int = 40,
                    v0: np.ndarray | None = None,
                    lock: np.ndarray | None = None,
                    shift: np.ndarray | None = None):
@@ -128,7 +128,7 @@ def lanczos_ground(op: SparseHermitianOperator,
     total_iter = 0
     scale = 1.0
     resid = np.array([np.inf])
-    for restart in range(max_restarts):
+    for restart in range(MAX_RESTARTS):
         V = np.empty((m, n), dtype=mat.dtype)
         alphas = np.empty(m)
         betas = np.empty(m)
@@ -191,7 +191,7 @@ def lanczos_ground(op: SparseHermitianOperator,
     raise SolverError(
         "Lanczos failed to converge",
         {"dim": n, "iterations": total_iter, "residual": float(resid[0]),
-         "tol": DEFAULT_TOL, "restarts": max_restarts})
+         "tol": DEFAULT_TOL, "restarts": MAX_RESTARTS})
 
 
 def ground_state(op: SparseHermitianOperator,

@@ -45,6 +45,14 @@ from .operators import (
 )
 
 ZERO_MODULUS = 1e-12
+# The fixed-point search of every arc: damped alternation (DAMPING, halved on
+# a period-2 oscillation) from each INIT_GRID fraction of B's boundary spin,
+# on both eta branches when the arc has two coupling pairs; a branch has
+# converged once a cycle moves every boundary modulus by less than TOL
+DAMPING = 0.5
+TOL = 1e-10
+MAX_ITER = 10000
+INIT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 # The chain solver solves sectors up to this dimension densely.  Above it, it
 # runs one Lanczos vector warm-started from the previous iterate's ground
 # vector, cheaper than the two cold solves ground_state's LANCZOS_CROSSOVER
@@ -112,7 +120,7 @@ class CollinearChainSolver:
     complement of a mid-chain arc is two pieces).
     """
 
-    def __init__(self, site_two_s, bonds, field_sites=(0, -1),
+    def __init__(self, site_two_s, bonds, field_sites,
                  coupling: float = 1.0, seed: int = 42):
         self.site_two_s = tuple(int(t) for t in site_two_s)
         n = len(self.site_two_s)
@@ -214,31 +222,6 @@ def boundary_map(chain_spins, z_b, z_bprime) -> BoundaryPair:
     return BoundaryPair(z=spin_vector(last), zprime=spin_vector(0))
 
 
-@dataclass(frozen=True)
-class ScfConfig:
-    """Knobs of the collinear fixed-point solver."""
-
-    etas: tuple = (1, -1)
-    damping: float = 0.5
-    tol: float = 1e-10
-    max_iter: int = 10000
-    init_grid: tuple | None = None  # moduli in [0, s_boundary]; default 5-point
-    seed: int = 42
-
-    def __post_init__(self):
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must be in (0, 1]")
-        # an infinite tol would accept the first cycle as converged
-        if not 0 < self.tol < np.inf:
-            raise ValueError("tol must be finite and > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.init_grid is not None and not len(self.init_grid):
-            raise ValueError("init_grid must be None or non-empty")
-        if not self.etas or any(e not in (1, -1) for e in self.etas):
-            raise ValueError("etas must be a non-empty list of +1 and -1")
-
-
 @dataclass
 class ScfResult:
     """One converged biseparable minimum for a fixed bipartition."""
@@ -286,7 +269,7 @@ def _bipartition_structure(system: SpinSystem, arc: Arc):
     return sites_a, sites_b, pairs
 
 
-def _run_branch(solver_a, solver_b, npair, eta, z0, cfg):
+def _run_branch(solver_a, solver_b, npair, eta, z0):
     """Damped alternation from one starting modulus; returns an ScfResult."""
     sign = [1.0, float(eta)] if npair == 2 else [1.0]
 
@@ -300,17 +283,17 @@ def _run_branch(solver_a, solver_b, npair, eta, z0, cfg):
 
     z_b = np.array([z0 * s for s in sign])
     z_a = np.zeros(npair)
-    alpha = cfg.damping
+    alpha = DAMPING
     residuals = []
     converged = False
     best_resid = np.inf
     since_progress = 0
     it = 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         za_meas, zb_meas, _ = cycle(z_b)
         resid = max(np.max(np.abs(za_meas - z_a)), np.max(np.abs(zb_meas - z_b)))
         residuals.append(resid)
-        if resid < cfg.tol:
+        if resid < TOL:
             converged = True
             z_a, z_b = za_meas, zb_meas
             break
@@ -343,21 +326,19 @@ def _run_branch(solver_a, solver_b, npair, eta, z0, cfg):
     za0, za1 = pad(za_v)
     zb0, zb1 = pad(zb_v)
     return ScfResult(ebs=float(ebs), z_a=za0, z_aprime=za1, z_b=zb0,
-                     z_bprime=zb1, eta=eta, converged=verify < 10 * cfg.tol,
+                     z_bprime=zb1, eta=eta, converged=verify < 10 * TOL,
                      residual=float(verify), iterations=it)
 
 
 def biseparable_minimum(system: SpinSystem, arc: Arc,
-                        cfg: ScfConfig | None = None) -> ScfResult:
+                        seed: int = 42) -> ScfResult:
     """Minimum energy over biseparable states for one contiguous bipartition."""
-    result, _ = biseparable_minimum_detailed(system, arc, cfg)
+    result, _ = biseparable_minimum_detailed(system, arc, seed)
     return result
 
 
-def biseparable_minimum_detailed(system: SpinSystem, arc: Arc,
-                                 cfg: ScfConfig | None = None):
+def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = 42):
     """As biseparable_minimum but also returns every branch result."""
-    cfg = cfg or ScfConfig()
     sites_a, sites_b, pairs = _bipartition_structure(system, arc)
     spins_a = [system.site_two_s[i] for i in sites_a]
     spins_b = [system.site_two_s[i] for i in sites_b]
@@ -365,24 +346,21 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc,
     bonds_b = subsystem_bonds(system, sites_b)
     solver_a = CollinearChainSolver(
         spins_a, bonds_a, field_sites=[p[0] for p in pairs],
-        coupling=system.coupling, seed=cfg.seed)
+        coupling=system.coupling, seed=seed)
     solver_b = CollinearChainSolver(
         spins_b, bonds_b, field_sites=[p[1] for p in pairs],
-        coupling=system.coupling, seed=cfg.seed)
+        coupling=system.coupling, seed=seed)
 
     # grid of starting moduli, capped by the boundary spin of B
     s_bd = system.site_two_s[sites_b[0]] / 2.0
-    grid = cfg.init_grid
-    if grid is None:
-        grid = tuple(s_bd * f for f in (0.0, 0.25, 0.5, 0.75, 1.0))
-    etas = cfg.etas if len(pairs) == 2 else (1,)
+    etas = (1, -1) if len(pairs) == 2 else (1,)
 
     branches = []
     for eta in etas:
-        for z0 in grid:
+        for f in INIT_GRID:
             try:
                 branches.append(_run_branch(solver_a, solver_b, len(pairs),
-                                            eta, float(z0), cfg))
+                                            eta, s_bd * f))
             except SolverError:
                 branches.append(ScfResult(np.inf, 0, 0, 0, 0, eta, False,
                                           np.inf))
@@ -430,10 +408,10 @@ def map_jobs(fn, jobs, workers: int = 1) -> list:
 
 
 def _scan_one(args):
-    system, arc, cfg = args
+    system, arc, seed = args
     try:
         return BipartitionReport(arc.length, system.n_sites - arc.length,
-                                 arc.offset, biseparable_minimum(system, arc, cfg))
+                                 arc.offset, biseparable_minimum(system, arc, seed))
     except (ScfError, SolverError) as exc:
         return BipartitionReport(arc.length, system.n_sites - arc.length,
                                  arc.offset, None, failed=True,
@@ -463,12 +441,11 @@ class ScanResult:
     argmin: BipartitionReport
 
 
-def biseparable_scan(system: SpinSystem, cfg: ScfConfig | None = None,
+def biseparable_scan(system: SpinSystem, seed: int = 42,
                      workers: int = 1) -> ScanResult:
     """E_bs = min over contiguous bipartitions of E_bs(N_A, N_B)."""
-    cfg = cfg or ScfConfig()
     arcs = scan_arcs(system)
-    reports = map_jobs(_scan_one, [(system, arc, cfg) for arc in arcs], workers)
+    reports = map_jobs(_scan_one, [(system, arc, seed) for arc in arcs], workers)
     reports.sort(key=lambda r: (r.n_a, r.offset))
     ok = [r for r in reports if not r.failed]
     if not ok:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from spinwitness import cli
+from spinwitness import cli, scf
 from spinwitness.cli import main
 from spinwitness.eigensolvers import SolverError
 
@@ -17,14 +17,11 @@ model:
   spin: "1/2"
 """
 
-# one SCF iteration: only the even-even arc converges (from z = 0)
-RING6_S1_ONE_ITER = """\
+RING6_S1 = """\
 model:
   topology: ring
   N: 6
   spin: "1"
-scf:
-  max_iter: 1
 """
 
 CHAIN2 = """\
@@ -148,8 +145,10 @@ class TestExitCodes:
         assert out == ""
         assert 'diagnostics: {"dim": 70, "residual": 0.5}' in err.splitlines()
 
-    def test_unconverged_bisep_is_3(self, tmp_path, capsys):
-        cfg = RING6_S1_ONE_ITER + "bisep: {n_a: 1}\n"
+    def test_unconverged_bisep_is_3(self, tmp_path, capsys, monkeypatch):
+        # one SCF iteration converges none of the arc's branches
+        monkeypatch.setattr(scf, "MAX_ITER", 1)
+        cfg = RING6_S1 + "bisep: {n_a: 1}\n"
         code, out, err = run_main(
             ["bisep", "--config", write(tmp_path, cfg)], capsys)
         assert code == 3
@@ -165,6 +164,7 @@ class TestExitCodes:
         ("thermal", "thermal: {points: -1}"),
         ("verdict", "verdict: {energy: abc}"),
         ("ground", "  coupling: abc"),  # continues RING4's model block
+        # scf blocks, here and below, are unknown keys: the SCF search is fixed
         ("bisep", "bisep: {n_a: 1}\nscf: {init_grid: 3}"),
         ("bisep", "bisep: {n_a: 9}"),
         ("bisep", "bisep: {n_a: 2, eta: -1}"),
@@ -188,6 +188,8 @@ class TestExitCodes:
         ("defect", "defect_series: {site: 9, spins: [\"1\"]}"),
         ("defect", "defect_series: {site: 1, spins: [\"1\"], labels: 5}"),
         ("defect", "defect_series: {site: 1, spins: [\"1\"], labels: [yes]}"),
+        ("defect", "defect_series: {site: 1, spins: [\"1\", \"0\"], labels: []}"),
+        ("defect", "defect_series: {site: 1, spins: []}"),
         ("bisep", "bisep: {n_a: 1}\nscf: {max_iter: 0}"),
         ("bisep", "bisep: {n_a: 1}\nscf: {init_grid: []}"),
         ("bisep", "bisep: {n_a: 1}\nscf: {etas: []}"),
@@ -215,7 +217,7 @@ class TestExitCodes:
             "max-iter-fraction", "etas-fraction", "seed-bool", "seed-negative",
             "defected-ring-too-short", "defected-ring-spinless-base",
             "series-site-out-of-range", "series-labels-scalar", "series-label-bool",
-            "max-iter-zero",
+            "series-labels-empty", "series-spins-empty", "max-iter-zero",
             "init-grid-empty", "etas-empty", "tol-infinite",
             "negative-temperature", "spin-overflow", "qubits-40", "qubits-64",
             "map-length-64", "series-spin-overflow", "series-chain-base",
@@ -231,6 +233,14 @@ class TestExitCodes:
     def test_negative_seed_flag_is_2(self, tmp_path, capsys):
         code, out, err = run_main(
             ["ground", "--config", write(tmp_path, RING4), "--seed", "-1"],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:")
+
+    def test_workers_below_one_is_2(self, tmp_path, capsys):
+        code, out, err = run_main(
+            ["ground", "--config", write(tmp_path, RING4), "--workers", "-4"],
             capsys)
         assert code == 2
         assert out == ""
@@ -263,9 +273,13 @@ class TestBisepAndScan:
         assert len(lines) == 3  # n_a = 1, 2
         assert sum(1 for l in lines[1:] if ",true," in l) == 1
 
-    def test_scan_unconverged_arc_is_failed_row(self, tmp_path, capsys):
+    def test_scan_unconverged_arc_is_failed_row(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # with one SCF iteration only the even-even arc converges (from z = 0)
+        monkeypatch.setattr(scf, "MAX_ITER", 1)
         code, out, _ = run_main(
-            ["scan", "--config", write(tmp_path, RING6_S1_ONE_ITER)], capsys)
+            ["scan", "--config", write(tmp_path, RING6_S1), "--workers", "1"],
+            capsys)
         assert code == 0
         rows = [dict(zip(out.splitlines()[0].split(","), l.split(",")))
                 for l in out.splitlines()[1:]]

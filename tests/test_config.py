@@ -96,25 +96,10 @@ def test_defect_site_range():
         cfg.build_system()
 
 
-def test_scf_block_overrides():
-    cfg = parse_config({"scf": {"damping": 0.3, "tol": 1e-8, "max_iter": 50,
-                                "etas": [1]}})
-    scf = cfg.scf_config()
-    assert scf.damping == 0.3
-    assert scf.tol == 1e-8
-    assert scf.max_iter == 50
-    assert scf.etas == (1,)
-    assert scf.seed == 42
-
-
-def test_scf_eta_values_checked():
-    with pytest.raises(ConfigError):
-        parse_config({"scf": {"etas": [2]}}).scf_config()
-
-
-def test_scf_bad_damping_surfaces_as_config_error():
-    with pytest.raises(ConfigError):
-        parse_config({"scf": {"damping": 2.0}}).scf_config()
+def test_scf_block_is_unknown_key():
+    # the SCF search has no knobs; a config that still sets one is refused
+    with pytest.raises(ConfigError, match=r"unknown keys in config: \['scf'\]"):
+        parse_config({"scf": {"init_grid": [0.0]}})
 
 
 def test_digest_stable_and_order_independent():
@@ -163,7 +148,6 @@ def test_defaults_filled_at_parse_time():
     assert cfg.block("thermal") == {"t_min": 0.0, "t_max": 2.0, "points": 3,
                                     "thresholds": ()}
     assert cfg.block("map")["lengths"] == (3, 4)
-    assert cfg.block("scf") == {}  # ScfConfig holds the SCF defaults
     with pytest.raises(ConfigError):
         cfg.block("verdict")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from spinwitness import eigensolvers
 from spinwitness.eigensolvers import (
     DENSE_LIMIT,
     LANCZOS_CROSSOVER,
@@ -140,10 +141,11 @@ def test_lanczos_diagonal_invariant_subspace():
     assert abs(vals[0] - 0.0) < 1e-9
 
 
-def test_lanczos_no_restarts_raises_solver_error():
+def test_lanczos_no_restarts_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(eigensolvers, "MAX_RESTARTS", 0)
     op = build_hamiltonian(SpinSystem.ring(8, "1/2"), 0)
     with pytest.raises(SolverError) as info:
-        lanczos_ground(op, max_restarts=0)
+        lanczos_ground(op)
     assert info.value.diagnostics["restarts"] == 0
 
 

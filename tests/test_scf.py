@@ -9,7 +9,6 @@ from spinwitness.hamiltonians import Arc, SpinSystem, build_hamiltonian
 from spinwitness.scf import (
     BoundaryPair,
     CollinearChainSolver,
-    ScfConfig,
     ScfError,
     biseparable_minimum,
     biseparable_minimum_detailed,
@@ -134,39 +133,6 @@ class TestCollinearChainSolver:
             solver.ground([0.5])
 
 
-class TestScfConfig:
-    def test_damping_bounds(self):
-        with pytest.raises(ValueError):
-            ScfConfig(damping=0.0)
-        with pytest.raises(ValueError):
-            ScfConfig(damping=1.5)
-
-    def test_tol_positive(self):
-        with pytest.raises(ValueError):
-            ScfConfig(tol=0.0)
-
-    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-10])
-    def test_tol_finite_and_positive(self, tol):
-        with pytest.raises(ValueError):
-            ScfConfig(tol=tol)
-
-    def test_max_iter_at_least_one(self):
-        with pytest.raises(ValueError):
-            ScfConfig(max_iter=0)
-        assert ScfConfig(max_iter=1).max_iter == 1
-
-    def test_init_grid_none_or_nonempty(self):
-        with pytest.raises(ValueError):
-            ScfConfig(init_grid=())
-        assert ScfConfig(init_grid=None).init_grid is None
-        assert ScfConfig(init_grid=(0.5,)).init_grid == (0.5,)
-
-    @pytest.mark.parametrize("etas", [(), (0,), (1, 2)])
-    def test_etas_nonempty_signs(self, etas):
-        with pytest.raises(ValueError):
-            ScfConfig(etas=etas)
-
-
 class TestBiseparableMinimum:
     def test_even_even_decouples(self):
         # qubit ring: even-even splits exactly into two open chains
@@ -212,19 +178,19 @@ class TestBiseparableMinimum:
         # which branch reaches the fixed point first depends on the seed; the
         # report is the point's canonical form: z_b >= 0 and eta the sign of
         # z_b * z_bprime, here antiparallel
-        res = biseparable_minimum(SpinSystem.ring(8, "1"), Arc(0, 2),
-                                  ScfConfig(seed=seed))
+        res = biseparable_minimum(SpinSystem.ring(8, "1"), Arc(0, 2), seed)
         assert res.eta == -1
         assert res.z_b > 0 > res.z_bprime
         assert not res.decoupled
         assert abs(res.ebs + 10.134660606868023) < 1e-11
 
-    def test_no_converged_branch_raises(self):
+    def test_no_converged_branch_raises(self, monkeypatch):
         # one iteration converges none of the 10 branches; the decoupled
         # energy is only an upper bound and must not be reported as E_bs
+        monkeypatch.setattr(scf, "MAX_ITER", 1)
         system = SpinSystem.ring(6, "1")
         with pytest.raises(ScfError) as info:
-            biseparable_minimum(system, Arc(0, 1), ScfConfig(max_iter=1))
+            biseparable_minimum(system, Arc(0, 1))
         diag = info.value.diagnostics
         assert diag["branches"] == 10
         assert len(diag["last_residuals"]) == 10
@@ -253,9 +219,10 @@ class TestScan:
         assert abs(scan.ebs - min(ok)) < 1e-15
         assert scan.argmin.result.ebs == scan.ebs
 
-    def test_unconverged_arc_is_failed_report(self):
+    def test_unconverged_arc_is_failed_report(self, monkeypatch):
         # with one iteration only the even-even arc converges (from z = 0)
-        scan = biseparable_scan(SpinSystem.ring(6, "1"), ScfConfig(max_iter=1))
+        monkeypatch.setattr(scf, "MAX_ITER", 1)
+        scan = biseparable_scan(SpinSystem.ring(6, "1"))
         failed = [r.n_a for r in scan.reports if r.failed]
         assert failed == [1, 3]
         assert scan.argmin.n_a == 2

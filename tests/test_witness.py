@@ -1,6 +1,7 @@
 """Per-site thresholds, verdicts, proof-support quantities and thermal crossings."""
 
 import csv
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -260,14 +261,10 @@ def test_full_spectrum_matches_oracle(system):
     assert np.abs(spectrum - _oracle_spectrum(system)).max() < 1e-10
 
 
-def _assert_cli_matches_golden(tmp_path, command, config, golden):
-    """`command` on configs/`config` reproduces tests/golden/`golden`: the
-    header and non-numeric cells exactly, numbers to 1e-10."""
-    root = Path(__file__).resolve().parent
-    out = tmp_path / golden
-    assert main([command, "--config", str(root.parent / "configs" / config),
-                 "--out", str(out), "--workers", "1"]) == 0
-    with open(out) as fh_out, open(root / "golden" / golden) as fh_gold:
+def _assert_csv_matches(out, golden):
+    """The CSV file `out` reproduces `golden`: the header and non-numeric
+    cells exactly, numbers to 1e-10."""
+    with open(out) as fh_out, open(golden) as fh_gold:
         rows, gold_rows = list(csv.reader(fh_out)), list(csv.reader(fh_gold))
     assert rows[0] == gold_rows[0] and len(rows) == len(gold_rows)
     for row, gold in zip(rows[1:], gold_rows[1:]):
@@ -280,6 +277,15 @@ def _assert_cli_matches_golden(tmp_path, command, config, golden):
                 continue
             assert np.allclose(value, want, rtol=0, atol=1e-10, equal_nan=True), \
                 (cell, expected)
+
+
+def _assert_cli_matches_golden(tmp_path, command, config, golden):
+    """`command` on configs/`config` reproduces tests/golden/`golden`."""
+    root = Path(__file__).resolve().parent
+    out = tmp_path / golden
+    assert main([command, "--config", str(root.parent / "configs" / config),
+                 "--out", str(out), "--workers", "1"]) == 0
+    _assert_csv_matches(out, root / "golden" / golden)
 
 
 def test_thermal_cli_matches_golden(tmp_path):
@@ -298,6 +304,21 @@ def test_thermal_cli_matches_golden(tmp_path):
 def test_cli_matches_golden(tmp_path, command, config):
     _assert_cli_matches_golden(tmp_path, command, config,
                                f"{command}_{config.removesuffix('.yaml')}.csv")
+
+
+@pytest.mark.parametrize("demo, tables", [
+    ("01_boundary_map.py", ["boundary_map_angles.csv", "boundary_map_moduli.csv"]),
+    ("04_thermal_window.py", ["thermal_window.csv"]),
+], ids=["boundary_map", "thermal_window"])
+def test_demo_matches_committed_tables(tmp_path, demo, tables):
+    """A demo rewrites its committed demos/results tables.  (Demos 02 and 03
+    take about 25 s between them and are rerun by hand.)"""
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    demo_main = runpy.run_path(str(demos / demo), run_name="demo")["main"]
+    demo_main.__globals__["OUT"] = tmp_path
+    demo_main()
+    for table in tables:
+        _assert_csv_matches(tmp_path / table, demos / "results" / table)
 
 
 class TestGroundEnergy:
