@@ -154,8 +154,6 @@ def cmd_scan(cfg: RunConfig, seed: int, workers: int):
 def cmd_defect(cfg: RunConfig, seed: int, workers: int):
     block = cfg.block("defect_series")
     site, spins, labels = block["site"] - 1, block["spins"], block.get("labels")
-    if not spins:
-        raise ConfigError("defect_series.spins must not be empty")
     if labels is not None and len(labels) != len(spins):
         raise ConfigError("defect_series.labels length mismatch")
     if "defect" in cfg.block("model"):
@@ -252,6 +250,8 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else cfg.seed
         workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
         columns, rows = COMMANDS[args.command](cfg, seed, workers)
+        if not rows:
+            raise ConfigError(f"the config selects no {args.command} rows")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

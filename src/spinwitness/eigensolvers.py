@@ -49,7 +49,6 @@ class GroundStateResult:
     gap: float
     degenerate: bool
     iterations: int
-    residual: float
     sector_two_m: int | None = None
 
 
@@ -202,10 +201,9 @@ def ground_state(op: SparseHermitianOperator,
     """
     if op.dim <= LANCZOS_CROSSOVER:
         e0, e1, manifold = lowest_level(op.matrix.toarray())
-        vec = manifold[:, 0]
-        iters, resid = 0, float(np.linalg.norm(op.matrix @ vec - e0 * vec))
+        vec, iters = manifold[:, 0], 0
     else:
-        vals, vecs, iters, resid = lanczos_ground(op, seed=seed)
+        vals, vecs, iters, _ = lanczos_ground(op, seed=seed)
         e0, vec = float(vals[0]), vecs[:, 0]
         # the second level is the lowest one left in the complement of the
         # ground vector; a degenerate e0 reappears there.  The start vector
@@ -216,7 +214,7 @@ def ground_state(op: SparseHermitianOperator,
         iters += iters1
     # the deflated e1 can undershoot e0 by rounding
     return GroundStateResult(e0, vec, max(e1 - e0, 0.0),
-                             bool(degenerate_with(e0, e1)), iters, resid)
+                             bool(degenerate_with(e0, e1)), iters)
 
 
 def sectored_ground_state(system: SpinSystem,
@@ -244,4 +242,4 @@ def sectored_ground_state(system: SpinSystem,
     e1 = entries[1][0] if len(entries) > 1 else np.inf
     return GroundStateResult(e0, best.vector, e1 - e0,
                              bool(degenerate_with(e0, e1)),
-                             best.iterations, best.residual, sector)
+                             best.iterations, sector)

@@ -1,7 +1,8 @@
 """Heisenberg ring/chain Hamiltonians and their open subsystems.
 
-Energies are in units of the exchange coupling J (J = 1 by convention, kept as
-an explicit scalar for clarity).  Sites are indexed 0-based in this API.
+Energies are in units of J = 1; `SpinSystem.coupling` scales every bond,
+including the crossing bonds of a cut.  Sites are indexed 0-based in this
+API.
 """
 
 from __future__ import annotations
@@ -112,16 +113,23 @@ class Arc:
         return [(self.offset + i) % n for i in range(self.length)]
 
 
-def complement_sites(system: SpinSystem, arc: Arc) -> list:
-    """Sites outside the arc, starting right after the arc's last site."""
-    inside = set(arc.sites(system))
-    n = system.n_sites
-    start = (arc.offset + arc.length) % n
-    if system.topology == CHAIN:
-        # keep chain order; the complement of a mid-chain arc is two segments
-        return [i for i in list(range(start, n)) + list(range(0, arc.offset))
-                if i not in inside]
-    return [(start + i) % n for i in range(n - arc.length)]
+def cut(system: SpinSystem, arc: Arc):
+    """The bipartition A = arc | B = the rest, as (sites_a, sites_b, pairs).
+
+    sites_b lists every other site once, in ring order from the site after
+    the arc; on a chain that is the piece after the arc, then the piece
+    before it.  pairs are the crossing bonds as (site in A, site in B), the
+    one at A's last site first.
+    """
+    sites_a = arc.sites(system)
+    n, end = system.n_sites, arc.offset + arc.length
+    sites_b = [(end + i) % n for i in range(n - arc.length)]
+    pos_a = {s: i for i, s in enumerate(sites_a)}
+    pos_b = {s: i for i, s in enumerate(sites_b)}
+    pairs = sorted(((i, j) if i in pos_a else (j, i) for i, j in system.bonds()
+                    if (i in pos_a) != (j in pos_a)),
+                   key=lambda p: (-pos_a[p[0]], pos_b[p[1]]))
+    return sites_a, sites_b, pairs
 
 
 def build_hamiltonian(system: SpinSystem,
@@ -147,18 +155,8 @@ def build_on_sites(system: SpinSystem, sites: list,
     return SparseHermitianOperator(basis, h)
 
 
-def coupling_bonds(system: SpinSystem, arc: Arc) -> list:
-    """Bonds crossing the bipartition (A = arc), as (site_in_A, site_in_B) pairs."""
-    inside = set(arc.sites(system))
-    out = []
-    for i, j in system.bonds():
-        if (i in inside) != (j in inside):
-            out.append((i, j) if i in inside else (j, i))
-    return out
-
-
 __all__ = [
     "RING", "CHAIN", "SpinSystem", "Arc",
-    "defected_ring", "complement_sites", "coupling_bonds",
+    "defected_ring", "cut",
     "build_hamiltonian", "build_on_sites", "subsystem_bonds",
 ]

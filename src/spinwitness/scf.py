@@ -26,14 +26,7 @@ from .eigensolvers import (
     lowest_level,
     select_in_manifold,
 )
-from .hamiltonians import (
-    Arc,
-    RING,
-    SpinSystem,
-    complement_sites,
-    coupling_bonds,
-    subsystem_bonds,
-)
+from .hamiltonians import RING, Arc, SpinSystem, cut, subsystem_bonds
 from .operators import (
     ProductBasis,
     SparseHermitianOperator,
@@ -112,24 +105,27 @@ def boundary_geometry(pair: BoundaryPair) -> BoundaryGeometry:
 
 
 class CollinearChainSolver:
-    """Ground states of an open segment dressed with +/- z boundary fields.
+    """Ground states of the system's `sites`, each of `field_sites` dressed
+    by the +/- z field of a neighbour outside them.
 
-    Precomputes the Sz-sector blocks of the bare Hamiltonian and the diagonal
-    boundary sz operators, so repeated solves during the fixed-point
-    iteration only add diagonals.  The segment need not be connected (the
-    complement of a mid-chain arc is two pieces).
+    Precomputes the Sz-sector blocks of the bare Hamiltonian (the bonds
+    inside `sites`) and the diagonal sz operators of the field sites, so
+    repeated solves during the fixed-point iteration only add diagonals.
+    The sites need not be connected (the complement of a mid-chain arc is
+    two pieces).
     """
 
-    def __init__(self, site_two_s, bonds, field_sites,
-                 coupling: float = 1.0, seed: int = 42):
-        self.site_two_s = tuple(int(t) for t in site_two_s)
-        n = len(self.site_two_s)
-        self.field_sites = tuple(s % n for s in field_sites)
+    def __init__(self, system: SpinSystem, sites, field_sites, seed: int = 42):
+        spins = [system.site_two_s[i] for i in sites]
+        local = {site: k for k, site in enumerate(sites)}
+        self.field_sites = tuple(local[s] for s in field_sites)
+        self.coupling = system.coupling
         self.seed = seed
         self.sectors = []
-        for two_m in sector_two_m_values(self.site_two_s):
-            basis = ProductBasis(self.site_two_s, two_m)
-            mat = heisenberg_matrix(basis, bonds, coupling)
+        bonds = subsystem_bonds(system, sites)
+        for two_m in sector_two_m_values(spins):
+            basis = ProductBasis(spins, two_m)
+            mat = heisenberg_matrix(basis, bonds, system.coupling)
             sec = {"two_m": two_m,
                    "diags": [sz_diagonal(basis, s) for s in self.field_sites]}
             if basis.dim <= DENSE_DIM:
@@ -139,17 +135,18 @@ class CollinearChainSolver:
                 sec["v0"] = None
             self.sectors.append(sec)
 
-    def ground(self, field_values, select_coeffs=None):
+    def ground(self, z_outside, select_coeffs=None):
         """Lowest dressed eigenstate over all sectors.
 
-        field_values: scalars b_k, one per field site (field = b_k * z_hat).
+        z_outside: the <sz> z_k of each field site's neighbour across the
+        cut, which dresses the field site with the field J z_k z_hat.
         select_coeffs: coefficients c_k resolving degenerate minima by
         minimizing sum_k c_k <sz_(field site k)> over the degenerate level
         (the infinitesimal-field limit of the upcoming fields).  Returns a
         dict with the dressed energy, the bare-Hamiltonian expectation and
         the per-field-site <sz> values.
         """
-        field_values = tuple(float(b) for b in field_values)
+        field_values = tuple(self.coupling * float(z) for z in z_outside)
         if len(field_values) != len(self.field_sites):
             raise ValueError("one field value per field site required")
         results = []
@@ -248,38 +245,19 @@ class BipartitionReport:
     message: str = ""
 
 
-def _bipartition_structure(system: SpinSystem, arc: Arc):
-    """Local layout of the bipartition: site lists, bonds and coupling pairs.
-
-    Returns (sites_a, sites_b, pairs) where pairs are
-    (a_local, b_local) indices of the coupled boundary spins; pair 0 is the
-    unprimed one (A-last with B-first when both exist).
-    """
-    sites_a = arc.sites(system)
-    sites_b = complement_sites(system, arc)
-    loc_a = {s: i for i, s in enumerate(sites_a)}
-    loc_b = {s: i for i, s in enumerate(sites_b)}
-    pairs = []
-    for a, b in coupling_bonds(system, arc):
-        pairs.append((loc_a[a], loc_b[b]))
-    # deterministic order: the pair involving A's last site first
-    pairs.sort(key=lambda p: (-p[0], p[1]))
-    if not pairs:
-        raise ValueError("arc does not couple to its complement")
-    return sites_a, sites_b, pairs
-
-
 def _run_branch(solver_a, solver_b, npair, eta, z0):
     """Damped alternation from one starting modulus; returns an ScfResult."""
     sign = [1.0, float(eta)] if npair == 2 else [1.0]
 
     def cycle(z_b):
-        """One undamped map: A answers the fields z_b, then B answers A."""
+        """One undamped map: A answers B's boundary spins z_b, then B
+        answers A; the energy adds J z_a . z_b over the crossing bonds."""
         ga = solver_a.ground(z_b, select_coeffs=sign)
         za = np.array(ga["z_fields"])
         gb = solver_b.ground(za, select_coeffs=[-s for s in sign])
         zb = np.array(gb["z_fields"])
-        return za, zb, ga["e_bare"] + gb["e_bare"] + float(za @ zb)
+        return za, zb, (ga["e_bare"] + gb["e_bare"]
+                        + solver_a.coupling * float(za @ zb))
 
     z_b = np.array([z0 * s for s in sign])
     z_a = np.zeros(npair)
@@ -339,20 +317,12 @@ def biseparable_minimum(system: SpinSystem, arc: Arc,
 
 def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = 42):
     """As biseparable_minimum but also returns every branch result."""
-    sites_a, sites_b, pairs = _bipartition_structure(system, arc)
-    spins_a = [system.site_two_s[i] for i in sites_a]
-    spins_b = [system.site_two_s[i] for i in sites_b]
-    bonds_a = subsystem_bonds(system, sites_a)
-    bonds_b = subsystem_bonds(system, sites_b)
-    solver_a = CollinearChainSolver(
-        spins_a, bonds_a, field_sites=[p[0] for p in pairs],
-        coupling=system.coupling, seed=seed)
-    solver_b = CollinearChainSolver(
-        spins_b, bonds_b, field_sites=[p[1] for p in pairs],
-        coupling=system.coupling, seed=seed)
+    sites_a, sites_b, pairs = cut(system, arc)
+    solver_a = CollinearChainSolver(system, sites_a, [a for a, _ in pairs], seed)
+    solver_b = CollinearChainSolver(system, sites_b, [b for _, b in pairs], seed)
 
-    # grid of starting moduli, capped by the boundary spin of B
-    s_bd = system.site_two_s[sites_b[0]] / 2.0
+    # grid of starting moduli, capped by the spin of B's first boundary site
+    s_bd = system.site_two_s[pairs[0][1]] / 2.0
     etas = (1, -1) if len(pairs) == 2 else (1,)
 
     branches = []

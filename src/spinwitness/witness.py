@@ -25,8 +25,8 @@ from .hamiltonians import (
     SpinSystem,
     build_hamiltonian,
     build_on_sites,
+    cut,
     defected_ring,
-    subsystem_bonds,
 )
 from .operators import (
     ProductBasis,
@@ -46,7 +46,6 @@ class ThresholdTable:
     label: str
     e0: float
     entries: list  # (site, ebs_k, cost); site is the original ring position
-    defect_site: int | None = None
 
     def cost(self, site: int) -> float:
         for k, _, c in self.entries:
@@ -83,29 +82,18 @@ def ground_energy(system: SpinSystem, seed: int = 42) -> float:
 def single_site_threshold(system: SpinSystem, k: int, seed: int = 42) -> float:
     """E_bs^k: minimum biseparable energy when only site k is factored out.
 
-    Equals the ground energy of the remaining sites dressed with a z-field of
-    magnitude s_k on the spins that were adjacent to k.
+    The cut Arc(k, 1): the ground energy of the remaining sites with k's
+    neighbours dressed by the field J s_k of a fully polarized spin k.
     """
-    n = system.n_sites
-    if not 0 <= k < n:
-        raise ValueError("site out of range")
-    neighbours = sorted({i for i, j in system.bonds() if j == k}
-                        | {j for i, j in system.bonds() if i == k})
-    rest = [i for i in range(n) if i != k]
-    local = {site: idx for idx, site in enumerate(rest)}
-    bonds = subsystem_bonds(system, rest)
-    s_k = system.site_two_s[k] / 2.0
-    solver = CollinearChainSolver(
-        [system.site_two_s[i] for i in rest], bonds,
-        field_sites=[local[j] for j in neighbours],
-        coupling=system.coupling, seed=seed)
-    g = solver.ground([s_k * system.coupling] * len(neighbours))
+    _, rest, pairs = cut(system, Arc(k, 1))
+    # the remainder in index order: ring order moves some sums in the last digit
+    solver = CollinearChainSolver(system, sorted(rest), [b for _, b in pairs], seed)
+    g = solver.ground([system.site_two_s[k] / 2.0] * len(pairs))
     return float(g["energy"])
 
 
 def threshold_table(system: SpinSystem, label: str = "",
-                    site_labels=None, seed: int = 42,
-                    defect_site: int | None = None) -> ThresholdTable:
+                    site_labels=None, seed: int = 42) -> ThresholdTable:
     """Thresholds E_bs^k for every site, referred to the ground energy."""
     e0 = ground_energy(system, seed=seed)
     if site_labels is None:
@@ -115,8 +103,7 @@ def threshold_table(system: SpinSystem, label: str = "",
         e = single_site_threshold(system, i, seed=seed)
         entries.append((site_labels[i], e, e - e0))
     entries.sort(key=lambda t: t[0])
-    return ThresholdTable(label or system.describe(), float(e0), entries,
-                          defect_site=defect_site)
+    return ThresholdTable(label or system.describe(), float(e0), entries)
 
 
 def defect_series(system: SpinSystem, defect_site: int, defect_spins,
@@ -134,7 +121,7 @@ def defect_series(system: SpinSystem, defect_site: int, defect_spins,
         label = labels[idx] if labels else f"s_M={spin_str(sm_two)}"
         defected, site_labels = defected_ring(system, defect_site, sm)
         table = threshold_table(defected, label=label, site_labels=site_labels,
-                                seed=seed, defect_site=defect_site)
+                                seed=seed)
         if sm_two == 0:
             table.entries.append((defect_site, table.e0, 0.0))
             table.entries.sort(key=lambda t: t[0])
@@ -217,8 +204,7 @@ def verify_not_eigenstate(system: SpinSystem, arc: Arc, samples: int = 1000,
     bipartition; a strictly positive variance for every sample witnesses that
     no such biseparable state is an eigenstate of H.
     """
-    sites_a = arc.sites(system)
-    sites_b = [i for i in range(system.n_sites) if i not in set(sites_a)]
+    sites_a, sites_b, _ = cut(system, arc)
     proj_a = _singlet_projector([system.site_two_s[i] for i in sites_a])
     proj_b = _singlet_projector([system.site_two_s[i] for i in sites_b])
     if proj_a is None or proj_b is None:

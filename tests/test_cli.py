@@ -197,6 +197,12 @@ class TestExitCodes:
         ("bisep", 'model: {topology: ring, N: 8, spin: "1"}\n'
                   "bisep: {n_a: 2}\nscf: {tol: .inf}"),
         ("thermal", "thermal: {t_min: -1}"),
+        # configs that select no rows
+        ("map", "map: {lengths: []}"),
+        ("map", "map: {moduli: []}"),
+        ("map", "map: {modulus_diffs: []}"),
+        ("map", "map: {theta_points: 0}"),
+        ("thermal", "thermal: {points: 0}"),
         # product spaces too large to enumerate: overflow, memory, int64 wrap
         ("ground", "model: {topology: ring, N: 4, spin: 1e400}"),
         ("ground", 'model: {topology: ring, N: 40, spin: "1/2"}'),
@@ -219,7 +225,9 @@ class TestExitCodes:
             "series-site-out-of-range", "series-labels-scalar", "series-label-bool",
             "series-labels-empty", "series-spins-empty", "max-iter-zero",
             "init-grid-empty", "etas-empty", "tol-infinite",
-            "negative-temperature", "spin-overflow", "qubits-40", "qubits-64",
+            "negative-temperature", "map-lengths-empty", "map-moduli-empty",
+            "map-diffs-empty", "map-theta-points-zero", "thermal-points-zero",
+            "spin-overflow", "qubits-40", "qubits-64",
             "map-length-64", "series-spin-overflow", "series-chain-base",
             "series-mixed-base", "series-defected-base"])
     def test_malformed_value_is_2(self, tmp_path, capsys, command, extra):
@@ -272,6 +280,20 @@ class TestBisepAndScan:
         assert lines[0].startswith("n_a,offset,eta,e_bs")
         assert len(lines) == 3  # n_a = 1, 2
         assert sum(1 for l in lines[1:] if ",true," in l) == 1
+
+    def test_chain_end_arc_matches_its_mirror(self, tmp_path, capsys):
+        # the complement of the arc ending at the last site is sites 1..7,
+        # the mirror image of the arc at offset 1
+        e_bs = []
+        for offset in (8, 1):
+            cfg = ('model: {topology: chain, N: 8, spin: "1"}\n'
+                   f"bisep: {{n_a: 1, offset: {offset}}}\n")
+            code, out, _ = run_main(
+                ["bisep", "--config", write(tmp_path, cfg)], capsys)
+            assert code == 0
+            record = dict(zip(*[l.split(",") for l in out.splitlines()]))
+            e_bs.append(float(record["e_bs"]))
+        assert e_bs[0] == pytest.approx(e_bs[1], rel=1e-12, abs=0.0)
 
     def test_scan_unconverged_arc_is_failed_row(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -336,11 +358,18 @@ class TestMapCommand:
 
     def test_negative_second_modulus_skipped(self, tmp_path, capsys):
         cfg = ("map:\n  lengths: [3]\n  theta_points: 2\n"
-               "  moduli: [0.1]\n  modulus_diffs: [0.25]\n")
+               "  moduli: [0.1]\n  modulus_diffs: [0.0, 0.25]\n")
         code, out, _ = run_main(
             ["map", "--config", write(tmp_path, cfg)], capsys)
         assert code == 0
-        assert len(out.splitlines()) == 1  # header only
+        rows = [l.split(",") for l in out.splitlines()[1:]]
+        assert len(rows) == 2 and all(float(r[2]) == 0.0 for r in rows)
+        # a map whose every pair is skipped selects no rows
+        code, out, err = run_main(
+            ["map", "--config", write(tmp_path, cfg.replace("0.0, ", ""))], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:")
 
 
 class TestDefectCommand:
@@ -370,6 +399,30 @@ class TestDefectCommand:
             for column in ("e0", "ebs_k", "cost"):
                 assert float(two[column]) == pytest.approx(
                     2.0 * float(one[column]), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("command, columns", [
+        ("scan", ("e_bs", "gap_to_e0")),
+        ("bisep", ("e_bs",)),
+        ("verdict", ("global_ebs",)),
+    ])
+    def test_coupling_scales_every_biseparable_energy(self, tmp_path, capsys,
+                                                      command, columns):
+        # J scales the crossing bonds of a cut as well as the bonds inside
+        # each side; equal to the printed 13 digits
+        tables = []
+        for coupling in (1.0, 2.0):
+            cfg = (f'model: {{topology: ring, N: 6, spin: "1", coupling: {coupling}}}\n'
+                   "bisep: {n_a: 2}\nverdict: {energy: 0.0}\n")
+            code, out, _ = run_main(
+                [command, "--config", write(tmp_path, cfg), "--workers", "1"], capsys)
+            assert code == 0
+            tables.append([dict(zip(out.splitlines()[0].split(","), l.split(",")))
+                           for l in out.splitlines()[1:]])
+        assert len(tables[0]) == len(tables[1]) > 0
+        for one, two in zip(*tables):
+            for column in columns:
+                assert float(two[column]) == pytest.approx(
+                    2.0 * float(one[column]), rel=1e-11, abs=0.0)
 
     def test_labels_mismatch_is_config_error(self, tmp_path, capsys):
         cfg = RING4 + ("defect_series:\n  site: 1\n  spins: [\"0\", \"1\"]\n"

@@ -8,12 +8,12 @@ from spinwitness.hamiltonians import (
     SpinSystem,
     build_hamiltonian,
     build_on_sites,
-    complement_sites,
-    coupling_bonds,
+    cut,
     defected_ring,
     subsystem_bonds,
 )
 from spinwitness.operators import field_term, sector_two_m_values
+from spinwitness.scf import scan_arcs
 
 
 class TestSpinSystem:
@@ -110,20 +110,39 @@ class TestArcs:
 
     def test_complement_starts_after_arc(self):
         system = SpinSystem.ring(6, "1/2")
-        assert complement_sites(system, Arc(4, 3)) == [1, 2, 3]
+        assert cut(system, Arc(4, 3))[1] == [1, 2, 3]
 
     def test_complement_of_mid_chain_arc(self):
         system = SpinSystem.chain(6, "1/2")
-        assert complement_sites(system, Arc(2, 2)) == [4, 5, 0, 1]
+        assert cut(system, Arc(2, 2))[1] == [4, 5, 0, 1]
 
     def test_coupling_bonds_ring(self):
         system = SpinSystem.ring(8, "1/2")
-        pairs = coupling_bonds(system, Arc(0, 3))
+        pairs = cut(system, Arc(0, 3))[2]
         assert sorted(pairs) == [(0, 7), (2, 3)]
 
     def test_coupling_bonds_chain_edge(self):
         system = SpinSystem.chain(8, "1/2")
-        assert coupling_bonds(system, Arc(0, 3)) == [(2, 3)]
+        assert cut(system, Arc(0, 3))[2] == [(2, 3)]
+
+    def test_cut_of_chain_end_arc(self):
+        # the complement of an arc ending at the last site is the piece
+        # before it, each site once
+        system = SpinSystem.chain(6, "1/2")
+        assert cut(system, Arc(3, 3)) == ([3, 4, 5], [0, 1, 2], [(3, 2)])
+
+    def test_cut_pairs_start_at_last_site_of_a(self):
+        system = SpinSystem.ring(6, "1/2")
+        assert cut(system, Arc(5, 1)) == ([5], [0, 1, 2, 3, 4], [(5, 0), (5, 4)])
+        assert cut(system, Arc(4, 3))[2] == [(0, 1), (4, 3)]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_chain_scan_cuts_partition_the_sites(self, n):
+        system = SpinSystem.chain(n, "1/2")
+        for arc in scan_arcs(system):
+            sites_a, sites_b, pairs = cut(system, arc)
+            assert sorted(sites_a + sites_b) == list(range(n))
+            assert all(a in sites_a and b in sites_b for a, b in pairs)
 
 
 class TestSubsystems:

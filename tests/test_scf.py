@@ -85,7 +85,7 @@ class TestBoundaryMap:
 class TestCollinearChainSolver:
     def test_matches_dense_dressed(self):
         # 3-qubit open chain with +z fields b on both edges
-        solver = CollinearChainSolver([1, 1, 1], [(0, 1), (1, 2)],
+        solver = CollinearChainSolver(SpinSystem.chain(3, "1/2"), [0, 1, 2],
                                       field_sites=(0, 2))
         for b0, b1 in [(0.5, 0.5), (0.5, -0.5), (0.0, 0.3)]:
             g = solver.ground([b0, b1])
@@ -99,7 +99,8 @@ class TestCollinearChainSolver:
             assert abs(g["energy"] - e_dense) < 1e-10
 
     def test_bare_energy_decomposition(self):
-        solver = CollinearChainSolver([1, 1], [(0, 1)], field_sites=(0, 1))
+        solver = CollinearChainSolver(SpinSystem.chain(2, "1/2"), [0, 1],
+                                      field_sites=(0, 1))
         g = solver.ground([0.4, -0.4])
         recon = g["e_bare"] + 0.4 * g["z_fields"][0] - 0.4 * g["z_fields"][1]
         assert abs(recon - g["energy"]) < 1e-12
@@ -108,7 +109,7 @@ class TestCollinearChainSolver:
         # a triangle at zero field: each 2M = +/-1 sector holds a twofold
         # level, resolved by minimizing <sz_0> - <sz_2> over it
         def solve():
-            solver = CollinearChainSolver([1, 1, 1], [(0, 1), (1, 2), (0, 2)],
+            solver = CollinearChainSolver(SpinSystem.ring(3, "1/2"), [0, 1, 2],
                                           field_sites=(0, 2))
             return solver.ground([0.0, 0.0], select_coeffs=[1.0, -1.0])
 
@@ -128,7 +129,8 @@ class TestCollinearChainSolver:
         assert reference["z_fields"][0] - reference["z_fields"][1] < -0.5
 
     def test_field_count_mismatch(self):
-        solver = CollinearChainSolver([1, 1], [(0, 1)], field_sites=(0, 1))
+        solver = CollinearChainSolver(SpinSystem.chain(2, "1/2"), [0, 1],
+                                      field_sites=(0, 1))
         with pytest.raises(ValueError):
             solver.ground([0.5])
 
@@ -143,6 +145,20 @@ class TestBiseparableMinimum:
         assert res.decoupled
         assert abs(res.ebs - (e2 + e4)) < 1e-8
         assert abs(res.z_a) < 1e-8 and abs(res.z_b) < 1e-8
+
+    def test_coupling_scales_ebs(self):
+        # J scales the crossing bonds as well as the bonds inside A and B,
+        # so E_bs scales with J and the fixed point does not move
+        for n_a in (1, 2, 3):
+            unit = biseparable_minimum(SpinSystem.ring(6, "1"), Arc(0, n_a))
+            for coupling in (0.5, 2.0):
+                scaled = biseparable_minimum(SpinSystem.ring(6, "1", coupling),
+                                             Arc(0, n_a))
+                assert scaled.ebs == pytest.approx(coupling * unit.ebs, rel=1e-12)
+                for name in ("z_a", "z_aprime", "z_b", "z_bprime"):
+                    assert getattr(scaled, name) == pytest.approx(
+                        getattr(unit, name), abs=1e-9)
+                assert (scaled.eta, scaled.decoupled) == (unit.eta, unit.decoupled)
 
     def test_converged_result_is_fixed_point(self):
         system = SpinSystem.ring(6, "1")

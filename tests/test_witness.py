@@ -300,7 +300,9 @@ def test_thermal_cli_matches_golden(tmp_path):
     ("scan", "qubit_ring8.yaml"),
     ("verdict", "qubit_ring8.yaml"),
     ("map", "boundary_map.yaml"),
-], ids=["ground", "bisep", "scan", "verdict", "map"])
+    ("scan", "qubit_chain6.yaml"),
+    ("bisep", "qubit_chain6.yaml"),
+], ids=["ground", "bisep", "scan", "verdict", "map", "scan-chain", "bisep-chain"])
 def test_cli_matches_golden(tmp_path, command, config):
     _assert_cli_matches_golden(tmp_path, command, config,
                                f"{command}_{config.removesuffix('.yaml')}.csv")
