@@ -11,9 +11,9 @@ Notable structure reproduced here:
 * s = 1 and s = 3/2: the single-site split (1, 7) wins, with the lone spin
   fully polarized against its neighbours.
 
-Writes results/bipartition_scan.csv.  Runtime ~15 s on 2 vCPUs with one
-BLAS thread (the s=3/2 ring has a 65536-dimensional space, handled per
-total-Sz sector).
+Writes results/bipartition_scan.csv.  Runtime about 5 s on 2 vCPUs with
+one BLAS thread (4.6 s measured; the s=3/2 ring has a 65536-dimensional
+space, handled per total-Sz sector).
 """
 
 import csv

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .eigensolvers import SolverError, sectored_ground_state
+from .eigensolvers import DENSE_LIMIT, SolverError, sectored_ground_state
 from .hamiltonians import defected_ring
 from .operators import ProductBasis, parse_spin, product_dim, total_spin_squared
 from .scf import (ScfError, biseparable_minimum_detailed, biseparable_scan,
@@ -96,9 +96,13 @@ def cmd_ground(cfg: RunConfig, seed: int, workers: int):
 def cmd_map(cfg: RunConfig, seed: int, workers: int):
     block = cfg.block("map")
     try:  # the longest chain is checked before any job starts
-        product_dim([parse_spin(block["spin"])] * max(block["lengths"], default=0))
+        dim = product_dim([parse_spin(block["spin"])]
+                          * max(block["lengths"], default=0))
     except ValueError as exc:
         raise ConfigError(f"map: {exc}") from exc
+    if dim > DENSE_LIMIT:  # boundary_map solves each chain densely
+        raise ConfigError(f"map: chain of {dim} states above the dense "
+                          f"limit {DENSE_LIMIT}")
     thetas = np.linspace(0.0, np.pi, block["theta_points"])
     columns = ["n_a", "theta_b", "z_diff_b", "modulus_b",
                "thetabar_a", "z_diff_a", "modulus_a", "modulus_aprime"]

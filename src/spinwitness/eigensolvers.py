@@ -108,9 +108,8 @@ def lanczos_ground(op: SparseHermitianOperator,
     orthonormal columns that the Krylov basis is kept orthogonal to; the
     pair returned is then that of the operator restricted to their
     complement.  The Krylov basis takes its dtype from the matrix.  Returns
-    (values, vectors, iterations, residual): one value, one column, and the
-    Ritz residual estimate of the pair.  Raises SolverError on
-    non-convergence.
+    (values, vectors, iterations): one value and one column.  Raises
+    SolverError, with the last Ritz residual estimate, on non-convergence.
     """
     n = op.dim
     mat = op.matrix
@@ -183,7 +182,7 @@ def lanczos_ground(op: SparseHermitianOperator,
             vecs = (S[:, :1].T @ V[:nv]).T
             # re-normalize (reorthogonalization keeps this near 1)
             vecs[:, 0] /= np.linalg.norm(vecs[:, 0])
-            return theta[:1], vecs, total_iter, float(resid[0])
+            return theta[:1], vecs, total_iter
         # restart from the lowest Ritz vector
         v0 = (S[:, 0].T @ V[:nv])
         v0 = v0 / np.linalg.norm(v0)
@@ -203,13 +202,13 @@ def ground_state(op: SparseHermitianOperator,
         e0, e1, manifold = lowest_level(op.matrix.toarray())
         vec, iters = manifold[:, 0], 0
     else:
-        vals, vecs, iters, _ = lanczos_ground(op, seed=seed)
+        vals, vecs, iters = lanczos_ground(op, seed=seed)
         e0, vec = float(vals[0]), vecs[:, 0]
         # the second level is the lowest one left in the complement of the
         # ground vector; a degenerate e0 reappears there.  The start vector
         # needs a fresh seed: the first one has no component along the
         # degenerate partners once the ground vector is projected out
-        vals, _, iters1, _ = lanczos_ground(op, seed=seed + 1, lock=vecs)
+        vals, _, iters1 = lanczos_ground(op, seed=seed + 1, lock=vecs)
         e1 = float(vals[0])
         iters += iters1
     # the deflated e1 can undershoot e0 by rounding

@@ -5,11 +5,13 @@ Two layers:
 * ``boundary_map`` — the one-step map used to probe the fixed-point geometry
   with general (x-z plane) boundary fields.  This validates the reduction to
   collinear fields with equal boundary moduli.
-* ``biseparable_minimum`` / ``biseparable_scan`` — the production fixed-point
-  solver.  Fields are restricted to +/- z with the two boundary expectations
-  of each subsystem tied by a sign eta = +/-1; both eta branches and a grid
-  of starting moduli are scanned, and the exactly-decoupled candidate
-  (all boundary expectations zero) is always included in the minimum.
+* ``biseparable_minimum`` / ``biseparable_scan`` — the production solver:
+  alternating minimization over product states, each half-cycle an exact
+  dressed ground-state solve.  Fields are restricted to +/- z with the two
+  boundary expectations of each subsystem tied by a sign eta = +/-1; both
+  eta branches and a grid of starting moduli are scanned, and the
+  exactly-decoupled candidate (all boundary expectations zero) is always
+  included in the minimum.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ from .operators import (
 )
 
 ZERO_MODULUS = 1e-12
-# The fixed-point search of every arc: damped alternation (DAMPING, halved on
-# a period-2 oscillation) from each INIT_GRID fraction of B's boundary spin,
-# on both eta branches when the arc has two coupling pairs; a branch has
-# converged once a cycle moves every boundary modulus by less than TOL
-DAMPING = 0.5
+# The fixed-point search of every arc: alternating minimization from each
+# INIT_GRID fraction of B's boundary spin, on both eta branches when the arc
+# has two coupling pairs; a branch has converged once a cycle moves every
+# boundary modulus by less than TOL
 TOL = 1e-10
 MAX_ITER = 10000
 INIT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -160,7 +161,7 @@ class CollinearChainSolver:
                 e0, _, manifold = lowest_level(
                     mat if shift is None else mat + np.diag(shift))
             else:
-                vals, manifold, _, _ = lanczos_ground(
+                vals, manifold, _ = lanczos_ground(
                     sec["op"], seed=self.seed, v0=sec["v0"], shift=shift)
                 sec["v0"] = manifold[:, 0]
                 e0 = float(vals[0])
@@ -246,66 +247,44 @@ class BipartitionReport:
 
 
 def _run_branch(solver_a, solver_b, npair, eta, z0):
-    """Damped alternation from one starting modulus; returns an ScfResult."""
-    sign = [1.0, float(eta)] if npair == 2 else [1.0]
+    """Alternating minimization from one starting modulus; returns an
+    ScfResult.
 
-    def cycle(z_b):
-        """One undamped map: A answers B's boundary spins z_b, then B
-        answers A; the energy adds J z_a . z_b over the crossing bonds."""
+    Each half-cycle is exact (A's dressed ground state for B's boundary
+    spins, then B's for A's), so the product-state energy never rises.  A
+    converged branch reports the product state of the cycle whose residual
+    fell below TOL.
+    """
+    sign = [1.0, float(eta)] if npair == 2 else [1.0]
+    z_b = np.array([z0 * s for s in sign])
+    z_a = np.zeros(npair)
+    best_resid = np.inf
+    since_progress = 0
+    for it in range(1, MAX_ITER + 1):
         ga = solver_a.ground(z_b, select_coeffs=sign)
         za = np.array(ga["z_fields"])
         gb = solver_b.ground(za, select_coeffs=[-s for s in sign])
         zb = np.array(gb["z_fields"])
-        return za, zb, (ga["e_bare"] + gb["e_bare"]
-                        + solver_a.coupling * float(za @ zb))
-
-    z_b = np.array([z0 * s for s in sign])
-    z_a = np.zeros(npair)
-    alpha = DAMPING
-    residuals = []
-    converged = False
-    best_resid = np.inf
-    since_progress = 0
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        za_meas, zb_meas, _ = cycle(z_b)
-        resid = max(np.max(np.abs(za_meas - z_a)), np.max(np.abs(zb_meas - z_b)))
-        residuals.append(resid)
+        resid = max(np.max(np.abs(za - z_a)), np.max(np.abs(zb - z_b)))
+        z_a, z_b = za, zb
         if resid < TOL:
-            converged = True
-            z_a, z_b = za_meas, zb_meas
-            break
-        # abort branches stuck in a limit cycle: no residual improvement by
-        # 2x over 200 cycles means the map has no attracting fixed point here
+            # the crossing bonds add J z_a . z_b to the product state's energy
+            ebs = (ga["e_bare"] + gb["e_bare"]
+                   + solver_a.coupling * float(za @ zb))
+            return ScfResult(float(ebs), float(za[0]), float(za[-1]),
+                             float(zb[0]), float(zb[-1]), eta, True,
+                             float(resid), iterations=it)
+        # abandon a branch whose residual fails to halve within 100 cycles:
+        # the map has no attracting fixed point here
         if resid < 0.5 * best_resid:
             best_resid = resid
             since_progress = 0
         else:
             since_progress += 1
-            if since_progress > 200:
+            if since_progress > 100:
                 break
-        z_a = (1 - alpha) * z_a + alpha * za_meas
-        z_b = (1 - alpha) * z_b + alpha * zb_meas
-        # halve the damping on a period-2 oscillation of the residual
-        if len(residuals) >= 6:
-            r = residuals[-6:]
-            if (abs(r[-1] - r[-3]) < 0.05 * max(r[-1], 1e-300)
-                    and abs(r[-2] - r[-4]) < 0.05 * max(r[-2], 1e-300)
-                    and r[-1] > 0.9 * r[-3]):
-                alpha = max(0.05, alpha / 2)
-                residuals.clear()
-    if not converged:
-        return ScfResult(np.inf, 0, 0, 0, 0, eta, False,
-                         residuals[-1] if residuals else np.inf, iterations=it)
-    # one exact (undamped) verification cycle from the converged point
-    za_v, zb_v, ebs = cycle(z_b)
-    verify = max(np.max(np.abs(za_v - z_a)), np.max(np.abs(zb_v - z_b)))
-    pad = lambda v: (float(v[0]), float(v[1]) if len(v) > 1 else float(v[0]))
-    za0, za1 = pad(za_v)
-    zb0, zb1 = pad(zb_v)
-    return ScfResult(ebs=float(ebs), z_a=za0, z_aprime=za1, z_b=zb0,
-                     z_bprime=zb1, eta=eta, converged=verify < 10 * TOL,
-                     residual=float(verify), iterations=it)
+    return ScfResult(np.inf, 0, 0, 0, 0, eta, False, float(resid),
+                     iterations=it)
 
 
 def biseparable_minimum(system: SpinSystem, arc: Arc,

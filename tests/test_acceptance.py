@@ -98,7 +98,7 @@ def test_criterion_02_lanczos_matches_dense_oracle():
         op = build_hamiltonian(system)
         assert op.dim <= 4096
         e_dense = dense_spectrum(op.matrix)[0]
-        vals, _, _, _ = lanczos_ground(op)
+        vals, _, _ = lanczos_ground(op)
         assert abs(vals[0] - e_dense) < 1e-9, system.describe()
     ok(f"criterion 2: Lanczos vs dense oracle on {len(systems)} instances")
 

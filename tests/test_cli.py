@@ -208,6 +208,7 @@ class TestExitCodes:
         ("ground", 'model: {topology: ring, N: 40, spin: "1/2"}'),
         ("ground", 'model: {topology: ring, N: 64, spin: "1/2"}'),
         ("map", "map: {lengths: [64]}"),
+        ("map", "map: {lengths: [16]}"),  # 65536 states, above the dense limit
         ("defect", 'defect_series: {site: 1, spins: ["1e400"]}'),
         # a defect series substitutes one site of a homogeneous ring
         ("defect", 'model: {topology: chain, N: 4, spin: "1/2"}\n'
@@ -228,8 +229,8 @@ class TestExitCodes:
             "negative-temperature", "map-lengths-empty", "map-moduli-empty",
             "map-diffs-empty", "map-theta-points-zero", "thermal-points-zero",
             "spin-overflow", "qubits-40", "qubits-64",
-            "map-length-64", "series-spin-overflow", "series-chain-base",
-            "series-mixed-base", "series-defected-base"])
+            "map-length-64", "map-length-16", "series-spin-overflow",
+            "series-chain-base", "series-mixed-base", "series-defected-base"])
     def test_malformed_value_is_2(self, tmp_path, capsys, command, extra):
         text = extra if extra.startswith("model:") else RING4 + extra
         code, out, err = run_main(

@@ -61,8 +61,8 @@ def test_degenerate_detection():
 def test_degenerate_detection_lanczos_small_dim():
     # dim 8: the second solve runs in the complement of the ground vector
     op = build_hamiltonian(SpinSystem.ring(3, "1/2"))
-    e0, v0, _, _ = lanczos_ground(op)
-    e1, _, _, _ = lanczos_ground(op, seed=43, lock=v0)
+    e0, v0, _ = lanczos_ground(op)
+    e1, _, _ = lanczos_ground(op, seed=43, lock=v0)
     assert 0.0 <= e1[0] - e0[0] < 1e-12
 
 
@@ -76,7 +76,7 @@ def test_degenerate_detection_lanczos_small_dim():
 def test_lanczos_matches_dense(system):
     op = build_hamiltonian(system)
     e_dense = dense_spectrum(op.matrix)[0]
-    vals, vecs, iters, resid = lanczos_ground(op)
+    vals, vecs, _ = lanczos_ground(op)
     assert abs(vals[0] - e_dense) < 1e-9
     v = vecs[:, 0]
     assert np.linalg.norm(op.matrix @ v - vals[0] * v) < 1e-8
@@ -137,7 +137,7 @@ def test_lanczos_diagonal_invariant_subspace():
     basis = ProductBasis([3, 3])
     diag = np.arange(basis.dim, dtype=float)
     op = SparseHermitianOperator(basis, sp.diags(diag))
-    vals, vecs, _, _ = lanczos_ground(op, seed=1)
+    vals, vecs, _ = lanczos_ground(op, seed=1)
     assert abs(vals[0] - 0.0) < 1e-9
 
 
@@ -152,8 +152,8 @@ def test_lanczos_no_restarts_raises_solver_error(monkeypatch):
 def test_lanczos_lock_keeps_complement():
     op = build_hamiltonian(SpinSystem.ring(10, "1/2"), 0)
     spectrum = dense_spectrum(op.matrix)
-    _, v0, _, _ = lanczos_ground(op)
-    vals, v1, _, _ = lanczos_ground(op, lock=v0)
+    _, v0, _ = lanczos_ground(op)
+    vals, v1, _ = lanczos_ground(op, lock=v0)
     assert abs(vals[0] - spectrum[1]) < 1e-9
     assert abs(np.vdot(v0[:, 0], v1[:, 0])) < 1e-10
 
@@ -174,7 +174,7 @@ def test_lanczos_gap_never_negative():
     # lock the ground vectors one at a time to count the multiplicity
     lock = r.vector[:, None]
     for _ in range(4):
-        vals, vecs, _, _ = lanczos_ground(op, lock=lock)
+        vals, vecs, _ = lanczos_ground(op, lock=lock)
         if not degenerate_with(r.energy, vals[0]):
             break
         lock = np.hstack([lock, vecs])
@@ -242,7 +242,7 @@ def test_lowest_level_nondegenerate_keeps_one_vector():
 def test_lanczos_shift_matches_shifted_matrix(system, two_m):
     op = build_hamiltonian(system, two_m)
     d = np.random.default_rng(5).standard_normal(op.dim)
-    vals, vecs, _, _ = lanczos_ground(op, shift=d)
+    vals, vecs, _ = lanczos_ground(op, shift=d)
     shifted = op.matrix.toarray() + np.diag(d)
     assert abs(vals[0] - np.linalg.eigvalsh(shifted)[0]) < 1e-9
     v = vecs[:, 0]

@@ -200,6 +200,17 @@ class TestBiseparableMinimum:
         assert not res.decoupled
         assert abs(res.ebs + 10.134660606868023) < 1e-11
 
+    @pytest.mark.parametrize("n_a", [1, 2, 3, 4])
+    def test_branches_converge_in_few_cycles(self, n_a):
+        # each half-cycle is an exact minimization, so the undamped
+        # alternation settles in a few cycles and reports the converging one
+        _, branches = biseparable_minimum_detailed(SpinSystem.ring(8, "1"),
+                                                   Arc(0, n_a))
+        found = [b for b in branches if b.converged and not b.decoupled]
+        assert found
+        assert all(b.residual < scf.TOL for b in found)
+        assert np.mean([b.iterations for b in found]) < 15
+
     def test_no_converged_branch_raises(self, monkeypatch):
         # one iteration converges none of the 10 branches; the decoupled
         # energy is only an upper bound and must not be reported as E_bs

@@ -302,7 +302,9 @@ def test_thermal_cli_matches_golden(tmp_path):
     ("map", "boundary_map.yaml"),
     ("scan", "qubit_chain6.yaml"),
     ("bisep", "qubit_chain6.yaml"),
-], ids=["ground", "bisep", "scan", "verdict", "map", "scan-chain", "bisep-chain"])
+    ("scan", "ring8_s32.yaml"),
+], ids=["ground", "bisep", "scan", "verdict", "map", "scan-chain", "bisep-chain",
+        "scan-ring8-s32"])
 def test_cli_matches_golden(tmp_path, command, config):
     _assert_cli_matches_golden(tmp_path, command, config,
                                f"{command}_{config.removesuffix('.yaml')}.csv")
@@ -310,11 +312,12 @@ def test_cli_matches_golden(tmp_path, command, config):
 
 @pytest.mark.parametrize("demo, tables", [
     ("01_boundary_map.py", ["boundary_map_angles.csv", "boundary_map_moduli.csv"]),
+    ("02_bipartition_scan.py", ["bipartition_scan.csv"]),
     ("04_thermal_window.py", ["thermal_window.csv"]),
-], ids=["boundary_map", "thermal_window"])
+], ids=["boundary_map", "bipartition_scan", "thermal_window"])
 def test_demo_matches_committed_tables(tmp_path, demo, tables):
-    """A demo rewrites its committed demos/results tables.  (Demos 02 and 03
-    take about 25 s between them and are rerun by hand.)"""
+    """A demo rewrites its committed demos/results tables.  (Demo 03 is
+    rerun by hand.)"""
     demos = Path(__file__).resolve().parent.parent / "demos"
     demo_main = runpy.run_path(str(demos / demo), run_name="demo")["main"]
     demo_main.__globals__["OUT"] = tmp_path
