@@ -13,9 +13,10 @@ Shape of the result:
 * s_M > 3/2: the substituted site becomes the most expensive;
 * the cost at the substituted site increases monotonically with s_M.
 
-Writes results/substitution_series.csv.  Runtime ~10 s on 2 vCPUs with one
-BLAS thread (the largest substitution runs per-sector Lanczos on dimensions
-up to ~10^4).
+Writes results/substitution_series.csv.  Runtime 3.7-6.9 s on a shared
+2-vCPU VM with one BLAS thread (the largest substitution runs per-sector
+Lanczos on dimensions up to ~10^4; each threshold is solved once per
+symmetry class of sites).
 """
 
 import csv

@@ -168,7 +168,7 @@ def cmd_defect(cfg: RunConfig, seed: int, workers: int):
             defected_ring(system, site, sm)
     except ValueError as exc:
         raise ConfigError(f"defect_series: {exc}") from exc
-    jobs = [(system, site, sm, labels[i] if labels else None, seed)
+    jobs = [(system, site, sm, None if labels is None else labels[i:i + 1], seed)
             for i, sm in enumerate(spins)]
     tables = map_jobs(_defect_one, jobs, workers)
     columns = ["label", "defect_spin", "k", "e0", "ebs_k", "cost"]
@@ -180,9 +180,8 @@ def cmd_defect(cfg: RunConfig, seed: int, workers: int):
 
 
 def _defect_one(args):
-    system, site, sm, label, seed = args
-    return defect_series(system, site, [sm],
-                         labels=[label] if label else None, seed=seed)[0]
+    system, site, sm, labels, seed = args
+    return defect_series(system, site, [sm], labels=labels, seed=seed)[0]
 
 
 def cmd_verdict(cfg: RunConfig, seed: int, workers: int):

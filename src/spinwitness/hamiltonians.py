@@ -93,6 +93,20 @@ def defected_ring(base: SpinSystem, defect_site: int, defect_spin):
     return SpinSystem(RING, tuple(spins), base.coupling), list(range(n))
 
 
+def site_classes(system: SpinSystem) -> list:
+    """For each site, the lowest site that a symmetry maps it to: a rotation
+    or reflection of a ring, or the reversal of a chain, that maps
+    `site_two_s` onto itself (J is uniform, so the spins decide)."""
+    n, spins = system.n_sites, system.site_two_s
+    if system.topology == RING:
+        maps = [[(r + sign * i) % n for i in range(n)]
+                for r in range(n) for sign in (1, -1)]
+    else:
+        maps = [list(range(n)), list(range(n - 1, -1, -1))]
+    maps = [m for m in maps if all(spins[m[i]] == spins[i] for i in range(n))]
+    return [min(m[i] for m in maps) for i in range(n)]
+
+
 @dataclass(frozen=True)
 class Arc:
     """A block of consecutive sites; wraps around rings, never around chains."""
@@ -157,6 +171,6 @@ def build_on_sites(system: SpinSystem, sites: list,
 
 __all__ = [
     "RING", "CHAIN", "SpinSystem", "Arc",
-    "defected_ring", "cut",
+    "defected_ring", "site_classes", "cut",
     "build_hamiltonian", "build_on_sites", "subsystem_bonds",
 ]

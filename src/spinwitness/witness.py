@@ -27,6 +27,7 @@ from .hamiltonians import (
     build_on_sites,
     cut,
     defected_ring,
+    site_classes,
 )
 from .operators import (
     ProductBasis,
@@ -46,23 +47,6 @@ class ThresholdTable:
     label: str
     e0: float
     entries: list  # (site, ebs_k, cost); site is the original ring position
-
-    def cost(self, site: int) -> float:
-        for k, _, c in self.entries:
-            if k == site:
-                return c
-        raise KeyError(f"no threshold for site {site}")
-
-    def threshold(self, site: int) -> float:
-        for k, e, _ in self.entries:
-            if k == site:
-                return e
-        raise KeyError(f"no threshold for site {site}")
-
-    def min_site(self):
-        """Site with the lowest threshold (deterministic tie-break on index)."""
-        best = min(self.entries, key=lambda e: (e[1], e[0]))
-        return best[0], best[1]
 
 
 @dataclass
@@ -92,18 +76,20 @@ def single_site_threshold(system: SpinSystem, k: int, seed: int = 42) -> float:
     return float(g["energy"])
 
 
-def threshold_table(system: SpinSystem, label: str = "",
+def threshold_table(system: SpinSystem, label: str | None = None,
                     site_labels=None, seed: int = 42) -> ThresholdTable:
-    """Thresholds E_bs^k for every site, referred to the ground energy."""
+    """Thresholds E_bs^k for every site, referred to the ground energy.
+    Each symmetry class of sites is solved once and shares that value."""
     e0 = ground_energy(system, seed=seed)
     if site_labels is None:
         site_labels = list(range(system.n_sites))
-    entries = []
-    for i in range(system.n_sites):
-        e = single_site_threshold(system, i, seed=seed)
-        entries.append((site_labels[i], e, e - e0))
-    entries.sort(key=lambda t: t[0])
-    return ThresholdTable(label or system.describe(), float(e0), entries)
+    classes = site_classes(system)
+    ebs = {rep: single_site_threshold(system, rep, seed=seed)
+           for rep in sorted(set(classes))}
+    entries = sorted((site_labels[i], ebs[rep], ebs[rep] - e0)
+                     for i, rep in enumerate(classes))
+    return ThresholdTable(system.describe() if label is None else label,
+                          float(e0), entries)
 
 
 def defect_series(system: SpinSystem, defect_site: int, defect_spins,
@@ -118,7 +104,7 @@ def defect_series(system: SpinSystem, defect_site: int, defect_spins,
     tables = []
     for idx, sm in enumerate(defect_spins):
         sm_two = parse_spin(sm)
-        label = labels[idx] if labels else f"s_M={spin_str(sm_two)}"
+        label = labels[idx] if labels is not None else f"s_M={spin_str(sm_two)}"
         defected, site_labels = defected_ring(system, defect_site, sm)
         table = threshold_table(defected, label=label, site_labels=site_labels,
                                 seed=seed)

@@ -425,6 +425,15 @@ class TestDefectCommand:
                 assert float(two[column]) == pytest.approx(
                     2.0 * float(one[column]), rel=1e-11, abs=0.0)
 
+    def test_empty_label_is_kept(self, tmp_path, capsys):
+        cfg = RING4 + ('defect_series: {site: 1, spins: ["1", "1/2"], '
+                       'labels: ["", "B"]}\n')
+        code, out, _ = run_main(
+            ["defect", "--config", write(tmp_path, cfg), "--workers", "1"], capsys)
+        assert code == 0
+        labels = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert labels == [""] * 4 + ["B"] * 4
+
     def test_labels_mismatch_is_config_error(self, tmp_path, capsys):
         cfg = RING4 + ("defect_series:\n  site: 1\n  spins: [\"0\", \"1\"]\n"
                        "  labels: [only-one]\n")

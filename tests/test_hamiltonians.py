@@ -10,6 +10,7 @@ from spinwitness.hamiltonians import (
     build_on_sites,
     cut,
     defected_ring,
+    site_classes,
     subsystem_bonds,
 )
 from spinwitness.operators import field_term, sector_two_m_values
@@ -201,3 +202,21 @@ class TestDefectedRing:
     def test_defect_site_range(self):
         with pytest.raises(ValueError):
             defected_ring(SpinSystem.ring(8, "3/2"), 8, "1")
+
+
+class TestSiteClasses:
+    @pytest.mark.parametrize("system, classes", [
+        (SpinSystem.ring(7, "3/2"), [0] * 7),
+        (defected_ring(SpinSystem.ring(8, "1"), 4, "2")[0],
+         [0, 1, 2, 3, 4, 3, 2, 1]),
+        (defected_ring(SpinSystem.ring(8, "3/2"), 4, "0")[0],
+         [0, 1, 2, 3, 2, 1, 0]),
+        (SpinSystem.from_spins("ring", ["1/2", "1"] * 3), [0, 1, 0, 1, 0, 1]),
+        (SpinSystem.from_spins("chain", ["1/2", "1", "1", "3/2"]),
+         [0, 1, 2, 3]),
+        (SpinSystem.from_spins("ring", ["1/2", "1", "3/2", "1", "1"]),
+         [0, 1, 2, 3, 4]),
+    ], ids=["homogeneous-ring", "defected-ring", "spinless-defect-chain",
+            "alternating-ring", "asymmetric-chain", "asymmetric-ring"])
+    def test_classes(self, system, classes):
+        assert site_classes(system) == classes

@@ -6,10 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinwitness import witness
 from spinwitness.cli import main
 from spinwitness.eigensolvers import dense_spectrum
 from spinwitness.hamiltonians import (
+    CHAIN,
+    RING,
     Arc,
     SpinSystem,
     build_hamiltonian,
@@ -62,33 +67,61 @@ class TestThresholdTable:
         table = threshold_table(SpinSystem.ring(6, "1/2"))
         assert all(c > 0 for _, _, c in table.entries)
 
-    def test_lookup_and_min_site(self):
-        table = ThresholdTable("t", -2.0, [(0, -1.5, 0.5), (1, -1.7, 0.3)])
-        assert table.cost(1) == 0.3
-        assert table.threshold(0) == -1.5
-        assert table.min_site() == (1, -1.7)
-        with pytest.raises(KeyError):
-            table.cost(9)
+    def test_one_solve_on_a_homogeneous_ring(self, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        table = threshold_table(SpinSystem.ring(8, "1"))
+        assert calls == [0]
+        assert len({e for _, e, _ in table.entries}) == 1
 
-    def test_min_site_tie_breaks_on_index(self):
-        table = ThresholdTable("t", -2.0, [(3, -1.5, 0.5), (1, -1.5, 0.5)])
-        assert table.min_site()[0] == 1
+    def test_one_solve_per_site_class_of_the_bench_series(self, monkeypatch):
+        # classes per table: spin 0 -> 4 of 7, homogeneous -> 1, others 5 of 8
+        calls = _count_solves(monkeypatch)
+        defect_series(SpinSystem.ring(8, "1"), 4,
+                      ["0", "1/2", "1", "3/2", "2", "5/2"])
+        assert len(calls) == 25
+
+
+def _count_solves(monkeypatch) -> list:
+    """Record the site of every single_site_threshold solve."""
+    calls = []
+
+    def counted(system, k, seed=42):
+        calls.append(k)
+        return single_site_threshold(system, k, seed)
+
+    monkeypatch.setattr(witness, "single_site_threshold", counted)
+    return calls
+
+
+SPIN_LISTS = st.lists(st.sampled_from([1, 2, 3]), min_size=3, max_size=6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SPIN_LISTS, st.sampled_from([RING, CHAIN]), st.data())
+def test_table_equals_per_site_solves(two_s, topology, data):
+    """Copying a threshold across a symmetry class changes it by rounding
+    only; random spin lists include defected and symmetric systems."""
+    if data.draw(st.booleans(), label="homogeneous with one defect"):
+        two_s = [two_s[0]] * len(two_s)
+        two_s[data.draw(st.integers(0, len(two_s) - 1))] = two_s[-1]
+    system = SpinSystem(topology, tuple(two_s))
+    table = threshold_table(system)
+    for k, e, _ in table.entries:
+        assert abs(e - single_site_threshold(system, k)) < 1e-12, k
 
 
 class TestDefectSeries:
     def test_spinless_defect_zero_cost_entry(self):
         tables = defect_series(SpinSystem.ring(4, "1/2"), 0, ["0"])
         table = tables[0]
-        assert table.cost(0) == 0.0
+        assert table.entries[0] == (0, table.e0, 0.0)
         assert len(table.entries) == 4
 
     def test_mirror_symmetry(self):
         tables = defect_series(SpinSystem.ring(6, "1/2"), 2, ["1"])
-        table = tables[0]
+        costs = {k: c for k, _, c in tables[0].entries}
         for d in (1, 2, 3):
-            left = table.cost((2 - d) % 6)
-            right = table.cost((2 + d) % 6)
-            assert abs(left - right) < 1e-8
+            assert abs(costs[(2 - d) % 6] - costs[(2 + d) % 6]) < 1e-8
 
     def test_labels(self):
         tables = defect_series(SpinSystem.ring(4, "1/2"), 0, ["1/2", "1"],
@@ -303,8 +336,9 @@ def test_thermal_cli_matches_golden(tmp_path):
     ("scan", "qubit_chain6.yaml"),
     ("bisep", "qubit_chain6.yaml"),
     ("scan", "ring8_s32.yaml"),
+    ("defect", "ring6_s1.yaml"),
 ], ids=["ground", "bisep", "scan", "verdict", "map", "scan-chain", "bisep-chain",
-        "scan-ring8-s32"])
+        "scan-ring8-s32", "defect"])
 def test_cli_matches_golden(tmp_path, command, config):
     _assert_cli_matches_golden(tmp_path, command, config,
                                f"{command}_{config.removesuffix('.yaml')}.csv")
@@ -313,11 +347,12 @@ def test_cli_matches_golden(tmp_path, command, config):
 @pytest.mark.parametrize("demo, tables", [
     ("01_boundary_map.py", ["boundary_map_angles.csv", "boundary_map_moduli.csv"]),
     ("02_bipartition_scan.py", ["bipartition_scan.csv"]),
+    ("03_substitution_series.py", ["substitution_series.csv"]),
     ("04_thermal_window.py", ["thermal_window.csv"]),
-], ids=["boundary_map", "bipartition_scan", "thermal_window"])
+], ids=["boundary_map", "bipartition_scan", "substitution_series",
+        "thermal_window"])
 def test_demo_matches_committed_tables(tmp_path, demo, tables):
-    """A demo rewrites its committed demos/results tables.  (Demo 03 is
-    rerun by hand.)"""
+    """A demo rewrites its committed demos/results tables."""
     demos = Path(__file__).resolve().parent.parent / "demos"
     demo_main = runpy.run_path(str(demos / demo), run_name="demo")["main"]
     demo_main.__globals__["OUT"] = tmp_path
