@@ -13,9 +13,9 @@ Shape of the result:
 * s_M > 3/2: the substituted site becomes the most expensive;
 * the cost at the substituted site increases monotonically with s_M.
 
-Writes results/substitution_series.csv.  Runtime 3.7-6.9 s on a shared
-2-vCPU VM with one BLAS thread (the largest substitution runs per-sector
-Lanczos on dimensions up to ~10^4; each threshold is solved once per
+Writes results/substitution_series.csv.  Runtime 4.4-4.9 s on a shared
+2-vCPU VM with one BLAS thread (each E0 is one Lanczos solve of the lowest
+Sz sector, dimension up to 11200 for Cr7Mn; each threshold is solved once per
 symmetry class of sites).
 """
 

@@ -23,7 +23,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .eigensolvers import DENSE_LIMIT, SolverError, sectored_ground_state
 from .hamiltonians import defected_ring
-from .operators import ProductBasis, parse_spin, product_dim, total_spin_squared
+from .operators import parse_spin, product_dim
 from .scf import (ScfError, biseparable_minimum_detailed, biseparable_scan,
                   boundary_geometry, boundary_map, map_jobs)
 from .witness import (
@@ -86,10 +86,8 @@ def _metadata(cfg: RunConfig, seed: int, command: str) -> dict:
 def cmd_ground(cfg: RunConfig, seed: int, workers: int):
     system, _ = cfg.build_system()
     res = sectored_ground_state(system, seed=seed)
-    s2 = total_spin_squared(ProductBasis(system.site_two_s, res.sector_two_m))
-    s_sq = float(np.real(np.vdot(res.vector, s2 @ res.vector)))
     columns = ["e0", "gap", "s_squared", "degenerate"]
-    rows = [[res.energy, res.gap, s_sq, bool(res.degenerate)]]
+    rows = [[res.energy, res.gap, res.s_squared, bool(res.degenerate)]]
     return columns, rows
 
 

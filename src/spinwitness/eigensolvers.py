@@ -8,7 +8,10 @@ comes from a second, deflated solve kept orthogonal to the converged ground
 vector, so a degenerate ground level reappears in that complement and is
 reported with gap 0.  ``dense_spectrum`` (capped at ``DENSE_LIMIT``) gives
 whole spectra and is the oracle the tests hold both routes to.
-Sector-blocked solving takes the global minimum over total-Sz sectors.
+``sectored_ground_state`` solves the lowest total-Sz sector only, 2M = 0 or 1,
+which holds every level of the isotropic exchange once; a ground level with
+<S^2> > 3/8 (S >= 1/2) has members in other sectors and is reported
+degenerate.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .hamiltonians import SpinSystem, build_hamiltonian
-from .operators import SparseHermitianOperator, sector_two_m_values
+from .operators import SparseHermitianOperator, total_spin_squared
 
 DENSE_LIMIT = 8192  # largest matrix dense_spectrum makes dense
 # ground_state solves larger sectors by Lanczos.  Measured break-even of the
@@ -49,7 +52,7 @@ class GroundStateResult:
     gap: float
     degenerate: bool
     iterations: int
-    sector_two_m: int | None = None
+    s_squared: float | None = None  # <S^2>, set by sectored_ground_state
 
 
 def dense_spectrum(mat) -> np.ndarray:
@@ -218,27 +221,19 @@ def ground_state(op: SparseHermitianOperator,
 
 def sectored_ground_state(system: SpinSystem,
                           seed: int = DEFAULT_SEED) -> GroundStateResult:
-    """Global ground state of a system's Hamiltonian over total-Sz sectors.
+    """Global ground state of a system's Hamiltonian from one total-Sz sector.
 
-    The undressed Heisenberg Hamiltonian is symmetric under a global spin
-    flip, so only two_m >= 0 sectors are solved and each two_m > 0 spectrum
-    counts for -two_m as well.
+    The exchange is isotropic, so a level of total spin S has one member in
+    every sector with |M| <= S, and the lowest sector, 2M = sum(2s) mod 2,
+    holds every level once.  Only that sector is solved.  Its ground vector
+    gives <S^2>; above 3/8 (S >= 1/2) the level has 2S + 1 members across the
+    sectors and is reported degenerate with gap 0.  Otherwise the in-sector
+    second level is the global first excited level.
     """
-    entries = []  # (energy, sector, result-or-None)
-    for two_m in sector_two_m_values(system.site_two_s):
-        if two_m < 0:
-            continue
-        r = ground_state(build_hamiltonian(system, two_m), seed=seed)
-        for _ in range(2 if two_m else 1):
-            entries.append((r.energy, two_m, r))
-            if np.isfinite(r.gap):
-                entries.append((r.energy + r.gap, two_m, None))
-    entries.sort(key=lambda e: e[0])
-    e0 = entries[0][0]
-    # the global minimum always carries a solved eigenpair; a tied gap entry
-    # from another sector may sort first, so scan for it
-    sector, best = next((s, r) for e, s, r in entries if r is not None and e == e0)
-    e1 = entries[1][0] if len(entries) > 1 else np.inf
-    return GroundStateResult(e0, best.vector, e1 - e0,
-                             bool(degenerate_with(e0, e1)),
-                             best.iterations, sector)
+    op = build_hamiltonian(system, sum(system.site_two_s) % 2)
+    r = ground_state(op, seed=seed)
+    s2 = total_spin_squared(op.basis)
+    s_sq = float(np.real(np.vdot(r.vector, s2 @ r.vector)))
+    multiplet = s_sq > 3 / 8
+    return GroundStateResult(r.energy, r.vector, 0.0 if multiplet else r.gap,
+                             multiplet or r.degenerate, r.iterations, s_sq)

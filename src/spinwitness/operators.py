@@ -180,11 +180,6 @@ class SparseHermitianOperator:
         return self.basis.dim
 
 
-def szsz_diagonal(basis: ProductBasis, i: int, j: int) -> np.ndarray:
-    """Diagonal of sz_i sz_j in this basis."""
-    return basis.two_m[:, i] * basis.two_m[:, j] / 4.0
-
-
 def sz_diagonal(basis: ProductBasis, i: int) -> np.ndarray:
     return basis.two_m[:, i] / 2.0
 
@@ -219,7 +214,7 @@ def heisenberg_matrix(basis: ProductBasis, bonds,
         if i == j:
             raise ValueError("bond needs two distinct sites")
         entries.append(_flipflop_entries(basis, i, j))
-        diag += szsz_diagonal(basis, i, j)
+        diag += basis.two_m[:, i] * basis.two_m[:, j] / 4.0  # sz_i sz_j
     idx = np.arange(basis.dim)
     rows, cols, vals = (np.concatenate(parts)
                         for parts in zip((idx, idx, diag), *entries))

@@ -59,7 +59,7 @@ class Verdict:
 
 
 def ground_energy(system: SpinSystem, seed: int = 42) -> float:
-    """Global ground energy via Sz-sector blocking."""
+    """Global ground energy, from the lowest Sz sector alone."""
     return sectored_ground_state(system, seed=seed).energy
 
 

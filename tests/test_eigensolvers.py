@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinwitness import eigensolvers
 from spinwitness.eigensolvers import (
@@ -17,13 +19,14 @@ from spinwitness.eigensolvers import (
     sectored_ground_state,
     select_in_manifold,
 )
-from spinwitness.hamiltonians import SpinSystem, build_hamiltonian
+from spinwitness.hamiltonians import CHAIN, RING, SpinSystem, build_hamiltonian
 from spinwitness.operators import (
     ProductBasis,
     SparseHermitianOperator,
     heisenberg_matrix,
     sector_two_m_values,
     sz_diagonal,
+    total_spin_squared,
 )
 
 
@@ -100,18 +103,44 @@ def test_variational_bound():
         assert v @ (op.matrix @ v) >= e0 - 1e-9
 
 
-def test_sectored_matches_full_dense():
-    for system in (SpinSystem.ring(6, "1/2"), SpinSystem.ring(4, "1"),
-                   SpinSystem.chain(5, "1")):
-        full = dense_spectrum(build_hamiltonian(system).matrix)
-        r = sectored_ground_state(system)
-        assert abs(r.energy - full[0]) < 1e-10
-        assert abs(r.gap - (full[1] - full[0])) < 1e-8
+@st.composite
+def spin_systems(draw):
+    """Rings (N >= 3) and chains of N <= 8 mixed spins 1/2..2 with a product
+    space of at most 1024 states, and J of either sign."""
+    topology = draw(st.sampled_from([RING, CHAIN]))
+    n = draw(st.integers(3 if topology == RING else 2, 8))
+    two_s, dim = [], 1
+    for i in range(n):
+        # leave room for spin 1/2 on every site still to draw
+        room = 1024 // (dim * 2 ** (n - i - 1))
+        two_s.append(draw(st.sampled_from([t for t in (1, 2, 3, 4) if t < room])))
+        dim *= two_s[-1] + 1
+    return SpinSystem(topology, tuple(two_s),
+                      draw(st.sampled_from([-1.0, 0.6, 1.0, 1.7])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spin_systems())
+@example(SpinSystem.ring(6, "1/2"))
+@example(SpinSystem.ring(4, "1"))
+@example(SpinSystem.chain(5, "1"))
+def test_sectored_matches_full_dense(system):
+    """The lowest sector alone gives the dense full-space ground level: its
+    energy, gap, degeneracy and an <S^2> of a state in it."""
+    op = build_hamiltonian(system)
+    full, vecs = np.linalg.eigh(op.matrix.toarray())
+    level = vecs[:, degenerate_with(full[0], full)]
+    r = sectored_ground_state(system)
+    assert abs(r.energy - full[0]) < 1e-10
+    assert abs(r.gap - (full[1] - full[0])) < 1e-8
+    assert r.degenerate == (level.shape[1] > 1)
+    s2 = level.T @ (total_spin_squared(op.basis) @ level)
+    assert np.abs(np.linalg.eigvalsh(s2) - r.s_squared).min() < 1e-8
 
 
 def test_flip_symmetry_consistent():
-    # sectored_ground_state solves 2M >= 0 only; the negative sectors it
-    # skips must hold the same levels
+    # full_spectrum solves 2M >= 0 only and counts each 2M > 0 spectrum for
+    # -2M as well; the negative sectors it skips must hold the same levels
     system = SpinSystem.ring(6, "1/2")
     for two_m in sector_two_m_values(system.site_two_s):
         a = ground_state(build_hamiltonian(system, two_m))
@@ -200,12 +229,14 @@ def test_lanczos_route_matches_dense_oracle(system, two_m):
 
 def test_odd_chain_kramers_doublet_across_sectors():
     # each of the 2M = +/-1 sectors (dim 462) holds one member of the
-    # doublet; both are solved by Lanczos here
+    # doublet; the 2M = 1 one is solved by Lanczos, and <S^2> = 3/4 shows
+    # the partner in 2M = -1
     system = SpinSystem.chain(11, "1/2")
     r = sectored_ground_state(system)
+    assert r.iterations > 0
     assert r.degenerate
     assert 0.0 <= r.gap < 1e-9
-    assert abs(r.sector_two_m) == 1
+    assert abs(r.s_squared - 0.75) < 1e-8
 
 
 def test_lanczos_sees_degenerate_n15_ring():

@@ -337,8 +337,9 @@ def test_thermal_cli_matches_golden(tmp_path):
     ("bisep", "qubit_chain6.yaml"),
     ("scan", "ring8_s32.yaml"),
     ("defect", "ring6_s1.yaml"),
+    ("ground", "ferri_ring8_s1.yaml"),
 ], ids=["ground", "bisep", "scan", "verdict", "map", "scan-chain", "bisep-chain",
-        "scan-ring8-s32", "defect"])
+        "scan-ring8-s32", "defect", "ground-ferri"])
 def test_cli_matches_golden(tmp_path, command, config):
     _assert_cli_matches_golden(tmp_path, command, config,
                                f"{command}_{config.removesuffix('.yaml')}.csv")
