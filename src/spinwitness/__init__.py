@@ -29,7 +29,6 @@ from .operators import (
     local_spin_matrices,
     parse_spin,
     spin_str,
-    total_spin_squared,
 )
 from .scf import (
     BoundaryGeometry,

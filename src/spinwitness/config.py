@@ -188,8 +188,8 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
     return parse_config({} if raw is None else raw)

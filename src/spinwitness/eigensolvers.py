@@ -11,7 +11,7 @@ whole spectra and is the oracle the tests hold both routes to.
 ``sectored_ground_state`` solves the lowest total-Sz sector only, 2M = 0 or 1,
 which holds every level of the isotropic exchange once; a ground level with
 <S^2> > 3/8 (S >= 1/2) has members in other sectors and is reported
-degenerate.
+degenerate.  <S^2> comes from the ladder identity S^2 = S- S+ + Sz(Sz + 1).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .hamiltonians import SpinSystem, build_hamiltonian
-from .operators import SparseHermitianOperator, total_spin_squared
+from .operators import SparseHermitianOperator, raising
 
 DENSE_LIMIT = 8192  # largest matrix dense_spectrum makes dense
 # ground_state solves larger sectors by Lanczos.  Measured break-even of the
@@ -226,14 +226,15 @@ def sectored_ground_state(system: SpinSystem,
     The exchange is isotropic, so a level of total spin S has one member in
     every sector with |M| <= S, and the lowest sector, 2M = sum(2s) mod 2,
     holds every level once.  Only that sector is solved.  Its ground vector
-    gives <S^2>; above 3/8 (S >= 1/2) the level has 2S + 1 members across the
-    sectors and is reported degenerate with gap 0.  Otherwise the in-sector
-    second level is the global first excited level.
+    psi gives <S^2> = M(M+1) + |S+ psi|^2; above 3/8 (S >= 1/2) the level has
+    2S + 1 members across the sectors and is reported degenerate with gap 0.
+    Otherwise the in-sector second level is the global first excited level.
     """
-    op = build_hamiltonian(system, sum(system.site_two_s) % 2)
+    two_m = sum(system.site_two_s) % 2
+    op = build_hamiltonian(system, two_m)
     r = ground_state(op, seed=seed)
-    s2 = total_spin_squared(op.basis)
-    s_sq = float(np.real(np.vdot(r.vector, s2 @ r.vector)))
+    up = raising(op.basis, range(system.n_sites)) @ r.vector
+    s_sq = two_m * (two_m + 2) / 4 + float(np.vdot(up, up).real)
     multiplet = s_sq > 3 / 8
     return GroundStateResult(r.energy, r.vector, 0.0 if multiplet else r.gap,
                              multiplet or r.degenerate, r.iterations, s_sq)

@@ -5,6 +5,8 @@ stay exact.  Product-basis states are ordered lexicographically in the local
 magnetic quantum numbers, site 0 slowest, with m descending on each site
 (local index 0 is m = +s).  A basis may be restricted to a total-Sz sector;
 the restriction is only legal for operators that commute with total Sz.
+The one exception, the ladder operator S+ of ``raising``, leaves the sector
+and so maps a basis into the full product space.
 """
 
 from __future__ import annotations
@@ -243,30 +245,21 @@ def field_term(basis: ProductBasis, site: int, b) -> sp.csr_matrix:
     diag = bz * sz_diagonal(basis, site)
     if not transverse:
         return sp.diags(diag, format="csr")
-    idx = basis.states
-    c = _raising_coeff(basis.site_two_s[site])
-    mask = idx[:, site] > 0
-    src = np.nonzero(mask)[0]
-    amp = c[idx[src, site]]
-    tgt = basis.position_of_full(basis.full_index[src] - basis._strides[site])
-    # raising entry <tgt| s+ |src> = amp; sx = (s+ + s-)/2, sy = (s+ - s-)/(2i)
+    # sx = (s+ + s-)/2, sy = (s+ - s-)/(2i); s+ is square on the full basis
     up = (bx / 2.0) - 1j * (by / 2.0) if by else bx / 2.0
-    vals_up = up * amp
-    rows = np.concatenate([tgt, src])
-    cols = np.concatenate([src, tgt])
-    vals = np.concatenate([vals_up, np.conj(vals_up)])
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
-    return mat + sp.diags(diag)
+    splus = raising(basis, [site])
+    return up * splus + np.conj(up) * splus.T + sp.diags(diag)
 
 
-def total_spin_squared(basis: ProductBasis) -> sp.csr_matrix:
-    """S^2 = (sum_i s_i)^2 as a CSR matrix; conserves Sz, so legal on sector
-    bases."""
-    casimir = sum(t / 2.0 * (t / 2.0 + 1.0) for t in basis.site_two_s)
-    mat = sp.diags(np.full(basis.dim, casimir)).tocsr()
-    # one call per site: a single call would hold the COO arrays of all
-    # N(N-1)/2 pairs at once (33 MB more peak on the N=16, 2M=0 sector)
-    n = basis.n_sites
-    for i in range(n - 1):
-        mat = mat + heisenberg_matrix(basis, [(i, j) for j in range(i + 1, n)], 2.0)
-    return mat
+def raising(basis: ProductBasis, sites) -> sp.csr_matrix:
+    """S+ = sum over `sites` of s+_i from the basis into the full product
+    space: a (total_dim x dim) CSR matrix whose rows are full-space indices."""
+    rows, cols, vals = [], [], []
+    for i in sites:
+        src = np.nonzero(basis.states[:, i] > 0)[0]
+        rows.append(basis.full_index[src] - basis._strides[i])
+        cols.append(src)
+        vals.append(_raising_coeff(basis.site_two_s[i])[basis.states[src, i]])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.total_dim, basis.dim)).tocsr()

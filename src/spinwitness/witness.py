@@ -32,9 +32,9 @@ from .hamiltonians import (
 from .operators import (
     ProductBasis,
     parse_spin,
+    raising,
     sector_two_m_values,
     spin_str,
-    total_spin_squared,
     translation_orbits,
 )
 from .scf import CollinearChainSolver
@@ -170,8 +170,8 @@ def _singlet_projector(site_two_s) -> np.ndarray | None:
     basis = ProductBasis(site_two_s, 0)
     if basis.dim == 0:
         return None
-    s2 = total_spin_squared(basis).toarray()
-    vals, vecs = scipy.linalg.eigh(s2)
+    splus = raising(basis, range(basis.n_sites))
+    vals, vecs = scipy.linalg.eigh((splus.T @ splus).toarray())  # S^2 at M = 0
     keep = vals < 1e-8
     if not np.any(keep):
         return None

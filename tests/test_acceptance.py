@@ -75,6 +75,7 @@ def test_criterion_01_nondegenerate_singlet_ground_states():
         assert r.gap > 1e-6, system.describe()
         assert not r.degenerate, system.describe()
         assert abs(r.s_squared) < 1e-8, system.describe()
+        assert r.s_squared >= 0, system.describe()
     ok("criterion 1: nondegenerate singlet ground states "
        f"({len(systems)} systems)")
 

@@ -123,6 +123,19 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize("content", [None, b'model: {spin: "\xbd"}\n'],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_config_is_2(self, tmp_path, capsys, content):
+        path = tmp_path / "run.yaml"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code, out, err = run_main(["ground", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
     def test_solver_failure_is_3(self, tmp_path, capsys):
         # N=16 qubit chain: no translation symmetry, so its 2M=0 block
         # (dim 12870) exceeds the sector-dense cap and the full-spectrum

@@ -26,7 +26,6 @@ from spinwitness.operators import (
     heisenberg_matrix,
     sector_two_m_values,
     sz_diagonal,
-    total_spin_squared,
 )
 
 
@@ -134,7 +133,12 @@ def test_sectored_matches_full_dense(system):
     assert abs(r.energy - full[0]) < 1e-10
     assert abs(r.gap - (full[1] - full[0])) < 1e-8
     assert r.degenerate == (level.shape[1] > 1)
-    s2 = level.T @ (total_spin_squared(op.basis) @ level)
+    # S^2 = sum_i s_i(s_i + 1) + 2 sum_{i<j} s_i . s_j
+    n = system.n_sites
+    pairs = heisenberg_matrix(op.basis, [(i, j) for i in range(n)
+                                         for j in range(i + 1, n)], 2.0)
+    casimir = sum(t / 2 * (t / 2 + 1) for t in system.site_two_s)
+    s2 = level.T @ (pairs @ level) + casimir * np.eye(level.shape[1])
     assert np.abs(np.linalg.eigvalsh(s2) - r.s_squared).min() < 1e-8
 
 

@@ -13,10 +13,10 @@ from spinwitness.operators import (
     local_spin_matrices,
     parse_spin,
     product_dim,
+    raising,
     sector_two_m_values,
     spin_str,
     sz_diagonal,
-    total_spin_squared,
     translation_orbits,
 )
 
@@ -25,16 +25,20 @@ def bond_operator(basis, i, j, coupling=1.0):
     return heisenberg_matrix(basis, [(i, j)], coupling)
 
 
+def kron_embed(spins, site, local):
+    """The single-site matrix `local` on `site` of the full product space."""
+    out = np.eye(1)
+    for k, t in enumerate(spins):
+        out = np.kron(out, local if k == site else np.eye(t + 1))
+    return out
+
+
 def dense_exchange(spins, bonds, coupling):
     """Reference sum of J s_i . s_j built from Kronecker products."""
     ms = [local_spin_matrices(t) for t in spins]
 
     def embed(site, comp):
-        out = np.eye(1)
-        for k, t in enumerate(spins):
-            out = np.kron(out, getattr(ms[k], comp) if k == site
-                          else np.eye(t + 1))
-        return out
+        return kron_embed(spins, site, getattr(ms[site], comp))
 
     return coupling * sum(embed(i, c) @ embed(j, c)
                           for i, j in bonds for c in ("sx", "sy", "sz"))
@@ -238,9 +242,25 @@ class TestOperators:
         assert np.allclose(b.two_m.sum(axis=1) / 2.0, [1, 0, 0, -1])
 
     def test_total_spin_squared_two_qubits(self):
+        # S^2 = S- S+ + Sz(Sz + 1), with S- the transpose of S+
         b = ProductBasis([1, 1])
-        vals = np.linalg.eigvalsh(total_spin_squared(b).toarray())
+        splus = raising(b, [0, 1]).toarray()
+        sz = b.two_m.sum(axis=1) / 2.0
+        vals = np.linalg.eigvalsh(splus.T @ splus + np.diag(sz * (sz + 1)))
         assert np.allclose(sorted(vals), [0.0, 2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("spins, two_m", [
+        ([1, 2, 3], None), ([1, 2, 3], 0), ([2, 1, 2, 1], 2), ([3, 3], -2)])
+    @pytest.mark.parametrize("sites", [[1], None], ids=["one-site", "all-sites"])
+    def test_raising_matches_kron(self, spins, two_m, sites):
+        # columns are the basis states, rows the full product space
+        sites = range(len(spins)) if sites is None else sites
+        b = ProductBasis(spins, two_m)
+        dense = sum(kron_embed(spins, i, local_spin_matrices(spins[i]).splus)
+                    for i in sites)
+        mat = raising(b, sites)
+        assert mat.shape == (b.total_dim, b.dim)
+        assert np.abs(mat.toarray() - dense[:, b.full_index]).max() < 1e-12
 
     def test_sz_diagonal(self):
         b = ProductBasis([2])
