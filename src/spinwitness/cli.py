@@ -248,6 +248,11 @@ def main(argv=None) -> int:
             raise ConfigError("--seed must be >= 0")  # as the config's seed
         if args.workers is not None and args.workers < 1:
             raise ConfigError("--workers must be >= 1")
+        if args.out is not None:  # checked before the solve, not after it
+            if os.path.isdir(args.out):
+                raise ConfigError(f"--out {args.out} is a directory")
+            if not os.path.isdir(os.path.dirname(args.out) or "."):
+                raise ConfigError(f"--out {args.out}: no such directory")
         seed = args.seed if args.seed is not None else cfg.seed
         workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
         columns, rows = COMMANDS[args.command](cfg, seed, workers)

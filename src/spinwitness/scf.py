@@ -11,13 +11,18 @@ Two layers:
   boundary expectations of each subsystem tied by a sign eta = +/-1; both
   eta branches and a grid of starting moduli are scanned, and the
   exactly-decoupled candidate (all boundary expectations zero) is always
-  included in the minimum.
+  included in the minimum.  That candidate is solved first: its field-free
+  solves give each segment solver the minimum E_min(M) of every Sz sector,
+  and since boundary fields b_k on spins s_k move any energy by at most
+  sum_k |b_k| s_k, later solves skip every sector whose E_min(M) minus that
+  bound lies above the current minimum by the degeneracy window or more.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +36,6 @@ from .eigensolvers import (
 from .hamiltonians import RING, Arc, SpinSystem, cut, subsystem_bonds
 from .operators import (
     ProductBasis,
-    SparseHermitianOperator,
     field_term,
     heisenberg_matrix,
     parse_spin,
@@ -112,27 +116,34 @@ class CollinearChainSolver:
     Precomputes the Sz-sector blocks of the bare Hamiltonian (the bonds
     inside `sites`) and the diagonal sz operators of the field sites, so
     repeated solves during the fixed-point iteration only add diagonals.
-    The sites need not be connected (the complement of a mid-chain arc is
-    two pieces).
+    The product space is enumerated and assembled once and cut into its
+    sectors by total 2M, each keeping the state order of its own sector
+    basis.  The sites need not be connected (the complement of a mid-chain
+    arc is two pieces).
     """
 
     def __init__(self, system: SpinSystem, sites, field_sites, seed: int = 42):
         spins = [system.site_two_s[i] for i in sites]
         local = {site: k for k, site in enumerate(sites)}
         self.field_sites = tuple(local[s] for s in field_sites)
+        self.field_spins = tuple(spins[k] / 2.0 for k in self.field_sites)
         self.coupling = system.coupling
         self.seed = seed
+        self.by_floor = None  # sectors by field-free minimum, once known
         self.sectors = []
-        bonds = subsystem_bonds(system, sites)
-        for two_m in sector_two_m_values(spins):
-            basis = ProductBasis(spins, two_m)
-            mat = heisenberg_matrix(basis, bonds, system.coupling)
-            sec = {"two_m": two_m,
-                   "diags": [sz_diagonal(basis, s) for s in self.field_sites]}
-            if basis.dim <= DENSE_DIM:
-                sec["dense"] = mat.toarray()
-            else:
-                sec["op"] = SparseHermitianOperator(basis, mat)
+        basis = ProductBasis(spins)
+        mat = heisenberg_matrix(basis, subsystem_bonds(system, sites),
+                                system.coupling)
+        two_m = basis.two_m.sum(axis=1)
+        for t in sector_two_m_values(spins):
+            idx = np.flatnonzero(two_m == t)
+            block = mat[idx][:, idx]
+            sec = {"two_m": t,
+                   "diags": [basis.two_m[idx, s] / 2.0 for s in self.field_sites]}
+            if len(idx) <= DENSE_DIM:
+                sec["dense"] = block.toarray()
+            else:  # lanczos_ground reads only .matrix and .dim
+                sec["op"] = SimpleNamespace(matrix=block, dim=len(idx))
                 sec["v0"] = None
             self.sectors.append(sec)
 
@@ -140,18 +151,30 @@ class CollinearChainSolver:
         """Lowest dressed eigenstate over all sectors.
 
         z_outside: the <sz> z_k of each field site's neighbour across the
-        cut, which dresses the field site with the field J z_k z_hat.
+        cut, which dresses the field site with the field b_k = J z_k z_hat.
         select_coeffs: coefficients c_k resolving degenerate minima by
         minimizing sum_k c_k <sz_(field site k)> over the degenerate level
         (the infinitesimal-field limit of the upcoming fields).  Returns a
         dict with the dressed energy, the bare-Hamiltonian expectation and
         the per-field-site <sz> values.
+
+        The first field-free call solves every sector and keeps each
+        sector's minimum E_min(M) as its floor.  The fields are diagonal
+        and move any energy by at most reach = sum_k |b_k| s_k, so later
+        calls visit the sectors by ascending floor and stop at the first
+        whose E_min(M) - reach lies above the running minimum by the
+        degeneracy window or more: it and every later sector hold neither
+        the minimum nor a member of its level.
         """
         field_values = tuple(self.coupling * float(z) for z in z_outside)
         if len(field_values) != len(self.field_sites):
             raise ValueError("one field value per field site required")
+        reach = sum(abs(b) * s for b, s in zip(field_values, self.field_spins))
         results = []
-        for sec in self.sectors:
+        best = np.inf
+        for sec in self.by_floor or self.sectors:
+            if self.by_floor and not degenerate_with(best, sec["floor"] - reach):
+                break
             shift = None
             for b, d in zip(field_values, sec["diags"]):
                 if b != 0.0:
@@ -166,7 +189,13 @@ class CollinearChainSolver:
                 sec["v0"] = manifold[:, 0]
                 e0 = float(vals[0])
             results.append((e0, sec, manifold))
-        e0 = min(r[0] for r in results)
+            best = min(best, e0)
+        if self.by_floor is None and not any(field_values):
+            for e, sec, _ in results:
+                sec["floor"] = e
+            self.by_floor = sorted(self.sectors, key=lambda sec: sec["floor"])
+        results.sort(key=lambda r: r[1]["two_m"])
+        e0 = best
         level = [(sec, m) for e, sec, m in results if degenerate_with(e0, e)]
         sec, manifold = level[0]
         vec = manifold[:, 0]
@@ -300,6 +329,15 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = 42):
     solver_a = CollinearChainSolver(system, sites_a, [a for a, _ in pairs], seed)
     solver_b = CollinearChainSolver(system, sites_b, [b for _, b in pairs], seed)
 
+    # the exactly-decoupled candidate is always evaluated, and first: these
+    # field-free calls give each solver the sector floors its later calls
+    # skip sectors by
+    e_dec = (solver_a.ground([0.0] * len(pairs))["e_bare"]
+             + solver_b.ground([0.0] * len(pairs))["e_bare"])
+    decoupled = ScfResult(ebs=float(e_dec), z_a=0.0, z_aprime=0.0, z_b=0.0,
+                          z_bprime=0.0, eta=1, converged=True, residual=0.0,
+                          decoupled=True)
+
     # grid of starting moduli, capped by the spin of B's first boundary site
     s_bd = system.site_two_s[pairs[0][1]] / 2.0
     etas = (1, -1) if len(pairs) == 2 else (1,)
@@ -317,12 +355,6 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = 42):
     # must not stand in for an arc where every branch failed
     if not any(b.converged for b in branches):
         raise ScfError("no SCF branch converged", branches)
-    # the exactly-decoupled candidate is always evaluated
-    e_dec = (solver_a.ground([0.0] * len(pairs))["e_bare"]
-             + solver_b.ground([0.0] * len(pairs))["e_bare"])
-    decoupled = ScfResult(ebs=float(e_dec), z_a=0.0, z_aprime=0.0, z_b=0.0,
-                          z_bprime=0.0, eta=1, converged=True, residual=0.0,
-                          decoupled=True)
     candidates = [b for b in branches if b.converged] + [decoupled]
     # branches reaching one fixed point differ only by rounding, so ties
     # within 1e-12 go to the decoupled candidate, then to eta = +1 (the

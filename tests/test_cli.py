@@ -136,6 +136,20 @@ class TestExitCodes:
         assert out == ""
         assert "config error" in err
 
+    @pytest.mark.parametrize("out", ["", "missing/x.csv"],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_out_is_2_before_solving(self, tmp_path, capsys,
+                                                monkeypatch, out):
+        def solve(cfg, seed, workers):
+            raise AssertionError("solved before --out was checked")
+        monkeypatch.setitem(cli.COMMANDS, "ground", solve)
+        code, out_text, err = run_main(
+            ["ground", "--config", write(tmp_path, RING4),
+             "--out", str(tmp_path / out)], capsys)
+        assert code == 2
+        assert out_text == ""
+        assert err.startswith("config error: --out ")
+
     def test_solver_failure_is_3(self, tmp_path, capsys):
         # N=16 qubit chain: no translation symmetry, so its 2M=0 block
         # (dim 12870) exceeds the sector-dense cap and the full-spectrum

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinwitness import scf
 from spinwitness.eigensolvers import dense_spectrum
-from spinwitness.hamiltonians import Arc, SpinSystem, build_hamiltonian
+from spinwitness.hamiltonians import (Arc, SpinSystem, build_hamiltonian, cut,
+                                     subsystem_bonds)
+from spinwitness.operators import ProductBasis, heisenberg_matrix, sz_diagonal
 from spinwitness.scf import (
     BoundaryPair,
     CollinearChainSolver,
@@ -92,7 +96,6 @@ class TestCollinearChainSolver:
             system = SpinSystem.chain(3, "1/2")
             h = build_hamiltonian(system).matrix.toarray()
             basis = build_hamiltonian(system).basis
-            from spinwitness.operators import sz_diagonal
             h = h + np.diag(b0 * sz_diagonal(basis, 0)
                             + b1 * sz_diagonal(basis, 2))
             e_dense = np.linalg.eigvalsh(h)[0]
@@ -128,11 +131,108 @@ class TestCollinearChainSolver:
         assert np.allclose(other["z_fields"], reference["z_fields"], atol=1e-12)
         assert reference["z_fields"][0] - reference["z_fields"][1] < -0.5
 
+    @pytest.mark.parametrize("spin", ["1/2", "3/2"])
+    def test_sector_blocks_match_sector_bases(self, spin):
+        # the two pieces left by an interior arc; at s = 3/2 the middle
+        # sectors exceed DENSE_DIM and go to Lanczos
+        system = SpinSystem.chain(7, spin, 1.7)
+        _, sites, _ = cut(system, Arc(2, 2))
+        solver = CollinearChainSolver(system, sites, [sites[0], sites[-1]])
+        spins = [system.site_two_s[i] for i in sites]
+        assert any("op" in sec for sec in solver.sectors) == (spin == "3/2")
+        for sec in solver.sectors:
+            basis = ProductBasis(spins, sec["two_m"])
+            want = heisenberg_matrix(basis, subsystem_bonds(system, sites), 1.7)
+            got = sec["dense"] if "dense" in sec else sec["op"].matrix.toarray()
+            assert np.array_equal(got, want.toarray())
+            for d, k in zip(sec["diags"], solver.field_sites):
+                assert np.array_equal(d, sz_diagonal(basis, k))
+
     def test_field_count_mismatch(self):
         solver = CollinearChainSolver(SpinSystem.chain(2, "1/2"), [0, 1],
                                       field_sites=(0, 1))
         with pytest.raises(ValueError):
             solver.ground([0.5])
+
+
+@st.composite
+def dressed_segments(draw):
+    """(system, sites, field_sites, field sets): a whole chain or the two
+    pieces left by an interior arc, N <= 6, fields on 1-3 of its sites (a
+    site may carry two), and three field sets: drawn values, the same
+    with every other sign flipped, and zero."""
+    n = draw(st.integers(2, 6))
+    system = SpinSystem.chain(n, draw(st.sampled_from(["1/2", "1", "3/2", "2"])),
+                              draw(st.sampled_from([0.6, 1.0, 1.7])))
+    sites = list(range(n))
+    if n >= 3 and draw(st.booleans()):
+        length = draw(st.integers(1, n - 2))
+        _, sites, _ = cut(system, Arc(draw(st.integers(1, n - 1 - length)), length))
+    field_sites = draw(st.lists(st.sampled_from(sites), min_size=1, max_size=3))
+    zs = draw(st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+                       min_size=len(field_sites), max_size=len(field_sites)))
+    flipped = [-z if k % 2 else z for k, z in enumerate(zs)]
+    return system, sites, field_sites, [zs, flipped, [0.0] * len(zs)]
+
+
+class TestSectorFloors:
+    @settings(max_examples=40, deadline=None)
+    @given(dressed_segments(), st.booleans())
+    # fields strong enough to polarize: the minimum moves to the sector of
+    # highest floor, which only the full reach keeps in the search
+    @example((SpinSystem.chain(3, "1/2"), [0, 1, 2], [0, 1, 2],
+              [[2.0, 2.0, 2.0], [2.0, -2.0, 2.0], [0.0, 0.0, 0.0]]), False)
+    def test_skipping_matches_solving_every_sector(self, case, select):
+        system, sites, field_sites, field_sets = case
+        floored = CollinearChainSolver(system, sites, field_sites)
+        floored.ground([0.0] * len(field_sites))
+        assert floored.by_floor is not None
+        for zs in field_sets:
+            coeffs = [1.0 - 2.0 * (k % 2) for k in range(len(zs))] if select else None
+            # a fresh solver given the same Lanczos start vectors solves
+            # every sector just as the floored one solves those it keeps
+            fresh = CollinearChainSolver(system, sites, field_sites)
+            for mine, theirs in zip(fresh.sectors, floored.sectors):
+                mine["v0"] = theirs.get("v0")
+            got = floored.ground(zs, select_coeffs=coeffs)
+            want = fresh.ground(zs, select_coeffs=coeffs)
+            assert got["energy"] == pytest.approx(want["energy"], abs=1e-12)
+            assert got["e_bare"] == pytest.approx(want["e_bare"], abs=1e-12)
+            assert got["z_fields"] == pytest.approx(want["z_fields"], abs=1e-12)
+
+    def test_multiplet_keeps_its_level(self):
+        # an odd spin-1/2 chain at zero field: the ground doublet lies in
+        # 2M = -1 and +1, so a floored call must solve both again and pick the
+        # same member, here the 2M = +1 one, by the selector
+        solver = CollinearChainSolver(SpinSystem.chain(5, "1/2"), range(5), (0, 4))
+        first = solver.ground([0.0, 0.0], select_coeffs=[-1.0, -1.0])
+        second = solver.ground([0.0, 0.0], select_coeffs=[-1.0, -1.0])
+        assert second == first
+        assert sum(first["z_fields"]) > 0
+
+    def test_no_floors_from_a_field_call(self):
+        # single_site_threshold makes one dressed call: it solves every
+        # sector and records nothing
+        solver = CollinearChainSolver(SpinSystem.chain(4, "1"), range(4), (0,))
+        solver.ground([1.0])
+        assert solver.by_floor is None
+
+    def test_ring8_scan_skips_most_sector_solves(self, monkeypatch):
+        # the N=8 s=1 scan solved 4734 sector blocks (lowest_level plus
+        # lanczos_ground calls) when every call solved every sector
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scf, "lowest_level", counted(scf.lowest_level))
+        monkeypatch.setattr(scf, "lanczos_ground", counted(scf.lanczos_ground))
+        scan = biseparable_scan(SpinSystem.ring(8, "1"), workers=1)
+        assert scan.argmin.n_a == 1
+        assert len(calls) <= 0.4 * 4734
 
 
 class TestBiseparableMinimum:
