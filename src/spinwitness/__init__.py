@@ -23,10 +23,8 @@ from .hamiltonians import (
     defected_ring,
 )
 from .operators import (
-    LocalSpinMatrices,
     ProductBasis,
     SparseHermitianOperator,
-    local_spin_matrices,
     parse_spin,
     spin_str,
 )

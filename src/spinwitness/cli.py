@@ -198,8 +198,10 @@ def cmd_verdict(cfg: RunConfig, seed: int, workers: int):
 def cmd_thermal(cfg: RunConfig, seed: int, workers: int):
     system, _ = cfg.build_system()
     block = cfg.block("thermal")
-    spectrum = full_spectrum(system)
     columns = ["kind", "temperature", "energy"]
+    if not block["points"] and not block["thresholds"]:
+        return columns, []  # no rows: main refuses before any solve
+    spectrum = full_spectrum(system)
     rows = []
     for t in np.linspace(block["t_min"], block["t_max"], block["points"]):
         rows.append(["curve", float(t), thermal_energy(spectrum, float(t))])

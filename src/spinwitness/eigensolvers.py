@@ -55,12 +55,17 @@ class GroundStateResult:
     s_squared: float | None = None  # <S^2>, set by sectored_ground_state
 
 
+def refuse_dense(dim: int) -> None:
+    """SolverError if a dim x dim matrix is above DENSE_LIMIT."""
+    if dim > DENSE_LIMIT:
+        raise SolverError(f"dimension {dim} exceeds dense limit "
+                          f"{DENSE_LIMIT}; sector-block the operator first")
+
+
 def dense_spectrum(mat) -> np.ndarray:
     """Full ascending spectrum via LAPACK of a sparse Hermitian matrix;
     refuses dimensions above DENSE_LIMIT before densifying."""
-    if mat.shape[0] > DENSE_LIMIT:
-        raise SolverError(f"dimension {mat.shape[0]} exceeds dense limit "
-                          f"{DENSE_LIMIT}; sector-block the operator first")
+    refuse_dense(mat.shape[0])
     if mat.shape[0] == 0:
         return np.array([])
     return scipy.linalg.eigvalsh(mat.toarray())

@@ -161,10 +161,10 @@ def subsystem_bonds(system: SpinSystem, sites: list) -> list:
             if i in local and j in local]
 
 
-def build_on_sites(system: SpinSystem, sites: list,
-                   sector_two_m: int | None = None) -> SparseHermitianOperator:
-    """Hamiltonian restricted to the given sites (only internal bonds kept)."""
-    basis = ProductBasis([system.site_two_s[i] for i in sites], sector_two_m)
+def build_on_sites(system: SpinSystem, sites: list) -> SparseHermitianOperator:
+    """Hamiltonian restricted to the given sites (only internal bonds kept),
+    on their full product space."""
+    basis = ProductBasis([system.site_two_s[i] for i in sites])
     h = heisenberg_matrix(basis, subsystem_bonds(system, sites), system.coupling)
     return SparseHermitianOperator(basis, h)
 

@@ -12,7 +12,6 @@ and so maps a basis into the full product space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,37 +35,6 @@ def parse_spin(value) -> int:
 def spin_str(two_s: int) -> str:
     """Human-readable spin length for 2s (e.g. 3 -> "3/2")."""
     return str(two_s // 2) if two_s % 2 == 0 else f"{two_s}/2"
-
-
-@dataclass(frozen=True)
-class LocalSpinMatrices:
-    """Dense single-site spin matrices in the basis m = s, s-1, ..., -s (hbar = 1)."""
-
-    two_s: int
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-    splus: np.ndarray
-    sminus: np.ndarray
-
-
-def local_spin_matrices(two_s: int) -> LocalSpinMatrices:
-    """Spin matrices for spin s = two_s/2.  sz = diag(s, s-1, ..., -s)."""
-    two_s = int(two_s)
-    if two_s < 0:
-        raise ValueError("spin length must be non-negative")
-    s = two_s / 2.0
-    dim = two_s + 1
-    m = s - np.arange(dim)
-    sz = np.diag(m)
-    # s+|m> = sqrt(s(s+1) - m(m+1)) |m+1>; with m descending, s+ is superdiagonal
-    cplus = np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1))
-    splus = np.zeros((dim, dim))
-    splus[np.arange(dim - 1), np.arange(1, dim)] = cplus
-    sminus = splus.T.copy()
-    sx = (splus + sminus) / 2.0
-    sy = (splus - sminus) / 2.0j
-    return LocalSpinMatrices(two_s=two_s, sx=sx, sy=sy, sz=sz, splus=splus, sminus=sminus)
 
 
 def product_dim(site_two_s) -> int:
@@ -120,21 +88,16 @@ class ProductBasis:
             states[:, i] = rem // strides[i]
             rem = rem % strides[i]
         two_m = np.array(self.site_two_s, dtype=np.int64)[None, :] - 2 * states
-        total_two_m = two_m.sum(axis=1)
-
-        if sector_two_m is None:
-            self.states = states
-            self.full_index = full
-        else:
+        keep = slice(None)
+        if sector_two_m is not None:
             if (sector_two_m - sum(self.site_two_s)) % 2 != 0:
                 raise ValueError("sector 2M has wrong parity for these spins")
-            keep = total_two_m == sector_two_m
-            self.states = states[keep]
-            self.full_index = full[keep]
+            keep = two_m.sum(axis=1) == sector_two_m
+        self.states = states[keep]
+        self.full_index = full[keep]
         self.dim = self.states.shape[0]
         # two_m per site of each kept state, used by diagonal builders
-        self.two_m = (np.array(self.site_two_s, dtype=np.int64)[None, :]
-                      - 2 * self.states)
+        self.two_m = two_m[keep]
 
     def position_of_full(self, full_index: np.ndarray) -> np.ndarray:
         """Map full-space indices to positions in this basis (must be present)."""
@@ -145,27 +108,33 @@ class ProductBasis:
             raise KeyError("state not in sector")
         return pos
 
+    def sectors(self) -> list:
+        """(2M, positions) of each total-Sz sector of this basis, ascending in
+        2M; the positions keep the state order of ProductBasis(site_two_s, 2M),
+        so a sector block of an operator on this basis is M[idx][:, idx]."""
+        total = self.two_m.sum(axis=1)
+        return [(t, np.flatnonzero(total == t)) for t in np.unique(total).tolist()]
+
 
 def translation_orbits(basis: ProductBasis, step: int):
-    """Orbits of the basis states under the cyclic shift T by `step` sites.
+    """Orbits of the states of a full (unrestricted) basis under the cyclic
+    shift T by `step` sites.
 
-    T moves the content of site i to site i + step (mod N); the basis must be
-    closed under it.  Returns, per state, the position of its orbit's
-    representative (the member of lowest position), the shift j with
-    T^j |representative> = |state>, and the orbit length, a divisor of
-    N // step.
+    T moves the content of site i to site i + step (mod N).  Returns, per
+    state, the index of its orbit's representative (the member of lowest
+    index), the shift j with T^j |representative> = |state>, and the orbit
+    length, a divisor of N // step.  T conserves Sz, so an orbit lies in one
+    sector and the arrays can be sliced by ``basis.sectors()``.
     """
+    if basis.sector_two_m is not None:
+        raise ValueError("translation orbits need the full product basis")
     n_shifts = basis.n_sites // step
-    images = np.stack([
-        basis.position_of_full(np.roll(basis.states, j * step, axis=1) @ basis._strides)
-        for j in range(n_shifts)])  # images[j] = position of T^j |state>
+    # images[j] = index of T^j |state>: site i's content weighed by the
+    # stride of site i + j step
+    images = np.stack([basis.states @ np.roll(basis._strides, -j * step)
+                       for j in range(n_shifts)])
     length = n_shifts // (images == np.arange(basis.dim)).sum(axis=0)
     return images.min(axis=0), -images.argmin(axis=0) % length, length
-
-
-def sector_two_m_values(site_two_s) -> list[int]:
-    tmax = sum(int(t) for t in site_two_s)
-    return list(range(-tmax, tmax + 1, 2))
 
 
 class SparseHermitianOperator:

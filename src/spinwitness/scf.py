@@ -33,13 +33,12 @@ from .eigensolvers import (
     lowest_level,
     select_in_manifold,
 )
-from .hamiltonians import RING, Arc, SpinSystem, cut, subsystem_bonds
+from .hamiltonians import RING, Arc, SpinSystem, build_on_sites, cut
 from .operators import (
     ProductBasis,
     field_term,
     heisenberg_matrix,
     parse_spin,
-    sector_two_m_values,
     sz_diagonal,
 )
 
@@ -117,26 +116,21 @@ class CollinearChainSolver:
     inside `sites`) and the diagonal sz operators of the field sites, so
     repeated solves during the fixed-point iteration only add diagonals.
     The product space is enumerated and assembled once and cut into its
-    sectors by total 2M, each keeping the state order of its own sector
-    basis.  The sites need not be connected (the complement of a mid-chain
-    arc is two pieces).
+    sectors by index (``ProductBasis.sectors``).  The sites need not be
+    connected (the complement of a mid-chain arc is two pieces).
     """
 
     def __init__(self, system: SpinSystem, sites, field_sites, seed: int = 42):
-        spins = [system.site_two_s[i] for i in sites]
         local = {site: k for k, site in enumerate(sites)}
         self.field_sites = tuple(local[s] for s in field_sites)
-        self.field_spins = tuple(spins[k] / 2.0 for k in self.field_sites)
+        self.field_spins = tuple(system.site_two_s[s] / 2.0 for s in field_sites)
         self.coupling = system.coupling
         self.seed = seed
         self.by_floor = None  # sectors by field-free minimum, once known
         self.sectors = []
-        basis = ProductBasis(spins)
-        mat = heisenberg_matrix(basis, subsystem_bonds(system, sites),
-                                system.coupling)
-        two_m = basis.two_m.sum(axis=1)
-        for t in sector_two_m_values(spins):
-            idx = np.flatnonzero(two_m == t)
+        op = build_on_sites(system, sites)
+        basis, mat = op.basis, op.matrix
+        for t, idx in basis.sectors():
             block = mat[idx][:, idx]
             sec = {"two_m": t,
                    "diags": [basis.two_m[idx, s] / 2.0 for s in self.field_sites]}

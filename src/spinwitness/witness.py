@@ -17,13 +17,13 @@ import scipy.sparse as sp
 from .eigensolvers import (
     degenerate_with,
     dense_spectrum,
+    refuse_dense,
     sectored_ground_state,
 )
 from .hamiltonians import (
     CHAIN,
     Arc,
     SpinSystem,
-    build_hamiltonian,
     build_on_sites,
     cut,
     defected_ring,
@@ -31,9 +31,9 @@ from .hamiltonians import (
 )
 from .operators import (
     ProductBasis,
+    heisenberg_matrix,
     parse_spin,
     raising,
-    sector_two_m_values,
     spin_str,
     translation_orbits,
 )
@@ -220,27 +220,32 @@ def full_spectrum(system: SpinSystem) -> np.ndarray:
     one mapping the spins onto themselves (step = N, one k = 0 block, on a
     chain or a ring with a defect).  H is real and spin-flip symmetric, so
     k and L - k, and 2M and -2M, share a spectrum: only k <= L/2 and 2M >= 0
-    are solved."""
+    are solved.  The product space is enumerated once and H assembled on it
+    once; each sector's block is sliced from it by index, after every block
+    has been checked against the dense limit."""
     spins, n = system.site_two_s, system.n_sites
     step = n if system.topology == CHAIN else min(
         p for p in range(1, n + 1) if n % p == 0 and spins[p:] + spins[:p] == spins)
     n_k = n // step
+    basis = ProductBasis(spins)
+    rep, shift, length = translation_orbits(basis, step)
+    sectors = [(two_m, idx) for two_m, idx in basis.sectors() if two_m >= 0]
+    for _, idx in sectors:  # every orbit carries k = 0: the largest block
+        refuse_dense(np.count_nonzero(rep[idx] == idx))
+    mat = heisenberg_matrix(basis, system.bonds(), system.coupling)
     pieces = []
-    for two_m in sector_two_m_values(spins):
-        if two_m < 0:
-            continue
-        op = build_hamiltonian(system, two_m)
-        rep, shift, length = translation_orbits(op.basis, step)
+    for two_m, idx in sectors:
+        block = mat[idx][:, idx]
+        r, j, l = rep[idx], shift[idx], length[idx]
         for k in range(n_k // 2 + 1):
             # an orbit of length l carries momentum k only if k l = 0 mod L
-            states = np.nonzero(k * length % n_k == 0)[0]
-            reps, col = np.unique(rep[states], return_inverse=True)
-            phase = (np.exp(2j * np.pi * k * shift[states] / n_k)
-                     / np.sqrt(length[states]))
+            states = np.nonzero(k * l % n_k == 0)[0]
+            reps, col = np.unique(r[states], return_inverse=True)
+            phase = np.exp(2j * np.pi * k * j[states] / n_k) / np.sqrt(l[states])
             real = 2 * k % n_k == 0
             pk = sp.csr_matrix((phase.real if real else phase, (states, col)),
-                               shape=(op.dim, reps.size))
-            vals = dense_spectrum(pk.conj().T @ op.matrix @ pk)
+                               shape=(idx.size, reps.size))
+            vals = dense_spectrum(pk.conj().T @ block @ pk)
             pieces += [vals] * ((1 if real else 2) * (2 if two_m else 1))
     return np.sort(np.concatenate(pieces))
 

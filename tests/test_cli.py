@@ -230,6 +230,9 @@ class TestExitCodes:
         ("map", "map: {modulus_diffs: []}"),
         ("map", "map: {theta_points: 0}"),
         ("thermal", "thermal: {points: 0}"),
+        # refused before the spectrum: its 2M = 1 block (11257) is above the dense limit
+        ("thermal", 'model: {topology: ring, N: 10, spin: "1", defect: {site: 1, spin: "3/2"}}\n'
+                    "thermal: {points: 0}"),
         # product spaces too large to enumerate: overflow, memory, int64 wrap
         ("ground", "model: {topology: ring, N: 4, spin: 1e400}"),
         ("ground", 'model: {topology: ring, N: 40, spin: "1/2"}'),
@@ -255,6 +258,7 @@ class TestExitCodes:
             "init-grid-empty", "etas-empty", "tol-infinite",
             "negative-temperature", "map-lengths-empty", "map-moduli-empty",
             "map-diffs-empty", "map-theta-points-zero", "thermal-points-zero",
+            "thermal-points-zero-oversize",
             "spin-overflow", "qubits-40", "qubits-64",
             "map-length-64", "map-length-16", "series-spin-overflow",
             "series-chain-base", "series-mixed-base", "series-defected-base"])

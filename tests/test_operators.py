@@ -1,5 +1,7 @@
 """Spin algebra, product bases and sparse operator construction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,9 @@ from spinwitness.operators import (
     ProductBasis,
     field_term,
     heisenberg_matrix,
-    local_spin_matrices,
     parse_spin,
     product_dim,
     raising,
-    sector_two_m_values,
     spin_str,
     sz_diagonal,
     translation_orbits,
@@ -23,6 +23,21 @@ from spinwitness.operators import (
 
 def bond_operator(basis, i, j, coupling=1.0):
     return heisenberg_matrix(basis, [(i, j)], coupling)
+
+
+def local_spin_matrices(two_s):
+    """Dense single-site spin matrices sx, sy, sz, splus, sminus in the basis
+    m = s, s-1, ..., -s (hbar = 1), the reference the sparse builders are
+    held to."""
+    if two_s < 0:
+        raise ValueError("spin length must be non-negative")
+    s = two_s / 2.0
+    m = s - np.arange(two_s + 1)
+    # s+|m> = sqrt(s(s+1) - m(m+1)) |m+1>; with m descending, s+ is superdiagonal
+    splus = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), k=1)
+    sminus = splus.T.copy()
+    return SimpleNamespace(sx=(splus + sminus) / 2.0, sy=(splus - sminus) / 2.0j,
+                           sz=np.diag(m), splus=splus, sminus=sminus)
 
 
 def kron_embed(spins, site, local):
@@ -110,17 +125,19 @@ class TestProductBasis:
     @given(st.lists(st.integers(min_value=1, max_value=3),
                     min_size=1, max_size=4))
     def test_sector_dims_partition_space(self, spins):
-        total = int(np.prod([t + 1 for t in spins]))
-        acc = 0
-        for two_m in sector_two_m_values(spins):
-            acc += ProductBasis(spins, two_m).dim
-        assert acc == total
+        # sectors() cuts the full basis into every 2M in -sum 2s..sum 2s, each
+        # in the state order of that sector's own basis
+        sectors = ProductBasis(spins).sectors()
+        assert [t for t, _ in sectors] == list(range(-sum(spins), sum(spins) + 1, 2))
+        for two_m, idx in sectors:
+            assert np.array_equal(idx, ProductBasis(spins, two_m).full_index)
+        assert sum(idx.size for _, idx in sectors) == int(np.prod([t + 1 for t in spins]))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=3),
                     min_size=1, max_size=4))
     def test_index_maps_are_inverse(self, spins):
-        for two_m in sector_two_m_values(spins):
+        for two_m, _ in ProductBasis(spins).sectors():
             b = ProductBasis(spins, two_m)
             if b.dim == 0:
                 continue
@@ -154,19 +171,28 @@ class TestProductBasis:
         ([2] * 4, 0, 4),       # L = 1: every state its own orbit
     ])
     def test_translation_orbits_cover_each_state_once(self, spins, two_m, step):
-        b = ProductBasis(spins, two_m)
+        # orbits of the full basis, checked on the states of sector two_m
+        # (every state for None) as full_spectrum slices them
+        b = ProductBasis(spins)
         n_shifts = len(spins) // step
         rep, shift, length = translation_orbits(b, step)
+        idx = np.arange(b.dim) if two_m is None else dict(b.sectors())[two_m]
         assert np.all(n_shifts % length == 0)
         assert np.all(rep <= np.arange(b.dim))
         assert np.all((0 <= shift) & (shift < length))
+        total = b.two_m.sum(axis=1)
+        assert np.array_equal(total[rep], total)  # T conserves Sz
         # T^shift |rep> is the state itself, and no two states share (rep, shift)
-        for pos in range(b.dim):
+        for pos in idx:
             image = np.roll(b.states[rep[pos]], shift[pos] * step)
             assert np.array_equal(image, b.states[pos])
-        assert len(set(zip(rep, shift))) == b.dim
-        reps, counts = np.unique(rep, return_counts=True)
+        assert len(set(zip(rep[idx], shift[idx]))) == idx.size
+        reps, counts = np.unique(rep[idx], return_counts=True)
         assert np.array_equal(counts, length[reps])
+
+    def test_translation_orbits_reject_sector_basis(self):
+        with pytest.raises(ValueError):
+            translation_orbits(ProductBasis([1] * 4, 0), 1)
 
 
 class TestOperators:
@@ -200,7 +226,7 @@ class TestOperators:
         spins = [1, 2, 3, 2]
         bonds = [(0, 1), (1, 2), (2, 3), (3, 0)]
         dense = dense_exchange(spins, bonds, 0.7)
-        for two_m in [None] + sector_two_m_values(spins):
+        for two_m in [None] + [t for t, _ in ProductBasis(spins).sectors()]:
             b = ProductBasis(spins, two_m)
             mat = heisenberg_matrix(b, bonds, 0.7)
             assert mat.nnz == np.count_nonzero(mat.data)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwitness import witness
+from spinwitness import eigensolvers, witness
 from spinwitness.cli import main
-from spinwitness.eigensolvers import dense_spectrum
+from spinwitness.eigensolvers import SolverError, dense_spectrum
 from spinwitness.hamiltonians import (
     CHAIN,
     RING,
@@ -20,7 +20,6 @@ from spinwitness.hamiltonians import (
     build_hamiltonian,
     defected_ring,
 )
-from spinwitness.operators import sector_two_m_values
 from spinwitness.witness import (
     ThresholdTable,
     defect_series,
@@ -261,6 +260,15 @@ class TestThermal:
         assert thermal_energy(spectrum + 1e-13 * np.arange(8), 0.0) \
             == pytest.approx(-0.75, abs=1e-12)
 
+    def test_oversize_block_refused_before_assembly(self, monkeypatch):
+        # the 6-chain's 2M = 0 sector is one k = 0 block of 20 states
+        def assemble(*args, **kwargs):
+            raise AssertionError("full-space Hamiltonian assembled")
+        monkeypatch.setattr(eigensolvers, "DENSE_LIMIT", 16)
+        monkeypatch.setattr(witness, "heisenberg_matrix", assemble)
+        with pytest.raises(SolverError, match="dimension 20 exceeds dense limit 16"):
+            full_spectrum(SpinSystem.chain(6, "1/2"))
+
 
 # above this dimension the oracle goes sector by sector, so that the suite
 # never makes the 6561-dim N=8 s=1 ring dense
@@ -273,9 +281,10 @@ def _oracle_spectrum(system):
     op = build_hamiltonian(system)
     if op.dim <= ORACLE_WHOLE_LIMIT:
         return dense_spectrum(op.matrix)
+    tmax = sum(system.site_two_s)
     return np.sort(np.concatenate([
         dense_spectrum(build_hamiltonian(system, two_m).matrix)
-        for two_m in sector_two_m_values(system.site_two_s)]))
+        for two_m in range(-tmax, tmax + 1, 2)]))
 
 
 SPECTRUM_SYSTEMS = (
@@ -338,8 +347,11 @@ def test_thermal_cli_matches_golden(tmp_path):
     ("scan", "ring8_s32.yaml"),
     ("defect", "ring6_s1.yaml"),
     ("ground", "ferri_ring8_s1.yaml"),
+    ("thermal", "qubit_chain6.yaml"),
+    ("thermal", "ring6_s1.yaml"),
 ], ids=["ground", "bisep", "scan", "verdict", "map", "scan-chain", "bisep-chain",
-        "scan-ring8-s32", "defect", "ground-ferri"])
+        "scan-ring8-s32", "defect", "ground-ferri", "thermal-chain",
+        "thermal-ring6-s1"])
 def test_cli_matches_golden(tmp_path, command, config):
     _assert_cli_matches_golden(tmp_path, command, config,
                                f"{command}_{config.removesuffix('.yaml')}.csv")
