@@ -14,7 +14,7 @@ Shape of the result:
 * the cost at the substituted site increases monotonically with s_M.
 
 Writes results/substitution_series.csv.  Runtime 4.4-4.9 s on a shared
-2-vCPU VM with one BLAS thread (each E0 is one Lanczos solve of the lowest
+2-vCPU VM with one BLAS thread (each E0 is one eigsh call on the lowest
 Sz sector, dimension up to 11200 for Cr7Mn; each threshold is solved once per
 symmetry class of sites).
 """

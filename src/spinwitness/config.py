@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import yaml
 
 from .hamiltonians import CHAIN, RING, Arc, SpinSystem, defected_ring
-from .operators import parse_spin, spin_str
+from .operators import MAX_PRODUCT_DIM, parse_spin, spin_str
 
 
 class ConfigError(ValueError):
@@ -25,21 +25,26 @@ class ConfigError(ValueError):
 
 REQUIRED = object()  # default of a key that must be given
 ABSENT = object()  # default of a key that stays out of the parsed block
+# every site has >= 2 states, so more sites than this exceed MAX_PRODUCT_DIM
+MAX_SITES = MAX_PRODUCT_DIM.bit_length() - 1
+MAX_POINTS = 10_000  # largest temperature or field-angle grid
 
 
-def _at_least(value, low):
+def _in_range(value, low, high=None):
     if low is not None and value < low:
         raise ValueError(f"must be >= {low}")
+    if high is not None and value > high:
+        raise ValueError(f"must be <= {high}")
     return value
 
 
-def _integer(low=None):
+def _integer(low=None, high=None):
     def parse(value) -> int:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError("expected an integer")
         if isinstance(value, float) and not value.is_integer():
             raise ValueError("expected a whole number")
-        return _at_least(int(value), low)
+        return _in_range(int(value), low, high)
     return parse
 
 
@@ -51,7 +56,7 @@ def _real(low=None):
         number = float(value)
         if not math.isfinite(number):
             raise ValueError("must be finite")
-        return _at_least(number, low)
+        return _in_range(number, low)
     return parse
 
 
@@ -96,19 +101,19 @@ SCHEMA = {
          "thermal": (_block("thermal"), {}),
          "verdict": (_block("verdict"), ABSENT), "bisep": (_block("bisep"), ABSENT)},
     "model": {"topology": (_one_of(RING, CHAIN), REQUIRED),
-              "N": (_integer(2), REQUIRED), "coupling": (_real(), 1.0),
+              "N": (_integer(2, MAX_SITES), REQUIRED), "coupling": (_real(), 1.0),
               "spin": (_spin, ABSENT), "spins": (_list(_spin), ABSENT),
               "defect": (_block("model.defect"), ABSENT)},
     "model.defect": {"site": (_integer(1), REQUIRED), "spin": (_spin, REQUIRED)},
-    "map": {"lengths": (_list(_integer(1)), [3, 4]), "spin": (_spin, "1/2"),
-            "theta_points": (_integer(0), 13),
+    "map": {"lengths": (_list(_integer(1, MAX_SITES)), [3, 4]), "spin": (_spin, "1/2"),
+            "theta_points": (_integer(0, MAX_POINTS), 13),
             "moduli": (_list(_real()), [0.5, 0.25, 0.05]),
             "modulus_diffs": (_list(_real()), [0.0, 0.25, 0.45])},
     "defect_series": {"site": (_integer(1), REQUIRED),
                       "spins": (_list(_spin), REQUIRED),
                       "labels": (_list(_text), ABSENT)},
     "thermal": {"t_min": (_real(0.0), 0.0), "t_max": (_real(0.0), 2.0),
-                "points": (_integer(0), 21), "thresholds": (_list(_real()), [])},
+                "points": (_integer(0, MAX_POINTS), 21), "thresholds": (_list(_real()), [])},
     "verdict": {"energy": (_real(), REQUIRED)},
     "bisep": {"n_a": (_integer(), REQUIRED), "offset": (_integer(), 1)},
 }

@@ -2,11 +2,10 @@
 
 ``ground_state`` picks its route from the sector dimension.  Blocks up to
 ``LANCZOS_CROSSOVER`` go to LAPACK, which is asked for the two lowest pairs
-only; larger blocks go to a restarted Lanczos iteration with full
-reorthogonalization and a seeded start vector.  On the Lanczos route the gap
-comes from a second, deflated solve kept orthogonal to the converged ground
-vector, so a degenerate ground level reappears in that complement and is
-reported with gap 0.  ``dense_spectrum`` (capped at ``DENSE_LIMIT``) gives
+only; larger blocks go to one ARPACK call (``eigsh``) for the two lowest
+pairs from a seeded start vector, so on either route a degenerate ground level
+has gap 0.  ``lanczos_ground`` serves the chain solver's warm-started,
+field-shifted solves.  ``dense_spectrum`` (capped at ``DENSE_LIMIT``) gives
 whole spectra and is the oracle the tests hold both routes to.
 ``sectored_ground_state`` solves the lowest total-Sz sector only, 2M = 0 or 1,
 which holds every level of the isotropic exchange once; a ground level with
@@ -25,9 +24,9 @@ from .hamiltonians import SpinSystem, build_hamiltonian
 from .operators import SparseHermitianOperator, raising
 
 DENSE_LIMIT = 8192  # largest matrix dense_spectrum makes dense
-# ground_state solves larger sectors by Lanczos.  Measured break-even of the
-# partial LAPACK solve against the two Lanczos solves: between dim 336 and
-# 357 (2-vCPU Xeon, one BLAS thread)
+# ground_state solves larger sectors by one eigsh call.  Partial LAPACK vs
+# eigsh, best of 15 (2-vCPU Xeon, one BLAS thread): dim 210 1.7 vs 1.9 ms, 252
+# 3.4 vs 2.7 ms, 330 5.7 vs 3.4 ms; the goldens pin the route of each sector
 LANCZOS_CROSSOVER = 340
 DEGENERACY_TOL = 1e-9
 DEFAULT_TOL = 1e-10
@@ -51,7 +50,6 @@ class GroundStateResult:
     vector: np.ndarray
     gap: float
     degenerate: bool
-    iterations: int
     s_squared: float | None = None  # <S^2>, set by sectored_ground_state
 
 
@@ -107,30 +105,24 @@ def select_in_manifold(manifold: np.ndarray, selector):
 def lanczos_ground(op: SparseHermitianOperator,
                    seed: int = DEFAULT_SEED,
                    v0: np.ndarray | None = None,
-                   lock: np.ndarray | None = None,
                    shift: np.ndarray | None = None):
     """Lowest eigenpair by restarted Lanczos with full reorthogonalization.
 
     `shift` is a diagonal added to the operator inside the matrix-vector
-    product, so a field-dressed block needs no new matrix.  `lock` holds
-    orthonormal columns that the Krylov basis is kept orthogonal to; the
-    pair returned is then that of the operator restricted to their
-    complement.  The Krylov basis takes its dtype from the matrix.  Returns
-    (values, vectors, iterations): one value and one column.  Raises
-    SolverError, with the last Ritz residual estimate, on non-convergence.
+    product, so a field-dressed block needs no new matrix.  The Krylov basis
+    takes its dtype from the matrix.  Returns (values, vectors, iterations):
+    one value and one column.  Raises SolverError, with the last Ritz
+    residual estimate, on non-convergence.
     """
     n = op.dim
     mat = op.matrix
-    n_free = n - (0 if lock is None else lock.shape[1])
-    if n_free < 1:
+    if n < 1:
         raise SolverError("empty operator")
     if v0 is None:
         v0 = np.random.default_rng(seed).standard_normal(n)
-    if lock is not None:
-        v0 = v0 - lock @ (lock.conj().T @ v0)
     v0 = v0 / np.linalg.norm(v0)
 
-    m = min(300, n_free)  # Krylov vectors per restart
+    m = min(300, n)  # Krylov vectors per restart
     total_iter = 0
     scale = 1.0
     resid = np.array([np.inf])
@@ -154,8 +146,6 @@ def lanczos_ground(op: SparseHermitianOperator,
             for _ in range(2):
                 coeffs = V[:j + 1].conj() @ w
                 w = w - V[:j + 1].T @ coeffs
-                if lock is not None:
-                    w = w - lock @ (lock.conj().T @ w)
             b = np.linalg.norm(w)
             betas[j] = b
             total_iter += 1
@@ -204,24 +194,24 @@ def ground_state(op: SparseHermitianOperator,
                  seed: int = DEFAULT_SEED) -> GroundStateResult:
     """Lowest eigenpair and gap of a single operator (no sector blocking here).
 
-    Dense up to LANCZOS_CROSSOVER, Lanczos above.
+    Dense up to LANCZOS_CROSSOVER; above it one eigsh call from a seeded v0,
+    never ARPACK's own generator.  A failed call raises SolverError.
     """
     if op.dim <= LANCZOS_CROSSOVER:
         e0, e1, manifold = lowest_level(op.matrix.toarray())
-        vec, iters = manifold[:, 0], 0
+        vec = manifold[:, 0]
     else:
-        vals, vecs, iters = lanczos_ground(op, seed=seed)
-        e0, vec = float(vals[0]), vecs[:, 0]
-        # the second level is the lowest one left in the complement of the
-        # ground vector; a degenerate e0 reappears there.  The start vector
-        # needs a fresh seed: the first one has no component along the
-        # degenerate partners once the ground vector is projected out
-        vals, _, iters1 = lanczos_ground(op, seed=seed + 1, lock=vecs)
-        e1 = float(vals[0])
-        iters += iters1
-    # the deflated e1 can undershoot e0 by rounding
-    return GroundStateResult(e0, vec, max(e1 - e0, 0.0),
-                             bool(degenerate_with(e0, e1)), iters)
+        # imported here: at module level it costs ~27 ms a process (2-vCPU Xeon)
+        import scipy.sparse.linalg as sla
+        v0 = np.random.default_rng(seed).standard_normal(op.dim)
+        try:
+            vals, vecs = sla.eigsh(op.matrix, k=2, which="SA", tol=0, v0=v0)
+        except sla.ArpackError as exc:  # ArpackNoConvergence included
+            raise SolverError(f"eigsh failed: {exc}", {
+                "dim": op.dim, "converged": len(getattr(exc, "eigenvalues", ()))
+            }) from exc
+        (e0, e1), vec = vals.tolist(), vecs[:, 0]
+    return GroundStateResult(e0, vec, e1 - e0, bool(degenerate_with(e0, e1)))
 
 
 def sectored_ground_state(system: SpinSystem,
@@ -242,4 +232,4 @@ def sectored_ground_state(system: SpinSystem,
     s_sq = two_m * (two_m + 2) / 4 + float(np.vdot(up, up).real)
     multiplet = s_sq > 3 / 8
     return GroundStateResult(r.energy, r.vector, 0.0 if multiplet else r.gap,
-                             multiplet or r.degenerate, r.iterations, s_sq)
+                             multiplet or r.degenerate, s_sq)

@@ -51,9 +51,9 @@ TOL = 1e-10
 MAX_ITER = 10000
 INIT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 # The chain solver solves sectors up to this dimension densely.  Above it, it
-# runs one Lanczos vector warm-started from the previous iterate's ground
-# vector, cheaper than the two cold solves ground_state's LANCZOS_CROSSOVER
-# is priced against, so its crossover is lower.
+# runs one Lanczos solve warm-started from the previous iterate's ground
+# vector, cheaper than the cold two-pair eigsh call ground_state's
+# LANCZOS_CROSSOVER is priced against, so its crossover is lower.
 DENSE_DIM = 128
 
 

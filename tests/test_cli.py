@@ -270,6 +270,23 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error:")
 
+    @pytest.mark.parametrize("command,text", [
+        # these exited 1 (MemoryError, OverflowError) or did not finish
+        ("ground", 'model: {topology: chain, N: 1099511627776, spin: "1"}'),
+        ("ground", 'model: {topology: ring, N: 1000000, spin: "1/2"}'),
+        ("map", "map: {lengths: [1.0e+300]}"),  # a YAML float; 1e300 is a string
+        ("map", "map: {theta_points: 1099511627776}"),
+        ("thermal", RING4 + "thermal: {points: 1099511627776}"),
+    ], ids=["model-n-2e40", "model-n-1e6", "map-lengths", "map-theta-points",
+            "thermal-points"])
+    def test_huge_integer_refused_by_bound(self, tmp_path, capsys, command, text):
+        code, out, err = run_main(
+            [command, "--config", write(tmp_path, text + "\n")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: invalid ")
+        assert "must be <= " in err
+
     def test_negative_seed_flag_is_2(self, tmp_path, capsys):
         code, out, err = run_main(
             ["ground", "--config", write(tmp_path, RING4), "--seed", "-1"],

@@ -1,12 +1,17 @@
-"""Dense oracle, Lanczos iteration and sector-blocked ground states."""
+"""Dense oracle, Lanczos iteration, the ARPACK route and sector-blocked ground
+states."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from spinwitness import eigensolvers
+from spinwitness import cli, eigensolvers
 from spinwitness.eigensolvers import (
     DENSE_LIMIT,
     LANCZOS_CROSSOVER,
@@ -57,14 +62,6 @@ def test_degenerate_detection():
     op = build_hamiltonian(SpinSystem.ring(3, "1/2"))
     r = ground_state(op)
     assert r.degenerate
-
-
-def test_degenerate_detection_lanczos_small_dim():
-    # dim 8: the second solve runs in the complement of the ground vector
-    op = build_hamiltonian(SpinSystem.ring(3, "1/2"))
-    e0, v0, _ = lanczos_ground(op)
-    e1, _, _ = lanczos_ground(op, seed=43, lock=v0)
-    assert 0.0 <= e1[0] - e0[0] < 1e-12
 
 
 @pytest.mark.parametrize("system", [
@@ -181,36 +178,33 @@ def test_lanczos_no_restarts_raises_solver_error(monkeypatch):
     assert info.value.diagnostics["restarts"] == 0
 
 
-def test_lanczos_lock_keeps_complement():
-    op = build_hamiltonian(SpinSystem.ring(10, "1/2"), 0)
-    spectrum = dense_spectrum(op.matrix)
-    _, v0, _ = lanczos_ground(op)
-    vals, v1, _ = lanczos_ground(op, lock=v0)
-    assert abs(vals[0] - spectrum[1]) < 1e-9
-    assert abs(np.vdot(v0[:, 0], v1[:, 0])) < 1e-10
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Dimensions of the operators passed to eigsh, call by call."""
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return eigsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigsh", counted)
+    return calls
 
 
 def _multiplicity(spectrum):
     return int(np.sum(degenerate_with(spectrum[0], spectrum)))
 
 
-def test_lanczos_gap_never_negative():
-    # N=11 ring, 2M=1: a twofold ground level; the deflated second solve
-    # lands on e0 again, up to rounding that may fall below it
+def test_lanczos_gap_never_negative(eigsh_calls):
+    # N=11 ring, 2M=1: a twofold ground level, which the one eigsh call
+    # returns as its two lowest values
     op = build_hamiltonian(SpinSystem.ring(11, "1/2"), 1)
     assert op.dim > LANCZOS_CROSSOVER
     r = ground_state(op)
-    assert r.iterations > 0  # the Lanczos route ran
+    assert eigsh_calls == [op.dim]  # the ARPACK route ran, once
     assert r.gap >= 0.0
     assert r.degenerate
-    # lock the ground vectors one at a time to count the multiplicity
-    lock = r.vector[:, None]
-    for _ in range(4):
-        vals, vecs, _ = lanczos_ground(op, lock=lock)
-        if not degenerate_with(r.energy, vals[0]):
-            break
-        lock = np.hstack([lock, vecs])
-    assert lock.shape[1] == _multiplicity(dense_spectrum(op.matrix)) == 2
+    assert _multiplicity(dense_spectrum(op.matrix)) == 2
 
 
 @pytest.mark.parametrize("system, two_m", [
@@ -224,19 +218,18 @@ def test_lanczos_route_matches_dense_oracle(system, two_m):
     assert op.dim > LANCZOS_CROSSOVER
     r = ground_state(op)
     spectrum = dense_spectrum(op.matrix)
-    assert r.iterations > 0
     assert abs(r.energy - spectrum[0]) < 1e-9
     assert abs(r.gap - (spectrum[1] - spectrum[0])) < 1e-8
     assert r.degenerate == (_multiplicity(spectrum) > 1)
 
 
-def test_odd_chain_kramers_doublet_across_sectors():
+def test_odd_chain_kramers_doublet_across_sectors(eigsh_calls):
     # each of the 2M = +/-1 sectors (dim 462) holds one member of the
-    # doublet; the 2M = 1 one is solved by Lanczos, and <S^2> = 3/4 shows
+    # doublet; the 2M = 1 one is solved by eigsh, and <S^2> = 3/4 shows
     # the partner in 2M = -1
     system = SpinSystem.chain(11, "1/2")
     r = sectored_ground_state(system)
-    assert r.iterations > 0
+    assert eigsh_calls == [462]
     assert r.degenerate
     assert 0.0 <= r.gap < 1e-9
     assert abs(r.s_squared - 0.75) < 1e-8
@@ -248,6 +241,39 @@ def test_lanczos_sees_degenerate_n15_ring():
     r = ground_state(op)
     assert r.degenerate
     assert r.gap < 1e-9
+
+
+def test_arpack_route_deterministic():
+    # seeded v0: an unrelated eigsh call in between leaves no trace
+    op = build_hamiltonian(SpinSystem.ring(11, "1/2"), 1)
+    a = ground_state(op, seed=7)
+    other = build_hamiltonian(SpinSystem.chain(10, "1/2"), 0).matrix
+    eigsh(other, k=3, which="SA")
+    b = ground_state(op, seed=7)
+    assert a.energy == b.energy and a.gap == b.gap
+    assert np.array_equal(a.vector, b.vector)
+
+
+def _no_convergence(*args, **kwargs):
+    raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                              np.array([-1.0]), np.zeros((1, 1)))
+
+
+def test_arpack_no_convergence_is_solver_error(monkeypatch):
+    monkeypatch.setattr(sla, "eigsh", _no_convergence)
+    op = build_hamiltonian(SpinSystem.ring(11, "1/2"), 1)
+    with pytest.raises(SolverError) as info:
+        ground_state(op)
+    assert info.value.diagnostics == {"dim": op.dim, "converged": 1}
+
+
+def test_arpack_no_convergence_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(sla, "eigsh", _no_convergence)
+    config = Path(__file__).resolve().parent.parent / "configs" / "ferri_ring8_s1.yaml"
+    assert cli.main(["ground", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "No convergence" in err
+    assert 'diagnostics: {"converged": 1, "dim": 1639' in err
 
 
 def test_lowest_level_matches_oracle_on_degenerate_level():

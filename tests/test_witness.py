@@ -347,11 +347,12 @@ def test_thermal_cli_matches_golden(tmp_path):
     ("scan", "ring8_s32.yaml"),
     ("defect", "ring6_s1.yaml"),
     ("ground", "ferri_ring8_s1.yaml"),
+    ("ground", "ring8_s32.yaml"),
     ("thermal", "qubit_chain6.yaml"),
     ("thermal", "ring6_s1.yaml"),
 ], ids=["ground", "bisep", "scan", "verdict", "map", "scan-chain", "bisep-chain",
-        "scan-ring8-s32", "defect", "ground-ferri", "thermal-chain",
-        "thermal-ring6-s1"])
+        "scan-ring8-s32", "defect", "ground-ferri", "ground-ring8-s32",
+        "thermal-chain", "thermal-ring6-s1"])
 def test_cli_matches_golden(tmp_path, command, config):
     _assert_cli_matches_golden(tmp_path, command, config,
                                f"{command}_{config.removesuffix('.yaml')}.csv")
