@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import yaml
 
+from .eigensolvers import DEFAULT_SEED
 from .hamiltonians import CHAIN, RING, Arc, SpinSystem, defected_ring
 from .operators import MAX_PRODUCT_DIM, parse_spin, spin_str
 
@@ -95,7 +96,7 @@ def _block(name: str):
 # block ("" is the top level) -> key -> (converter, default); a default is
 # converted like a written value
 SCHEMA = {
-    "": {"model": (_block("model"), ABSENT), "seed": (_integer(0), 42),
+    "": {"model": (_block("model"), ABSENT), "seed": (_integer(0), DEFAULT_SEED),
          "map": (_block("map"), {}),
          "defect_series": (_block("defect_series"), ABSENT),
          "thermal": (_block("thermal"), {}),

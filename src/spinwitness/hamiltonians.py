@@ -38,6 +38,9 @@ class SpinSystem:
             raise ValueError("a ring needs at least 3 sites")
         if self.topology == CHAIN and n < 2:
             raise ValueError("a chain needs at least 2 sites")
+        if self.coupling == 0:
+            raise ValueError("coupling must be nonzero: at J = 0 every state "
+                             "is a ground state and no energy witnesses anything")
         if any(int(t) <= 0 for t in self.site_two_s):
             raise ValueError("all spins must be > 0; model a spinless defect "
                              "by removing the site (chain topology)")

@@ -151,10 +151,6 @@ class SparseHermitianOperator:
         return self.basis.dim
 
 
-def sz_diagonal(basis: ProductBasis, i: int) -> np.ndarray:
-    return basis.two_m[:, i] / 2.0
-
-
 def _flipflop_entries(basis: ProductBasis, i: int, j: int):
     """COO entries of (1/2)(s+_i s-_j + s-_i s+_j); Sz-conserving for i != j."""
     idx = basis.states
@@ -193,31 +189,6 @@ def heisenberg_matrix(basis: ProductBasis, bonds,
                         shape=(basis.dim, basis.dim)).tocsr()
     mat.eliminate_zeros()
     return mat
-
-
-def field_term(basis: ProductBasis, site: int, b) -> sp.csr_matrix:
-    """b . s_site embedded in the product space, as a CSR matrix.
-
-    A transverse component (bx, by) breaks Sz conservation, so it is rejected
-    on sector-restricted bases.  by != 0 promotes the operator to complex.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (3,):
-        raise ValueError("field must be a real 3-vector")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("field components must be finite")
-    bx, by, bz = b
-    transverse = abs(bx) > 0 or abs(by) > 0
-    if transverse and basis.sector_two_m is not None:
-        raise ValueError("non-z-collinear field does not conserve Sz; "
-                         "use an unrestricted basis")
-    diag = bz * sz_diagonal(basis, site)
-    if not transverse:
-        return sp.diags(diag, format="csr")
-    # sx = (s+ + s-)/2, sy = (s+ - s-)/(2i); s+ is square on the full basis
-    up = (bx / 2.0) - 1j * (by / 2.0) if by else bx / 2.0
-    splus = raising(basis, [site])
-    return up * splus + np.conj(up) * splus.T + sp.diags(diag)
 
 
 def raising(basis: ProductBasis, sites) -> sp.csr_matrix:

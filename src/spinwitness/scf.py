@@ -25,8 +25,10 @@ from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .eigensolvers import (
+    DEFAULT_SEED,
     SolverError,
     degenerate_with,
     lanczos_ground,
@@ -34,13 +36,7 @@ from .eigensolvers import (
     select_in_manifold,
 )
 from .hamiltonians import RING, Arc, SpinSystem, build_on_sites, cut
-from .operators import (
-    ProductBasis,
-    field_term,
-    heisenberg_matrix,
-    parse_spin,
-    sz_diagonal,
-)
+from .operators import ProductBasis, heisenberg_matrix, parse_spin, raising
 
 ZERO_MODULUS = 1e-12
 # The fixed-point search of every arc: alternating minimization from each
@@ -120,7 +116,7 @@ class CollinearChainSolver:
     connected (the complement of a mid-chain arc is two pieces).
     """
 
-    def __init__(self, system: SpinSystem, sites, field_sites, seed: int = 42):
+    def __init__(self, system: SpinSystem, sites, field_sites, seed: int = DEFAULT_SEED):
         local = {site: k for k, site in enumerate(sites)}
         self.field_sites = tuple(local[s] for s in field_sites)
         self.field_spins = tuple(system.site_two_s[s] / 2.0 for s in field_sites)
@@ -212,33 +208,37 @@ def boundary_map(chain_spins, z_b, z_bprime) -> BoundaryPair:
     Solves the ground state of H_chain + z_b . s_last + z_bprime . s_first
     (fields confined to the x-z plane; rotational symmetry of the isotropic
     exchange makes this lossless) and returns the expectation vectors of the
-    boundary spins: BoundaryPair(z=<s_last>, zprime=<s_first>).
+    boundary spins: BoundaryPair(z=<s_last>, zprime=<s_first>).  Each field
+    is b_x (s+ + s-)/2 + b_z sz, and each spin is read as
+    (Re <s+>, Im <s+>, <sz>), since <s+> = <sx> + i <sy>.
     """
     spins = [parse_spin(s) for s in chain_spins]
     z_b = np.asarray(z_b, dtype=float)
     z_bp = np.asarray(z_bprime, dtype=float)
     for v in (z_b, z_bp):
-        if v.shape != (3,) or abs(v[1]) > ZERO_MODULUS:
-            raise ValueError("boundary fields must be 3-vectors in the x-z plane")
+        if v.shape != (3,) or not np.all(np.isfinite(v)) or abs(v[1]) > ZERO_MODULUS:
+            raise ValueError("boundary fields must be finite 3-vectors in the "
+                             "x-z plane")
     basis = ProductBasis(spins)
     last = basis.n_sites - 1
+    splus = {site: raising(basis, [site]) for site in (0, last)}
+    sz = {site: basis.two_m[:, site] / 2.0 for site in (0, last)}
     chain = heisenberg_matrix(basis, [(k, k + 1) for k in range(last)])
-    fields = field_term(basis, last, z_b) + field_term(basis, 0, z_bp)
+    fields = sum(b[0] / 2.0 * (splus[site] + splus[site].T) + sp.diags(b[2] * sz[site])
+                 for site, b in ((last, z_b), (0, z_bp)))
     _, _, manifold = lowest_level((chain + fields).toarray())
     vec = manifold[:, 0]
     if manifold.shape[1] > 1:
         # infinitesimal-field limit: minimize the field coupling inside the
         # degenerate manifold; fall back to +z on both edges at zero field
         if not (np.any(z_b) or np.any(z_bp)):
-            fields = sz_diagonal(basis, 0) + sz_diagonal(basis, last)
+            fields = sz[0] + sz[last]
         _, vec = select_in_manifold(manifold, fields)
+    p = np.abs(vec) ** 2
 
     def spin_vector(site):
-        out = np.empty(3)
-        for k, unit in enumerate(np.eye(3)):
-            comp = field_term(basis, site, unit)
-            out[k] = float(np.real(np.vdot(vec, comp @ vec)))
-        return out
+        up = np.vdot(vec, splus[site] @ vec)
+        return np.array([up.real, up.imag, p @ sz[site]])
 
     return BoundaryPair(z=spin_vector(last), zprime=spin_vector(0))
 
@@ -311,13 +311,13 @@ def _run_branch(solver_a, solver_b, npair, eta, z0):
 
 
 def biseparable_minimum(system: SpinSystem, arc: Arc,
-                        seed: int = 42) -> ScfResult:
+                        seed: int = DEFAULT_SEED) -> ScfResult:
     """Minimum energy over biseparable states for one contiguous bipartition."""
     result, _ = biseparable_minimum_detailed(system, arc, seed)
     return result
 
 
-def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = 42):
+def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = DEFAULT_SEED):
     """As biseparable_minimum but also returns every branch result."""
     sites_a, sites_b, pairs = cut(system, arc)
     solver_a = CollinearChainSolver(system, sites_a, [a for a, _ in pairs], seed)
@@ -416,7 +416,7 @@ class ScanResult:
     argmin: BipartitionReport
 
 
-def biseparable_scan(system: SpinSystem, seed: int = 42,
+def biseparable_scan(system: SpinSystem, seed: int = DEFAULT_SEED,
                      workers: int = 1) -> ScanResult:
     """E_bs = min over contiguous bipartitions of E_bs(N_A, N_B)."""
     arcs = scan_arcs(system)

@@ -15,6 +15,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .eigensolvers import (
+    DEFAULT_SEED,
     degenerate_with,
     dense_spectrum,
     refuse_dense,
@@ -58,12 +59,12 @@ class Verdict:
     multipartite_detected: bool
 
 
-def ground_energy(system: SpinSystem, seed: int = 42) -> float:
+def ground_energy(system: SpinSystem, seed: int = DEFAULT_SEED) -> float:
     """Global ground energy, from the lowest Sz sector alone."""
     return sectored_ground_state(system, seed=seed).energy
 
 
-def single_site_threshold(system: SpinSystem, k: int, seed: int = 42) -> float:
+def single_site_threshold(system: SpinSystem, k: int, seed: int = DEFAULT_SEED) -> float:
     """E_bs^k: minimum biseparable energy when only site k is factored out.
 
     The cut Arc(k, 1): the ground energy of the remaining sites with k's
@@ -77,7 +78,7 @@ def single_site_threshold(system: SpinSystem, k: int, seed: int = 42) -> float:
 
 
 def threshold_table(system: SpinSystem, label: str | None = None,
-                    site_labels=None, seed: int = 42) -> ThresholdTable:
+                    site_labels=None, seed: int = DEFAULT_SEED) -> ThresholdTable:
     """Thresholds E_bs^k for every site, referred to the ground energy.
     Each symmetry class of sites is solved once and shares that value."""
     e0 = ground_energy(system, seed=seed)
@@ -93,7 +94,7 @@ def threshold_table(system: SpinSystem, label: str | None = None,
 
 
 def defect_series(system: SpinSystem, defect_site: int, defect_spins,
-                  labels=None, seed: int = 42) -> list:
+                  labels=None, seed: int = DEFAULT_SEED) -> list:
     """Threshold tables for the homogeneous ring `system` with one
     substituted spin, one per s_M.
 
@@ -183,7 +184,7 @@ def _singlet_projector(site_two_s) -> np.ndarray | None:
 
 
 def verify_not_eigenstate(system: SpinSystem, arc: Arc, samples: int = 1000,
-                          seed: int = 42) -> EigenstateCheck:
+                          seed: int = DEFAULT_SEED) -> EigenstateCheck:
     """Minimum energy variance of H over random singlet (x) singlet states.
 
     Draws random states in the S_A = 0 tensor S_B = 0 sector of a contiguous

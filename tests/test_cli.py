@@ -1,14 +1,23 @@
 """Command-line interface: output formats, determinism and exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+import yaml
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
 from spinwitness import cli, scf
 from spinwitness.cli import main
+from spinwitness.config import REQUIRED, SCHEMA, ConfigError, parse_config
 from spinwitness.eigensolvers import SolverError
+from spinwitness.hamiltonians import defected_ring
+from spinwitness.operators import parse_spin, product_dim
 
 RING4 = """\
 model:
@@ -247,6 +256,10 @@ class TestExitCodes:
                    'defect_series: {site: 1, spins: ["1"]}'),
         ("defect", '  defect: {site: 2, spin: "1"}\n'  # continues RING4's model
                    'defect_series: {site: 1, spins: ["1"]}'),
+        # J = 0: the dense route reported an arbitrary S^2, ARPACK exited 3
+        ("ground", "  coupling: 0"),  # continues RING4's model block
+        ("ground", 'model: {topology: ring, N: 6, spin: "3/2", coupling: 0.0}'),
+        ("scan", 'model: {topology: ring, N: 6, spin: "3/2", coupling: 0.0}'),
     ], ids=["points-abc", "points-negative", "energy-abc", "coupling-abc",
             "init-grid-scalar", "arc-too-long", "bisep-eta", "theta-points-abc",
             "map-length-zero", "defect-site-abc", "series-spin-abc",
@@ -261,7 +274,8 @@ class TestExitCodes:
             "thermal-points-zero-oversize",
             "spin-overflow", "qubits-40", "qubits-64",
             "map-length-64", "map-length-16", "series-spin-overflow",
-            "series-chain-base", "series-mixed-base", "series-defected-base"])
+            "series-chain-base", "series-mixed-base", "series-defected-base",
+            "coupling-zero-dense", "coupling-zero-arpack", "coupling-zero-scan"])
     def test_malformed_value_is_2(self, tmp_path, capsys, command, extra):
         text = extra if extra.startswith("model:") else RING4 + extra
         code, out, err = run_main(
@@ -509,3 +523,119 @@ class TestDeterminism:
             ["ground", "--config", path, "--seed", "5", "--format", "json"],
             capsys)
         assert json.loads(out)["metadata"]["seed"] == 5
+
+
+# Exit-code fuzzing.  Every key's candidates are the values of POOL that its
+# own SCHEMA converter accepts, so a key added to SCHEMA is fuzzed with no
+# change here.  No candidate allocates before it is refused: the largest
+# integer (10**12) is above every count bound, and a spin of 10**12 is
+# refused by the exact product dimension.
+SCALARS = [True, -1, 0, 1, 2, 3, 4, 5, 6, 10**12, 0.0, 0.5, -0.5, 1.5, 1e-12,
+           1e300, math.inf, math.nan, "ring", "chain", "0", "1/2", "1", "3/2",
+           "abc"]
+POOL = (SCALARS + [[], ["1/2", "1"], ["1", "0"], [0.5, 0.25], [0.0, 0.45]]
+        + [[x] * k for x in SCALARS for k in (1, 2, 3, 4)])
+# states of the largest space a drawn command may solve: ground reaches
+# sectors above LANCZOS_CROSSOVER (the 2M = 0 sector of six spins 3/2 has
+# 580 states), every other command stays at a few hundred
+STATE_CAP = {"ground": 4096}
+DEFAULT_STATE_CAP = 256
+MAP_ROWS_CAP = 48  # boundary_map solves per map run
+
+
+def _accepts(convert, value) -> bool:
+    try:
+        convert(value)
+    except (TypeError, ValueError, OverflowError):  # ConfigError included
+        return False
+    return True
+
+
+def _candidates(convert) -> list:
+    return [v for v in POOL if _accepts(convert, v)]
+
+
+def _block(name):
+    """A SCHEMA block: its required keys and a random subset of the others,
+    each drawn from the candidates its converter accepts.  Blocks of the top
+    level are always present, so each command finds the block it reads."""
+    required, optional = {}, {}
+    for key, (convert, default) in SCHEMA[name].items():
+        path = f"{name}.{key}" if name else key
+        if path in SCHEMA:
+            value = _block(path)
+        else:
+            value = st.sampled_from(_candidates(convert))
+        top_block = not name and path in SCHEMA
+        (required if default is REQUIRED or top_block else optional)[key] = value
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+def _slots(block):
+    """(mapping, key) of every key of a drawn config, nested ones included."""
+    for key, value in block.items():
+        yield block, key
+        if isinstance(value, dict):
+            yield from _slots(value)
+
+
+@st.composite
+def configs(draw):
+    """A config valid key by key, with at most one key then set to any
+    candidate, to null or removed."""
+    raw = draw(_block(""))
+    model = raw["model"]
+    if ("spin" in model) == ("spins" in model):  # parse_config needs one
+        model.pop("spins", None)
+        model["spin"] = draw(st.sampled_from(_candidates(SCHEMA["model"]["spin"][0])))
+    if draw(st.integers(0, 2)) == 0:
+        block, key = draw(st.sampled_from(list(_slots(raw))))
+        value = draw(st.sampled_from(POOL + [None, {}, "remove"]))
+        if value == "remove":
+            del block[key]
+        else:
+            block[key] = value
+    return raw
+
+
+def _solve_size(raw, command):
+    """States of the largest space `command` solves for `raw` (the map: times
+    its rows over MAP_ROWS_CAP), or 0 when it is refused before solving."""
+    try:
+        cfg = parse_config(raw)
+        if command == "map":
+            block = cfg.block("map")
+            rows = (len(block["lengths"]) * len(block["moduli"])
+                    * len(block["modulus_diffs"]) * block["theta_points"])
+            spins = [parse_spin(block["spin"])] * max(block["lengths"], default=0)
+            return product_dim(spins) * max(1, math.ceil(rows / MAP_ROWS_CAP))
+        system, _ = cfg.build_system()
+        spaces = [system.site_two_s]
+        if command == "defect":
+            block = cfg.block("defect_series")
+            spaces += [defected_ring(system, block["site"] - 1, spin)[0].site_two_s
+                       for spin in block["spins"]]
+        return max(product_dim(space) for space in spaces)
+    except ValueError:  # ConfigError included
+        return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(sorted(cli.COMMANDS)), raw=configs(),
+       fmt=st.sampled_from(["csv", "json"]))
+# J = 0 on both ground routes: a dense sector and an ARPACK one
+@example(command="ground", fmt="csv",
+         raw={"model": {"topology": "ring", "N": 4, "spin": "1/2", "coupling": 0}})
+@example(command="ground", fmt="csv",
+         raw={"model": {"topology": "ring", "N": 6, "spin": "3/2", "coupling": 0.0}})
+def test_exit_code_contract_fuzzed_from_schema(tmp_path_factory, command, raw, fmt):
+    """Every command on any config exits 0, 2 or 3 and never raises."""
+    assume(_solve_size(raw, command) <= STATE_CAP.get(command, DEFAULT_STATE_CAP))
+    path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([command, "--config", str(path), "--format", fmt,
+                     "--workers", "1"])
+    event(f"{command} exit {code}")
+    assert code in (0, 2, 3), err.getvalue()

@@ -29,7 +29,6 @@ from spinwitness.operators import (
     ProductBasis,
     SparseHermitianOperator,
     heisenberg_matrix,
-    sz_diagonal,
 )
 
 
@@ -312,7 +311,7 @@ def test_lanczos_shift_matches_shifted_matrix(system, two_m):
 def test_selection_independent_of_manifold_basis():
     op = build_hamiltonian(SpinSystem.ring(3, "1/2"), 1)
     _, _, manifold = lowest_level(op.matrix.toarray())
-    selector = sz_diagonal(op.basis, 0) - sz_diagonal(op.basis, 1)
+    selector = (op.basis.two_m[:, 0] - op.basis.two_m[:, 1]) / 2.0
     q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((2, 2)))
     s1, v1 = select_in_manifold(manifold, selector)
     s2, v2 = select_in_manifold(manifold[:, ::-1] @ q, selector)

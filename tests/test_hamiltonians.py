@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinwitness.hamiltonians import (
     Arc,
@@ -13,7 +14,6 @@ from spinwitness.hamiltonians import (
     site_classes,
     subsystem_bonds,
 )
-from spinwitness.operators import field_term
 from spinwitness.scf import scan_arcs
 
 
@@ -31,6 +31,11 @@ class TestSpinSystem:
     def test_too_small(self, topology, n):
         with pytest.raises(ValueError):
             SpinSystem(topology, (1,) * n)
+
+    def test_rejects_zero_coupling(self):
+        # J = 0 leaves no exchange to witness and a zero Hamiltonian
+        with pytest.raises(ValueError):
+            SpinSystem.ring(4, "1/2", 0.0)
 
     def test_rejects_spinless_site(self):
         with pytest.raises(ValueError):
@@ -169,16 +174,16 @@ class TestDressing:
     def test_boundary_fields_accepted(self):
         system = SpinSystem.chain(3, "1/2")
         h = build_hamiltonian(system, 1)
-        op = (h.matrix + field_term(h.basis, 0, (0, 0, 0.5))
-              + field_term(h.basis, 2, (0, 0, -0.5)))
+        sz = h.basis.two_m / 2.0
+        op = h.matrix + sp.diags(0.5 * sz[:, 0] - 0.5 * sz[:, 2])
         assert op.shape == (h.dim, h.dim) == (3, 3)
 
     def test_dressed_energy_shift(self):
         # single qubit pair with +z/-z fields of strength 1/2 on the edges
         system = SpinSystem.chain(2, "1/2")
         h = build_hamiltonian(system)
-        op = (h.matrix + field_term(h.basis, 0, (0, 0, 0.5))
-              + field_term(h.basis, 1, (0, 0, -0.5)))
+        sz = h.basis.two_m / 2.0
+        op = h.matrix + sp.diags(0.5 * sz[:, 0] - 0.5 * sz[:, 1])
         e0 = np.linalg.eigvalsh(op.toarray())[0]
         # the 2M=0 block [[-1/4 + 1/2, 1/2], [1/2, -1/4 - 1/2]]
         assert abs(e0 - (-0.25 - np.sqrt(0.5))) < 1e-12

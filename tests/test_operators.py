@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from spinwitness.operators import (
     MAX_PRODUCT_DIM,
     ProductBasis,
-    field_term,
     heisenberg_matrix,
     parse_spin,
     product_dim,
     raising,
     spin_str,
-    sz_diagonal,
     translation_orbits,
 )
+from spinwitness.scf import boundary_map
 
 
 def bond_operator(basis, i, j, coupling=1.0):
@@ -233,36 +232,6 @@ class TestOperators:
             block = dense[np.ix_(b.full_index, b.full_index)]
             assert np.abs(mat.toarray() - block).max() < 1e-12
 
-    def test_field_term_z(self):
-        b = ProductBasis([1, 1], 0)
-        op = field_term(b, 0, [0.0, 0.0, 2.0])
-        assert np.allclose(np.diag(op.toarray()), [1.0, -1.0])
-
-    def test_field_term_transverse_rejected_on_sector(self):
-        b = ProductBasis([1, 1], 0)
-        with pytest.raises(ValueError):
-            field_term(b, 0, [1.0, 0.0, 0.0])
-
-    def test_field_term_x_matches_local(self):
-        b = ProductBasis([3])
-        op = field_term(b, 0, [1.0, 0.0, 0.0])
-        assert op.dtype == np.float64
-        assert np.abs(op.toarray() - local_spin_matrices(3).sx).max() < 1e-12
-
-    def test_field_term_y_complex_hermitian(self):
-        b = ProductBasis([1, 1])
-        op = field_term(b, 0, [0.5, 0.7, -0.2])
-        assert op.dtype == np.complex128
-        dense = op.toarray()
-        assert np.abs(dense - dense.conj().T).max() < 1e-12
-
-    def test_field_term_rejects_bad_vector(self):
-        b = ProductBasis([1])
-        with pytest.raises(ValueError):
-            field_term(b, 0, [1.0, 0.0])
-        with pytest.raises(ValueError):
-            field_term(b, 0, [np.inf, 0.0, 0.0])
-
     def test_total_sz(self):
         b = ProductBasis([1, 1])
         assert np.allclose(b.two_m.sum(axis=1) / 2.0, [1, 0, 0, -1])
@@ -288,9 +257,33 @@ class TestOperators:
         assert mat.shape == (b.total_dim, b.dim)
         assert np.abs(mat.toarray() - dense[:, b.full_index]).max() < 1e-12
 
-    def test_sz_diagonal(self):
-        b = ProductBasis([2])
-        assert np.allclose(sz_diagonal(b, 0), [1.0, 0.0, -1.0])
+    @pytest.mark.parametrize("spins, b, bprime", [
+        ([1, 2, 1], [0.3, 0.0, -0.7], [-0.9, 0.0, 0.2]),
+        ([3, 1], [0.5, 0.0, 0.5], [0.4, 0.0, -1.1]),
+        ([2], [0.6, 0.0, 0.25], [-0.2, 0.0, 0.4]),  # both fields on one spin
+    ], ids=["three-sites", "two-sites", "one-site"])
+    def test_boundary_map_matches_kron(self, spins, b, bprime):
+        # boundary_map builds b . s from s+ and two_m and reads <s> from
+        # <s+>; the oracle dresses the chain with Kronecker-embedded sx, sy,
+        # sz and reads each component as a plain expectation value
+        last = len(spins) - 1
+
+        def embed(site, comp):
+            return kron_embed(spins, site,
+                              getattr(local_spin_matrices(spins[site]), comp))
+
+        def field(site, vec):
+            return sum(c * embed(site, comp) for c, comp in zip(vec, ("sx", "sy", "sz")))
+
+        h = (dense_exchange(spins, [(k, k + 1) for k in range(last)], 1.0)
+             + field(last, b) + field(0, bprime))
+        vals, vecs = np.linalg.eigh(h)
+        assert vals[1] - vals[0] > 1e-3  # one ground state, no selection
+        v = vecs[:, 0]
+        want = [[np.vdot(v, embed(site, comp) @ v).real
+                 for comp in ("sx", "sy", "sz")] for site in (last, 0)]
+        pair = boundary_map([spin_str(t) for t in spins], b, bprime)
+        assert np.abs(np.array([pair.z, pair.zprime]) - want).max() < 1e-12
 
     def test_operator_add_and_scale(self):
         b = ProductBasis([1, 1])

@@ -9,7 +9,7 @@ from spinwitness import scf
 from spinwitness.eigensolvers import dense_spectrum
 from spinwitness.hamiltonians import (Arc, SpinSystem, build_hamiltonian, cut,
                                      subsystem_bonds)
-from spinwitness.operators import ProductBasis, heisenberg_matrix, sz_diagonal
+from spinwitness.operators import ProductBasis, heisenberg_matrix
 from spinwitness.scf import (
     BoundaryPair,
     CollinearChainSolver,
@@ -50,6 +50,16 @@ class TestBoundaryMap:
     def test_rejects_y_component(self):
         with pytest.raises(ValueError):
             boundary_map(["1/2"] * 3, [0, 0.1, 0.5], [0, 0, 0.5])
+
+    @pytest.mark.parametrize("field", [[0.5, 0.0], [np.inf, 0.0, 0.0],
+                                       [0.0, 0.0, np.nan], [[0.5, 0.0, 0.5]]],
+                             ids=["two-vector", "inf", "nan", "nested"])
+    def test_rejects_malformed_field(self, field):
+        # a field that is not a finite 3-vector, on either edge
+        with pytest.raises(ValueError):
+            boundary_map(["1/2"] * 3, field, z_vec(0.5))
+        with pytest.raises(ValueError):
+            boundary_map(["1/2"] * 3, z_vec(0.5), field)
 
     def test_parallel_maps_to_parallel(self):
         pair = boundary_map(["1/2"] * 3, z_vec(0.5), z_vec(0.5))
@@ -96,8 +106,8 @@ class TestCollinearChainSolver:
             system = SpinSystem.chain(3, "1/2")
             h = build_hamiltonian(system).matrix.toarray()
             basis = build_hamiltonian(system).basis
-            h = h + np.diag(b0 * sz_diagonal(basis, 0)
-                            + b1 * sz_diagonal(basis, 2))
+            h = h + np.diag(b0 * basis.two_m[:, 0] / 2.0
+                            + b1 * basis.two_m[:, 2] / 2.0)
             e_dense = np.linalg.eigvalsh(h)[0]
             assert abs(g["energy"] - e_dense) < 1e-10
 
@@ -146,7 +156,7 @@ class TestCollinearChainSolver:
             got = sec["dense"] if "dense" in sec else sec["op"].matrix.toarray()
             assert np.array_equal(got, want.toarray())
             for d, k in zip(sec["diags"], solver.field_sites):
-                assert np.array_equal(d, sz_diagonal(basis, k))
+                assert np.array_equal(d, basis.two_m[:, k] / 2.0)
 
     def test_field_count_mismatch(self):
         solver = CollinearChainSolver(SpinSystem.chain(2, "1/2"), [0, 1],
