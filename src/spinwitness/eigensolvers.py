@@ -61,33 +61,35 @@ def refuse_dense(dim: int) -> None:
 
 
 def dense_spectrum(mat) -> np.ndarray:
-    """Full ascending spectrum via LAPACK of a sparse Hermitian matrix;
-    refuses dimensions above DENSE_LIMIT before densifying."""
+    """Full ascending spectrum via LAPACK of a Hermitian matrix, dense or
+    sparse; refuses dimensions above DENSE_LIMIT before densifying."""
     refuse_dense(mat.shape[0])
     if mat.shape[0] == 0:
         return np.array([])
-    return scipy.linalg.eigvalsh(mat.toarray())
+    return scipy.linalg.eigvalsh(mat.toarray() if hasattr(mat, "toarray") else mat)
 
 
-def degenerate_with(e0: float, e):
-    """True where the level(s) e lie in the degeneracy window of e0."""
-    return np.asarray(e) - e0 < DEGENERACY_TOL * max(1.0, abs(e0))
+def degenerate_with(e0: float, e, unit: float = 1.0):
+    """True where the level(s) e lie in the degeneracy window of e0:
+    DEGENERACY_TOL times the larger of |e0| and the energy unit, |J| for a
+    system, so that the outcome does not depend on the scale of J."""
+    return np.asarray(e) - e0 < DEGENERACY_TOL * max(unit, abs(e0))
 
 
-def lowest_level(mat: np.ndarray):
+def lowest_level(mat: np.ndarray, unit: float = 1.0):
     """Lowest level of a dense Hermitian block: (e0, e1, manifold).
 
     LAPACK is asked for the two lowest pairs; only when they share one
     degeneracy window is the full spectrum computed, so that the columns of
     `manifold` span the whole level.  e1 is the second-lowest eigenvalue
-    (inf for a 1x1 block).
+    (inf for a 1x1 block).  `unit` scales the window (``degenerate_with``).
     """
     if mat.shape[0] == 1:
         return float(np.real(mat[0, 0])), np.inf, np.ones((1, 1))
     vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[0, 1])
-    if degenerate_with(vals[0], vals[1]):
+    if degenerate_with(vals[0], vals[1], unit):
         vals, vecs = scipy.linalg.eigh(mat)
-    level = degenerate_with(vals[0], vals)
+    level = degenerate_with(vals[0], vals, unit)
     return float(vals[0]), float(vals[1]), vecs[:, level]
 
 
@@ -190,15 +192,16 @@ def lanczos_ground(op: SparseHermitianOperator,
          "tol": DEFAULT_TOL, "restarts": MAX_RESTARTS})
 
 
-def ground_state(op: SparseHermitianOperator,
-                 seed: int = DEFAULT_SEED) -> GroundStateResult:
+def ground_state(op: SparseHermitianOperator, seed: int = DEFAULT_SEED,
+                 unit: float = 1.0) -> GroundStateResult:
     """Lowest eigenpair and gap of a single operator (no sector blocking here).
 
     Dense up to LANCZOS_CROSSOVER; above it one eigsh call from a seeded v0,
-    never ARPACK's own generator.  A failed call raises SolverError.
+    never ARPACK's own generator.  A failed call raises SolverError.  `unit`
+    scales the degeneracy window (``degenerate_with``).
     """
     if op.dim <= LANCZOS_CROSSOVER:
-        e0, e1, manifold = lowest_level(op.matrix.toarray())
+        e0, e1, manifold = lowest_level(op.matrix.toarray(), unit)
         vec = manifold[:, 0]
     else:
         # imported here: at module level it costs ~27 ms a process (2-vCPU Xeon)
@@ -211,7 +214,8 @@ def ground_state(op: SparseHermitianOperator,
                 "dim": op.dim, "converged": len(getattr(exc, "eigenvalues", ()))
             }) from exc
         (e0, e1), vec = vals.tolist(), vecs[:, 0]
-    return GroundStateResult(e0, vec, e1 - e0, bool(degenerate_with(e0, e1)))
+    return GroundStateResult(e0, vec, e1 - e0,
+                             bool(degenerate_with(e0, e1, unit)))
 
 
 def sectored_ground_state(system: SpinSystem,
@@ -227,7 +231,7 @@ def sectored_ground_state(system: SpinSystem,
     """
     two_m = sum(system.site_two_s) % 2
     op = build_hamiltonian(system, two_m)
-    r = ground_state(op, seed=seed)
+    r = ground_state(op, seed=seed, unit=abs(system.coupling))
     up = raising(op.basis, range(system.n_sites)) @ r.vector
     s_sq = two_m * (two_m + 2) / 4 + float(np.vdot(up, up).real)
     multiplet = s_sq > 3 / 8

@@ -96,18 +96,33 @@ def defected_ring(base: SpinSystem, defect_site: int, defect_spin):
     return SpinSystem(RING, tuple(spins), base.coupling), list(range(n))
 
 
-def site_classes(system: SpinSystem) -> list:
-    """For each site, the lowest site that a symmetry maps it to: a rotation
-    or reflection of a ring, or the reversal of a chain, that maps
-    `site_two_s` onto itself (J is uniform, so the spins decide)."""
+def site_maps(system: SpinSystem):
+    """The symmetries of the system, as site maps m (site i goes to m[i]):
+    (rotations, reflections), each the maps of a ring, or the reversal of a
+    chain, that carry `site_two_s` onto itself (J is uniform, so the spins
+    decide).
+
+    The rotations are listed by ascending shift, the identity first, so with
+    T = rotations[1] (the shortest one) rotations[r] = T^r; and with
+    P = reflections[0], reflections[r] = T^r P.
+    """
     n, spins = system.n_sites, system.site_two_s
     if system.topology == RING:
-        maps = [[(r + sign * i) % n for i in range(n)]
-                for r in range(n) for sign in (1, -1)]
+        rotations = [[(r + i) % n for i in range(n)] for r in range(n)]
+        reflections = [[(r - i) % n for i in range(n)] for r in range(n)]
     else:
-        maps = [list(range(n)), list(range(n - 1, -1, -1))]
-    maps = [m for m in maps if all(spins[m[i]] == spins[i] for i in range(n))]
-    return [min(m[i] for m in maps) for i in range(n)]
+        rotations, reflections = [list(range(n))], [list(range(n - 1, -1, -1))]
+
+    def keep(maps):
+        return [m for m in maps if all(spins[m[i]] == spins[i] for i in range(n))]
+    return keep(rotations), keep(reflections)
+
+
+def site_classes(system: SpinSystem) -> list:
+    """For each site, the lowest site that a symmetry (`site_maps`) maps it to."""
+    rotations, reflections = site_maps(system)
+    return [min(m[i] for m in rotations + reflections)
+            for i in range(system.n_sites)]
 
 
 @dataclass(frozen=True)
@@ -174,6 +189,6 @@ def build_on_sites(system: SpinSystem, sites: list) -> SparseHermitianOperator:
 
 __all__ = [
     "RING", "CHAIN", "SpinSystem", "Arc",
-    "defected_ring", "site_classes", "cut",
+    "defected_ring", "site_maps", "site_classes", "cut",
     "build_hamiltonian", "build_on_sites", "subsystem_bonds",
 ]

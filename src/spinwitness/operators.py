@@ -108,6 +108,11 @@ class ProductBasis:
             raise KeyError("state not in sector")
         return pos
 
+    def permuted(self, site_map) -> np.ndarray:
+        """Full-space index of each state with the content of site i moved to
+        site site_map[i]."""
+        return self.states @ self._strides[list(site_map)]
+
     def sectors(self) -> list:
         """(2M, positions) of each total-Sz sector of this basis, ascending in
         2M; the positions keep the state order of ProductBasis(site_two_s, 2M),
@@ -116,25 +121,35 @@ class ProductBasis:
         return [(t, np.flatnonzero(total == t)) for t in np.unique(total).tolist()]
 
 
-def translation_orbits(basis: ProductBasis, step: int):
-    """Orbits of the states of a full (unrestricted) basis under the cyclic
-    shift T by `step` sites.
+def symmetry_orbits(basis: ProductBasis, rotations, reflections=()):
+    """Orbits of the states of a full (unrestricted) basis under the site maps
+    T^r = rotations[r] and T^r P = reflections[r] (``hamiltonians.site_maps``).
 
-    T moves the content of site i to site i + step (mod N).  Returns, per
-    state, the index of its orbit's representative (the member of lowest
-    index), the shift j with T^j |representative> = |state>, and the orbit
-    length, a divisor of N // step.  T conserves Sz, so an orbit lies in one
-    sector and the arrays can be sliced by ``basis.sectors()``.
+    Returns (reps, images): the representatives, the lowest index of each
+    orbit, ascending; and images[f, r, i], the index of T^r P^f |reps[i]>
+    (f = 1 only with reflections).  The maps are taken one at a time with a
+    running minimum, each after the first of a list as one gather by T.  The
+    maps conserve Sz, so an orbit lies in one sector.
     """
     if basis.sector_two_m is not None:
-        raise ValueError("translation orbits need the full product basis")
-    n_shifts = basis.n_sites // step
-    # images[j] = index of T^j |state>: site i's content weighed by the
-    # stride of site i + j step
-    images = np.stack([basis.states @ np.roll(basis._strides, -j * step)
-                       for j in range(n_shifts)])
-    length = n_shifts // (images == np.arange(basis.dim)).sum(axis=0)
-    return images.min(axis=0), -images.argmin(axis=0) % length, length
+        raise ValueError("symmetry orbits need the full product basis")
+    step = basis.permuted(rotations[1]) if rotations[1:] else None
+    firsts = [np.arange(basis.dim)] + [basis.permuted(m) for m in reflections[:1]]
+
+    def walk(starts):
+        """The images under T^r of `starts`, for r = 0, 1, ..."""
+        for image in starts:
+            yield image
+            for _ in rotations[1:]:
+                image = step[image]
+                yield image
+
+    rep = np.arange(basis.dim)
+    for image in walk(firsts):
+        np.minimum(rep, image, out=rep)
+    reps = np.flatnonzero(rep == np.arange(basis.dim))
+    images = np.array(list(walk(first[reps] for first in firsts)))
+    return reps, images.reshape(len(firsts), len(rotations), reps.size)
 
 
 class SparseHermitianOperator:

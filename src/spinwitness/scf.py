@@ -163,7 +163,8 @@ class CollinearChainSolver:
         results = []
         best = np.inf
         for sec in self.by_floor or self.sectors:
-            if self.by_floor and not degenerate_with(best, sec["floor"] - reach):
+            if self.by_floor and not degenerate_with(best, sec["floor"] - reach,
+                                                     abs(self.coupling)):
                 break
             shift = None
             for b, d in zip(field_values, sec["diags"]):
@@ -172,7 +173,8 @@ class CollinearChainSolver:
             if "dense" in sec:
                 mat = sec["dense"]
                 e0, _, manifold = lowest_level(
-                    mat if shift is None else mat + np.diag(shift))
+                    mat if shift is None else mat + np.diag(shift),
+                    abs(self.coupling))
             else:
                 vals, manifold, _ = lanczos_ground(
                     sec["op"], seed=self.seed, v0=sec["v0"], shift=shift)
@@ -186,7 +188,8 @@ class CollinearChainSolver:
             self.by_floor = sorted(self.sectors, key=lambda sec: sec["floor"])
         results.sort(key=lambda r: r[1]["two_m"])
         e0 = best
-        level = [(sec, m) for e, sec, m in results if degenerate_with(e0, e)]
+        level = [(sec, m) for e, sec, m in results
+                 if degenerate_with(e0, e, abs(self.coupling))]
         sec, manifold = level[0]
         vec = manifold[:, 0]
         if select_coeffs is not None and (len(level) > 1 or manifold.shape[1] > 1):

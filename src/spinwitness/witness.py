@@ -22,13 +22,13 @@ from .eigensolvers import (
     sectored_ground_state,
 )
 from .hamiltonians import (
-    CHAIN,
     Arc,
     SpinSystem,
     build_on_sites,
     cut,
     defected_ring,
     site_classes,
+    site_maps,
 )
 from .operators import (
     ProductBasis,
@@ -36,7 +36,7 @@ from .operators import (
     parse_spin,
     raising,
     spin_str,
-    translation_orbits,
+    symmetry_orbits,
 )
 from .scf import CollinearChainSolver
 
@@ -214,50 +214,133 @@ def verify_not_eigenstate(system: SpinSystem, arc: Arc, samples: int = 1000,
     return EigenstateCheck(min_var, samples, False)
 
 
-def full_spectrum(system: SpinSystem) -> np.ndarray:
-    """Complete spectrum, ascending, from Sz x Bloch-momentum blocks.
+def _symmetry_blocks(n_k: int, reflection: bool) -> list:
+    """(columns, copies) of each symmetry block of an Sz sector: copies is how
+    often its spectrum occurs, and each column (w, c) of an orbit of
+    representative a is sum over r, f of w[f, r] T^r P^f |a> / N.
 
-    The momenta k are those of the cyclic shift by `step` sites, the shortest
-    one mapping the spins onto themselves (step = N, one k = 0 block, on a
-    chain or a ring with a defect).  H is real and spin-flip symmetric, so
-    k and L - k, and 2M and -2M, share a spectrum: only k <= L/2 and 2M >= 0
-    are solved.  The product space is enumerated once and H assembled on it
-    once; each sector's block is sliced from it by index, after every block
-    has been checked against the dense limit."""
-    spins, n = system.site_two_s, system.n_sites
-    step = n if system.topology == CHAIN else min(
-        p for p in range(1, n + 1) if n % p == 0 and spins[p:] + spins[:p] == spins)
-    n_k = n // step
-    basis = ProductBasis(spins)
-    rep, shift, length = translation_orbits(basis, step)
-    sectors = [(two_m, idx) for two_m, idx in basis.sectors() if two_m >= 0]
-    for _, idx in sectors:  # every orbit carries k = 0: the largest block
-        refuse_dense(np.count_nonzero(rep[idx] == idx))
+    At k = 2 pi kappa / L = 0 and pi the columns are real, one per parity p.
+    With a reflection, k and -k (0 < k < pi) form one two-dimensional irrep:
+    its p = +1 columns are Sandvik's semi-momentum states cos(k r) (1 + P)
+    and sin(k r) (P - 1), both real, and the p = -1 block repeats their
+    spectrum.  Without one, each such k is a complex Bloch block and -k
+    repeats it.  H commutes with the group, so an element of the block is
+    <column'| H |column> = (c[0] <column'| H |a> + c[1] <column'| H |T^-1 a>) / N.
+    """
+    r = np.arange(n_k)
+    order = n_k * (2 if reflection else 1)
+    blocks = []
+    for kappa in range(n_k // 2 + 1):
+        k = 2 * np.pi * kappa / n_k
+        cos, sin = np.cos(k * r), np.sin(k * r)
+        if 2 * kappa % n_k == 0:
+            blocks += ([([(np.array([cos, p * cos]), (order, 0))], 1) for p in (1, -1)]
+                       if reflection else [([(cos[None], (order, 0))], 1)])
+        elif reflection:
+            # <column'| H |sin column> takes (T - cos k) column' / sin k, the
+            # partner of column' in the p = -1 block, and T on a gives T^-1 a
+            blocks.append(([(np.array([cos, cos]), (n_k, 0)),
+                            (np.array([-sin, sin]),
+                             (-n_k * np.cos(k) / np.sin(k), n_k / np.sin(k)))], 2))
+        else:
+            blocks.append(([(np.exp(1j * k * r)[None], (order, 0))], 2))
+    return blocks
+
+
+def _block_isometry(blocks, images, fixed, dim: int):
+    """The columns of one sector's symmetry blocks, block after block.
+
+    images[f, r, i] is the index of T^r P^f |a_i> for the sector's
+    representatives a_i; fixed[i] is true where some T^r P fixes a_i.  Each
+    column sums its weights over the whole group, stabilizer included, and
+    is normalized; one that cancels (an orbit without that momentum or
+    parity) is dropped, as is the second of a semi-momentum pair where a
+    reflection fixes a_i, for then the two are parallel.  Returns the
+    (dim x columns) matrix Q, the number of columns of each block, and per
+    column its representative and its coefficients c / N.
+    """
+    weights = np.array([w for columns, _ in blocks for w, _ in columns])
+    coefs = np.array([c for columns, _ in blocks for _, c in columns])
+    shape = weights.shape + (images.shape[-1],)
+    cols = np.arange(shape[0] * shape[-1]).reshape(shape[0], 1, 1, shape[-1])
+    u = sp.csc_matrix((np.broadcast_to(weights[..., None], shape).ravel(),
+                       (np.broadcast_to(images, shape).ravel(),
+                        np.broadcast_to(cols, shape).ravel())),
+                      shape=(dim, shape[0] * shape[-1]))
+    u.data[np.abs(u.data) < 1e-9] = 0  # cancelled to rounding
+    u.eliminate_zeros()
+    norm = np.sqrt(np.asarray(abs(u).power(2).sum(axis=0)).ravel())
+    keep = (norm > 0).reshape(shape[0], shape[-1])  # per column kind and orbit
+    sizes, c = [], 0
+    for columns, _ in blocks:
+        if len(columns) == 2:
+            keep[c + 1] &= ~(fixed & keep[c])
+        sizes.append(int(keep[c:c + len(columns)].sum()))
+        c += len(columns)
+    column, rep = np.nonzero(keep)
+    keep = keep.ravel()
+    scale = 1 / norm[keep]
+    q = u[:, keep]
+    q.data *= np.repeat(scale, np.diff(q.indptr))
+    return q, sizes, rep, coefs[column] * scale[:, None]
+
+
+def full_spectrum(system: SpinSystem) -> np.ndarray:
+    """Complete spectrum, ascending, from Sz x symmetry blocks.
+
+    The symmetries are the system's site maps (``site_maps``): the rotations
+    T^r, r < L (L = 1 on a chain or a ring with a defect), and, where the
+    spins allow one, the reflections T^r P.  H is real and spin-flip
+    symmetric, so 2M and -2M share a spectrum and only 2M >= 0 is solved.
+    Each sector splits into blocks labelled (k, p) (``_symmetry_blocks``),
+    real wherever the system has a reflection.  The product space is
+    enumerated once, its orbits found once, and every block is sized from
+    them and checked against the dense limit before H is assembled, once.
+    A block's elements need H only on the representatives a and T^-1 a:
+    one sparse product per sector gives them all.
+    """
+    rotations, reflections = site_maps(system)
+    n_k = len(rotations)
+    basis = ProductBasis(system.site_two_s)
+    reps, images = symmetry_orbits(basis, rotations, reflections)
+    blocks = _symmetry_blocks(n_k, bool(reflections))
+    rep_two_m = basis.two_m[reps].sum(axis=1)
+    fixed = (images[1:] == reps).any(axis=(0, 1))
+    sectors = []
+    for two_m in np.unique(rep_two_m[rep_two_m >= 0]).tolist():
+        own = rep_two_m == two_m
+        iso = _block_isometry(blocks, images[:, :, own], fixed[own], basis.dim)
+        for size in iso[1]:
+            refuse_dense(size)
+        # H on a, then on T^-1 a: <column| H |a> = (H Q)[a, column]
+        # (a complex Q gives the block of -k, whose spectrum is the same)
+        sectors.append((two_m, images[0, [0, -1] if n_k > 2 else [0]][:, own], iso))
     mat = heisenberg_matrix(basis, system.bonds(), system.coupling)
     pieces = []
-    for two_m, idx in sectors:
-        block = mat[idx][:, idx]
-        r, j, l = rep[idx], shift[idx], length[idx]
-        for k in range(n_k // 2 + 1):
-            # an orbit of length l carries momentum k only if k l = 0 mod L
-            states = np.nonzero(k * l % n_k == 0)[0]
-            reps, col = np.unique(r[states], return_inverse=True)
-            phase = np.exp(2j * np.pi * k * j[states] / n_k) / np.sqrt(l[states])
-            real = 2 * k % n_k == 0
-            pk = sp.csr_matrix((phase.real if real else phase, (states, col)),
-                               shape=(idx.size, reps.size))
-            vals = dense_spectrum(pk.conj().T @ block @ pk)
-            pieces += [vals] * ((1 if real else 2) * (2 if two_m else 1))
+    for two_m, x, (q, sizes, rep, coef) in sectors:
+        hq = mat[x.ravel()] @ q
+        stop = 0
+        for size, (_, copies) in zip(sizes, blocks):
+            a, c = rep[stop:stop + size], coef[stop:stop + size]
+            sub = hq[:, stop:stop + size]
+            block = sub[a].toarray()
+            block *= c[:, :1]
+            if np.any(c[:, 1]):
+                block += sub[a + x.shape[1]].toarray() * c[:, 1:]
+            pieces += [dense_spectrum(block)] * copies * (2 if two_m else 1)
+            stop += size
     return np.sort(np.concatenate(pieces))
 
 
 def thermal_energy(spectrum: np.ndarray, temperature: float) -> float:
-    """Canonical <H>_T over a complete spectrum (k_B = 1, T in units of J)."""
+    """Canonical <H>_T over a complete spectrum (k_B = 1, T in units of J).
+    At T = 0 the ground level is the degeneracy window of the lowest level,
+    in the spectrum's own unit, its width."""
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
     e = np.asarray(spectrum, dtype=float)
     if temperature == 0:
-        return float(e[degenerate_with(e.min(), e)].mean())
+        return float(e[degenerate_with(e.min(), e, np.ptp(e))].mean())
     w = np.exp(-(e - e.min()) / temperature)
     return float((e * w).sum() / w.sum())
 

@@ -160,10 +160,10 @@ class TestExitCodes:
         assert err.startswith("config error: --out ")
 
     def test_solver_failure_is_3(self, tmp_path, capsys):
-        # N=16 qubit chain: no translation symmetry, so its 2M=0 block
-        # (dim 12870) exceeds the sector-dense cap and the full-spectrum
-        # build must fail loudly
-        cfg = ('model: {topology: chain, N: 16, spin: "1/2"}\n'
+        # N=17 qubit chain: reversal splits its 2M=1 sector (24310 states,
+        # 70 of them mirror-symmetric) into blocks of 12190 and 12120, above
+        # the dense limit, so the full-spectrum build must fail loudly
+        cfg = ('model: {topology: chain, N: 17, spin: "1/2"}\n'
                'thermal: {points: 2}\n')
         code, out, err = run_main(
             ["thermal", "--config", write(tmp_path, cfg)], capsys)
@@ -239,8 +239,9 @@ class TestExitCodes:
         ("map", "map: {modulus_diffs: []}"),
         ("map", "map: {theta_points: 0}"),
         ("thermal", "thermal: {points: 0}"),
-        # refused before the spectrum: its 2M = 1 block (11257) is above the dense limit
-        ("thermal", 'model: {topology: ring, N: 10, spin: "1", defect: {site: 1, spin: "3/2"}}\n'
+        # refused before the spectrum: its 2M = 1 parity block (12190) is
+        # above the dense limit
+        ("thermal", 'model: {topology: chain, N: 17, spin: "1/2"}\n'
                     "thermal: {points: 0}"),
         # product spaces too large to enumerate: overflow, memory, int64 wrap
         ("ground", "model: {topology: ring, N: 4, spin: 1e400}"),

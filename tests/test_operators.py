@@ -15,8 +15,9 @@ from spinwitness.operators import (
     product_dim,
     raising,
     spin_str,
-    translation_orbits,
+    symmetry_orbits,
 )
+from spinwitness.hamiltonians import SpinSystem, site_maps
 from spinwitness.scf import boundary_map
 
 
@@ -170,28 +171,61 @@ class TestProductBasis:
         ([2] * 4, 0, 4),       # L = 1: every state its own orbit
     ])
     def test_translation_orbits_cover_each_state_once(self, spins, two_m, step):
-        # orbits of the full basis, checked on the states of sector two_m
-        # (every state for None) as full_spectrum slices them
+        # orbits under the shifts T^r by r * step sites alone (a ring's
+        # rotations without its reflections), checked on the states of
+        # sector two_m (every state for None) as full_spectrum slices them
+        n = len(spins)
+        rotations = [[(r * step + i) % n for i in range(n)] for r in range(n // step)]
         b = ProductBasis(spins)
-        n_shifts = len(spins) // step
-        rep, shift, length = translation_orbits(b, step)
-        idx = np.arange(b.dim) if two_m is None else dict(b.sectors())[two_m]
-        assert np.all(n_shifts % length == 0)
-        assert np.all(rep <= np.arange(b.dim))
-        assert np.all((0 <= shift) & (shift < length))
+        reps, images = symmetry_orbits(b, rotations)
+        assert images.shape == (1, n // step, reps.size)
         total = b.two_m.sum(axis=1)
-        assert np.array_equal(total[rep], total)  # T conserves Sz
-        # T^shift |rep> is the state itself, and no two states share (rep, shift)
-        for pos in idx:
-            image = np.roll(b.states[rep[pos]], shift[pos] * step)
-            assert np.array_equal(image, b.states[pos])
-        assert len(set(zip(rep[idx], shift[idx]))) == idx.size
-        reps, counts = np.unique(rep[idx], return_counts=True)
-        assert np.array_equal(counts, length[reps])
+        assert np.array_equal(total[images[0]], np.broadcast_to(total[reps], images[0].shape))
+        for r in range(n // step):  # T^r |rep> is the rep's content rolled
+            assert np.array_equal(b.states[images[0, r]],
+                                  np.roll(b.states[reps], r * step, axis=1))
+        orbits = [set(images[0, :, i].tolist()) for i in range(reps.size)]
+        assert all(min(orbit) == a for orbit, a in zip(orbits, reps))
+        assert all((n // step) % len(orbit) == 0 for orbit in orbits)
+        idx = np.arange(b.dim) if two_m is None else dict(b.sectors())[two_m]
+        in_sector = [orbit for orbit, a in zip(orbits, reps) if a in set(idx.tolist())]
+        assert sum(map(len, in_sector)) == idx.size  # disjoint orbits
+        assert set().union(*in_sector) == set(idx.tolist())
 
     def test_translation_orbits_reject_sector_basis(self):
         with pytest.raises(ValueError):
-            translation_orbits(ProductBasis([1] * 4, 0), 1)
+            symmetry_orbits(ProductBasis([1] * 4, 0), [[0, 1, 2, 3]])
+
+    @pytest.mark.parametrize("topology, spins", [
+        ("ring", [1] * 6),        # dihedral: orbits of length 12, 6, ... 1
+        ("ring", [1, 2] * 3),     # alternating spins: T shifts two sites
+        ("ring", [2] * 4),        # whole product space of spin-1 sites
+        ("ring", [1, 1, 3, 1, 1]),  # a defect: the one reflection through it
+        ("ring", [1, 2, 3] * 2),  # rotations only, no reflection
+        ("chain", [1] * 5),       # reversal only
+        ("chain", [1, 2, 1, 1]),  # no symmetry: every state its own orbit
+    ])
+    def test_symmetry_orbits_match_brute_force(self, topology, spins):
+        # every map applied to every state by moving the site contents
+        rotations, reflections = site_maps(SpinSystem(topology, tuple(spins)))
+        b = ProductBasis(spins)
+        reps, images = symmetry_orbits(b, rotations, reflections)
+        lookup = {tuple(state): i for i, state in enumerate(b.states)}
+
+        def image(site_map, i):
+            moved = np.empty_like(b.states[i])
+            moved[site_map] = b.states[i]
+            return lookup[tuple(moved)]
+
+        maps = [rotations, reflections][:len(images)]
+        for f, group in enumerate(maps):
+            for r, site_map in enumerate(group):
+                assert [image(site_map, a) for a in reps] == images[f, r].tolist()
+        orbit_min = [min(image(m, i) for m in rotations + reflections)
+                     for i in range(b.dim)]
+        assert reps.tolist() == sorted(set(orbit_min))
+        total = b.two_m.sum(axis=1)
+        assert np.all(total[images] == total[reps])  # the maps conserve Sz
 
 
 class TestOperators:

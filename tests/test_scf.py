@@ -130,8 +130,8 @@ class TestCollinearChainSolver:
         rotation, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((2, 2)))
         original = scf.lowest_level
 
-        def rotated(mat):
-            e0, e1, manifold = original(mat)
+        def rotated(mat, *args):
+            e0, e1, manifold = original(mat, *args)
             if manifold.shape[1] == 2:
                 manifold = manifold[:, ::-1] @ rotation
             return e0, e1, manifold

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from spinwitness import eigensolvers, witness
 from spinwitness.cli import main
-from spinwitness.eigensolvers import SolverError, dense_spectrum
+from spinwitness.operators import parse_spin
+from spinwitness.eigensolvers import (SolverError, dense_spectrum,
+                                      sectored_ground_state)
 from spinwitness.hamiltonians import (
     CHAIN,
     RING,
@@ -19,6 +21,7 @@ from spinwitness.hamiltonians import (
     SpinSystem,
     build_hamiltonian,
     defected_ring,
+    site_maps,
 )
 from spinwitness.witness import (
     ThresholdTable,
@@ -261,13 +264,32 @@ class TestThermal:
             == pytest.approx(-0.75, abs=1e-12)
 
     def test_oversize_block_refused_before_assembly(self, monkeypatch):
-        # the 6-chain's 2M = 0 sector is one k = 0 block of 20 states
+        # the 7-chain's 2M = 1 sector (35 states, 3 of them mirror-symmetric)
+        # splits by reversal parity into blocks of 19 and 16 states
         def assemble(*args, **kwargs):
             raise AssertionError("full-space Hamiltonian assembled")
         monkeypatch.setattr(eigensolvers, "DENSE_LIMIT", 16)
         monkeypatch.setattr(witness, "heisenberg_matrix", assemble)
-        with pytest.raises(SolverError, match="dimension 20 exceeds dense limit 16"):
-            full_spectrum(SpinSystem.chain(6, "1/2"))
+        with pytest.raises(SolverError, match="dimension 19 exceeds dense limit 16"):
+            full_spectrum(SpinSystem.chain(7, "1/2"))
+
+
+@pytest.mark.parametrize("topology, n, spin", [
+    ("ring", 4, "1/2"),   # singlet, gap J: read as degenerate at J = 1e-10
+    ("ring", 6, "3/2"),   # singlet on the eigsh route
+    ("ring", 3, "1/2"),   # a fourfold ground level
+    ("chain", 5, "1"),
+], ids=["ring4-s12", "ring6-s32", "ring3-s12", "chain5-s1"])
+def test_degeneracy_window_scales_with_coupling(topology, n, spin):
+    """`degenerate` and the T = 0 energy do not depend on the scale of J."""
+    unit = SpinSystem(topology, (parse_spin(spin),) * n)
+    e0 = full_spectrum(unit)[0]
+    degenerate = sectored_ground_state(unit).degenerate
+    for coupling in (1e-10, 1.0, 1e3):
+        system = SpinSystem(topology, unit.site_two_s, coupling)
+        assert sectored_ground_state(system).degenerate == degenerate
+        assert thermal_energy(full_spectrum(system), 0.0) == pytest.approx(
+            coupling * e0, rel=1e-12)
 
 
 # above this dimension the oracle goes sector by sector, so that the suite
@@ -289,17 +311,50 @@ def _oracle_spectrum(system):
 
 SPECTRUM_SYSTEMS = (
     [SpinSystem.ring(n, spin) for n in range(3, 9) for spin in ("1/2", "1")]
-    + [SpinSystem.from_spins("ring", ["1/2", "1"] * 3),  # translation step 2
-       defected_ring(SpinSystem.ring(5, "1/2"), 2, "1")[0],               # no translation
+    + [SpinSystem.from_spins("ring", ["1/2", "1"] * 3),  # translation step 2, L = 3
+       SpinSystem.from_spins("ring", ["1/2", "1"] * 4),  # L = 4: k = pi as well
+       defected_ring(SpinSystem.ring(5, "1/2"), 2, "1")[0],   # reflection only
+       defected_ring(SpinSystem.ring(6, "1"), 1, "3/2")[0],   # even, s >= 1 defect
        SpinSystem.chain(6, "1/2"),
+       SpinSystem.chain(5, "1"),                              # odd chain
+       SpinSystem.from_spins("ring", ["1/2", "1", "3/2"] * 2),  # no reflection
        SpinSystem.ring(6, "1/2", coupling=0.7)])
+SPECTRUM_IDS = [f"{s.describe()} {s.site_two_s} J={s.coupling}" for s in SPECTRUM_SYSTEMS]
 
 
-@pytest.mark.parametrize("system", SPECTRUM_SYSTEMS,
-                         ids=lambda s: f"{s.describe()} {s.site_two_s} J={s.coupling}")
-def test_full_spectrum_matches_oracle(system):
+def _record_block_dtypes(monkeypatch) -> list:
+    """Record the dtype of every block full_spectrum hands to LAPACK."""
+    dtypes = []
+
+    def recorded(mat):
+        dtypes.append(mat.dtype)
+        return dense_spectrum(mat)
+    monkeypatch.setattr(witness, "dense_spectrum", recorded)
+    return dtypes
+
+
+@pytest.mark.parametrize("system", SPECTRUM_SYSTEMS, ids=SPECTRUM_IDS)
+def test_full_spectrum_matches_oracle(monkeypatch, system):
+    """The blocks hold every level once; with a reflection they are all real."""
+    dtypes = _record_block_dtypes(monkeypatch)
     spectrum = full_spectrum(system)
     assert len(spectrum) == np.prod([t + 1 for t in system.site_two_s])
+    assert np.abs(spectrum - _oracle_spectrum(system)).max() < 1e-10
+    if site_maps(system)[1]:
+        assert not any(np.issubdtype(d, np.complexfloating) for d in dtypes)
+
+
+@pytest.mark.parametrize("system", [SpinSystem.ring(6, "1/2"), SpinSystem.ring(5, "1"),
+                                    SpinSystem.from_spins("ring", ["1/2", "1"] * 4)],
+                         ids=["ring6-s12", "ring5-s1", "alternating-ring8"])
+def test_bloch_blocks_without_reflection_match_oracle(monkeypatch, system):
+    """A ring without a reflection keeps complex Bloch blocks for 0 < k < pi;
+    here the reflections are withheld from rings that have them."""
+    rotations, _ = site_maps(system)
+    monkeypatch.setattr(witness, "site_maps", lambda s: (rotations, []))
+    dtypes = _record_block_dtypes(monkeypatch)
+    spectrum = full_spectrum(system)
+    assert any(np.issubdtype(d, np.complexfloating) for d in dtypes)
     assert np.abs(spectrum - _oracle_spectrum(system)).max() < 1e-10
 
 
@@ -350,9 +405,10 @@ def test_thermal_cli_matches_golden(tmp_path):
     ("ground", "ring8_s32.yaml"),
     ("thermal", "qubit_chain6.yaml"),
     ("thermal", "ring6_s1.yaml"),
+    ("thermal", "ferri_ring8_s1.yaml"),
 ], ids=["ground", "bisep", "scan", "verdict", "map", "scan-chain", "bisep-chain",
         "scan-ring8-s32", "defect", "ground-ferri", "ground-ring8-s32",
-        "thermal-chain", "thermal-ring6-s1"])
+        "thermal-chain", "thermal-ring6-s1", "thermal-ferri"])
 def test_cli_matches_golden(tmp_path, command, config):
     _assert_cli_matches_golden(tmp_path, command, config,
                                f"{command}_{config.removesuffix('.yaml')}.csv")
