@@ -12,6 +12,7 @@ Output is deterministic for a given config and seed: fixed row order,
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -51,9 +52,9 @@ def emit(columns, rows, fmt, out, metadata):
     """Write a table as CSV or JSON with deterministic formatting."""
     if fmt == "csv":
         buf = io.StringIO()
-        buf.write(",".join(columns) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")  # quotes only where needed
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
         text = buf.getvalue()
     else:
         # written by hand so floats keep their %.12e rendering as JSON numbers
@@ -207,7 +208,7 @@ def cmd_thermal(cfg: RunConfig, seed: int, workers: int):
         rows.append(["curve", float(t), thermal_energy(spectrum, float(t))])
     for ebs in block["thresholds"]:
         try:
-            tstar = threshold_temperature(spectrum, ebs)
+            tstar = threshold_temperature(spectrum, ebs, abs(system.coupling))
         except ValueError:
             rows.append(["crossing", np.nan, ebs])
             continue

@@ -62,11 +62,12 @@ def refuse_dense(dim: int) -> None:
 
 def dense_spectrum(mat) -> np.ndarray:
     """Full ascending spectrum via LAPACK of a Hermitian matrix, dense or
-    sparse; refuses dimensions above DENSE_LIMIT before densifying."""
+    sparse; refuses dimensions above DENSE_LIMIT before densifying.  LAPACK
+    works in place on one C-ordered dense copy, read as the upper triangle of
+    its transpose: a Fortran-ordered view, which LAPACK need not copy again."""
     refuse_dense(mat.shape[0])
-    if mat.shape[0] == 0:
-        return np.array([])
-    return scipy.linalg.eigvalsh(mat.toarray() if hasattr(mat, "toarray") else mat)
+    a = mat.toarray() if hasattr(mat, "toarray") else np.array(mat)
+    return scipy.linalg.eigvalsh(a.T, lower=False, overwrite_a=True)
 
 
 def degenerate_with(e0: float, e, unit: float = 1.0):
@@ -107,14 +108,15 @@ def select_in_manifold(manifold: np.ndarray, selector):
 def lanczos_ground(op: SparseHermitianOperator,
                    seed: int = DEFAULT_SEED,
                    v0: np.ndarray | None = None,
-                   shift: np.ndarray | None = None):
+                   shift: np.ndarray | None = None, unit: float = 1.0):
     """Lowest eigenpair by restarted Lanczos with full reorthogonalization.
 
     `shift` is a diagonal added to the operator inside the matrix-vector
     product, so a field-dressed block needs no new matrix.  The Krylov basis
-    takes its dtype from the matrix.  Returns (values, vectors, iterations):
-    one value and one column.  Raises SolverError, with the last Ritz
-    residual estimate, on non-convergence.
+    takes its dtype from the matrix.  It stops on a Ritz residual below
+    DEFAULT_TOL·max(unit, |theta|), the unit |J| for a system.  Returns
+    (values, vectors, iterations): one value and one column.  Raises
+    SolverError, with the last Ritz residual estimate, on non-convergence.
     """
     n = op.dim
     mat = op.matrix
@@ -126,7 +128,7 @@ def lanczos_ground(op: SparseHermitianOperator,
 
     m = min(300, n)  # Krylov vectors per restart
     total_iter = 0
-    scale = 1.0
+    scale = unit
     resid = np.array([np.inf])
     for restart in range(MAX_RESTARTS):
         V = np.empty((m, n), dtype=mat.dtype)
@@ -162,7 +164,7 @@ def lanczos_ground(op: SparseHermitianOperator,
                     alphas[:j + 1], betas[:j], select="i",
                     select_range=(0, 0), eigvals_only=False)
                 if np.all(np.abs(b * th[1][j, :]) <
-                          DEFAULT_TOL * max(1.0, abs(th[0][0]))):
+                          DEFAULT_TOL * max(unit, abs(th[0][0]))):
                     j_end = j + 1
                     break
             if j + 1 < m:
@@ -177,7 +179,7 @@ def lanczos_ground(op: SparseHermitianOperator,
             resid = np.zeros(1)
         else:
             resid = np.abs(betas[nv - 1] * S[nv - 1, :1])
-        ritz_scale = max(1.0, float(np.abs(theta[0])))
+        ritz_scale = max(unit, float(np.abs(theta[0])))
         if exhausted or np.all(resid < DEFAULT_TOL * ritz_scale):
             vecs = (S[:, :1].T @ V[:nv]).T
             # re-normalize (reorthogonalization keeps this near 1)

@@ -72,32 +72,26 @@ class ProductBasis:
             raise ValueError("spin lengths must be non-negative")
         self.n_sites = len(self.site_two_s)
         self.total_dim = product_dim(self.site_two_s)
-        self.local_dims = np.array([t + 1 for t in self.site_two_s], dtype=np.int64)
         self.sector_two_m = sector_two_m
+        dims = tuple(t + 1 for t in self.site_two_s)
+        # strides of the full-space index, site 0 slowest
+        self._strides = self.total_dim // np.cumprod(dims, dtype=np.int64)
 
-        # strides for the mixed-radix full-space index, site 0 slowest
-        strides = np.ones(self.n_sites, dtype=np.int64)
-        for i in range(self.n_sites - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.local_dims[i + 1]
-        self._strides = strides
-
+        # in C order the row of a local-index tuple is its full-space index
+        states = np.indices(dims, dtype=np.int64).reshape(
+            self.n_sites, self.total_dim).T
         full = np.arange(self.total_dim, dtype=np.int64)
-        states = np.empty((self.total_dim, self.n_sites), dtype=np.int64)
-        rem = full
-        for i in range(self.n_sites):
-            states[:, i] = rem // strides[i]
-            rem = rem % strides[i]
-        two_m = np.array(self.site_two_s, dtype=np.int64)[None, :] - 2 * states
-        keep = slice(None)
         if sector_two_m is not None:
-            if (sector_two_m - sum(self.site_two_s)) % 2 != 0:
+            lowered = sum(self.site_two_s) - sector_two_m  # 2 * sum of indices
+            if lowered % 2 != 0:
                 raise ValueError("sector 2M has wrong parity for these spins")
-            keep = two_m.sum(axis=1) == sector_two_m
-        self.states = states[keep]
-        self.full_index = full[keep]
-        self.dim = self.states.shape[0]
+            full = np.flatnonzero(states.sum(axis=1) == lowered // 2)
+            states = states[full]
+        self.states = states
+        self.full_index = full
+        self.dim = len(full)
         # two_m per site of each kept state, used by diagonal builders
-        self.two_m = two_m[keep]
+        self.two_m = np.array(self.site_two_s, dtype=np.int64) - 2 * states
 
     def position_of_full(self, full_index: np.ndarray) -> np.ndarray:
         """Map full-space indices to positions in this basis (must be present)."""

@@ -177,7 +177,8 @@ class CollinearChainSolver:
                     abs(self.coupling))
             else:
                 vals, manifold, _ = lanczos_ground(
-                    sec["op"], seed=self.seed, v0=sec["v0"], shift=shift)
+                    sec["op"], seed=self.seed, v0=sec["v0"], shift=shift,
+                    unit=abs(self.coupling))
                 sec["v0"] = manifold[:, 0]
                 e0 = float(vals[0])
             results.append((e0, sec, manifold))

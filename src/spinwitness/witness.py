@@ -323,10 +323,10 @@ def full_spectrum(system: SpinSystem) -> np.ndarray:
         for size, (_, copies) in zip(sizes, blocks):
             a, c = rep[stop:stop + size], coef[stop:stop + size]
             sub = hq[:, stop:stop + size]
-            block = sub[a].toarray()
-            block *= c[:, :1]
+            # scaled while sparse: dense_spectrum makes the one dense copy
+            block = sub[a].multiply(c[:, :1])
             if np.any(c[:, 1]):
-                block += sub[a + x.shape[1]].toarray() * c[:, 1:]
+                block += sub[a + x.shape[1]].multiply(c[:, 1:])
             pieces += [dense_spectrum(block)] * copies * (2 if two_m else 1)
             stop += size
     return np.sort(np.concatenate(pieces))
@@ -345,11 +345,12 @@ def thermal_energy(spectrum: np.ndarray, temperature: float) -> float:
     return float((e * w).sum() / w.sum())
 
 
-def threshold_temperature(spectrum: np.ndarray, ebs: float) -> float:
+def threshold_temperature(spectrum: np.ndarray, ebs: float, unit: float = 1.0) -> float:
     """Temperature T* at which <H>_T crosses a biseparable threshold.
 
     <H>_T increases monotonically in T, so the root is unique; found by
-    bisection to |<H>_T - ebs| < 1e-10, searched up to T = 1e6.
+    bisection to |<H>_T - ebs| < 1e-10 unit, searched up to T = 1e6 unit,
+    the unit |J| for a system so that T*/J does not depend on the scale of J.
     """
     e = np.asarray(spectrum, dtype=float)
     e0 = e.min()
@@ -357,15 +358,15 @@ def threshold_temperature(spectrum: np.ndarray, ebs: float) -> float:
         raise ValueError("threshold at or below the ground energy: no crossing")
     if ebs >= e.mean():
         raise ValueError("threshold above the infinite-T energy: no crossing")
-    lo, hi = 0.0, 1.0
+    lo, hi = 0.0, unit
     while thermal_energy(e, hi) < ebs:
         hi *= 2.0
-        if hi > 1e6:
-            raise ValueError("no crossing below T = 1e6")
+        if hi > 1e6 * unit:
+            raise ValueError(f"no crossing below T = {1e6 * unit:g}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = thermal_energy(e, mid)
-        if abs(val - ebs) < 1e-10:
+        if abs(val - ebs) < 1e-10 * unit:
             return mid
         if val < ebs:
             lo = mid

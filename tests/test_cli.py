@@ -1,6 +1,7 @@
 """Command-line interface: output formats, determinism and exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -496,6 +497,17 @@ class TestDefectCommand:
         assert code == 0
         labels = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert labels == [""] * 4 + ["B"] * 4
+
+    def test_label_with_comma_or_quote_is_one_cell(self, tmp_path, capsys):
+        cfg = RING4 + ('defect_series: {site: 1, spins: ["1", "1/2"], '
+                       'labels: ["Cr7Ni, x", "say \\"B\\""]}\n')
+        code, out, _ = run_main(
+            ["defect", "--config", write(tmp_path, cfg), "--workers", "1"], capsys)
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert len(header) == 6 and len(rows) == 8
+        assert all(len(row) == 6 for row in rows)
+        assert [row[0] for row in rows] == ["Cr7Ni, x"] * 4 + ['say "B"'] * 4
 
     def test_labels_mismatch_is_config_error(self, tmp_path, capsys):
         cfg = RING4 + ("defect_series:\n  site: 1\n  spins: [\"0\", \"1\"]\n"

@@ -1,5 +1,6 @@
 """Spin algebra, product bases and sparse operator construction."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -132,6 +133,24 @@ class TestProductBasis:
         for two_m, idx in sectors:
             assert np.array_equal(idx, ProductBasis(spins, two_m).full_index)
         assert sum(idx.size for _, idx in sectors) == int(np.prod([t + 1 for t in spins]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=3), max_size=5),
+           st.integers(min_value=-16, max_value=16))
+    def test_states_in_lexicographic_order(self, spins, two_m):
+        # reference: the local-index tuples in lexicographic order, site 0
+        # slowest, numbered by their position in the whole product space
+        full = list(itertools.product(*(range(t + 1) for t in spins)))
+        two_m = (two_m - sum(spins)) // 2 * 2 + sum(spins)  # right parity
+        for sector in (None, two_m):
+            keep = [f for f, idx in enumerate(full) if sector is None
+                    or sum(spins) - 2 * sum(idx) == sector]
+            b = ProductBasis(spins, sector)
+            assert b.states.dtype == b.two_m.dtype == b.full_index.dtype == np.int64
+            assert b.states.tolist() == [list(full[f]) for f in keep]
+            assert b.full_index.tolist() == keep
+            assert np.array_equal(b.two_m, np.array(spins, dtype=int) - 2 * b.states)
+            assert np.array_equal(b.permuted(range(len(spins))), b.full_index)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=3),

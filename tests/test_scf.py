@@ -270,6 +270,18 @@ class TestBiseparableMinimum:
                         getattr(unit, name), abs=1e-9)
                 assert (scaled.eta, scaled.decoupled) == (unit.eta, unit.decoupled)
 
+    def test_lanczos_route_independent_of_scale_of_coupling(self):
+        # the s=3/2 segment of Arc(0, 1) has sectors above DENSE_DIM, so the
+        # chain solver's Lanczos iteration stops on a residual in units of |J|
+        unit = biseparable_minimum(SpinSystem.ring(6, "3/2"), Arc(0, 1))
+        for coupling in (1e-10, 1.0, 1e3):
+            scaled = biseparable_minimum(SpinSystem.ring(6, "3/2", coupling),
+                                         Arc(0, 1))
+            assert scaled.ebs / coupling == pytest.approx(unit.ebs, rel=1e-13)
+            for name in ("z_a", "z_aprime", "z_b", "z_bprime"):
+                assert getattr(scaled, name) == pytest.approx(
+                    getattr(unit, name), abs=1e-11)
+
     def test_converged_result_is_fixed_point(self):
         system = SpinSystem.ring(6, "1")
         res = biseparable_minimum(system, Arc(0, 1))

@@ -250,6 +250,16 @@ class TestThermal:
         tstar = threshold_temperature(self.spectrum, ebs)
         assert abs(thermal_energy(self.spectrum, tstar) - ebs) < 1e-10
 
+    def test_threshold_temperature_independent_of_scale_of_coupling(self):
+        # bracket, tolerance and search limit are in units of |J|
+        tstars = []
+        for coupling in (1e-10, 1.0, 1e3):
+            spectrum = full_spectrum(SpinSystem.ring(4, "1/2", coupling))
+            tstars.append(threshold_temperature(spectrum, -coupling, coupling)
+                          / coupling)
+        assert tstars == pytest.approx([tstars[1]] * 3, rel=1e-12)
+        assert tstars[1] == pytest.approx(0.8634, abs=1e-4)
+
     def test_threshold_out_of_range(self):
         with pytest.raises(ValueError):
             threshold_temperature(self.spectrum, self.spectrum[0] - 0.1)
