@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, load_config
 from .eigensolvers import DENSE_LIMIT, SolverError, sectored_ground_state
 from .hamiltonians import defected_ring
 from .operators import parse_spin, product_dim
-from .scf import (ScfError, biseparable_minimum_detailed, biseparable_scan,
+from .scf import (biseparable_minimum_detailed, biseparable_scan,
                   boundary_geometry, boundary_map, map_jobs)
 from .witness import (
     defect_series,
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ScfError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         if exc.diagnostics:
             print("diagnostics: " + json.dumps(exc.diagnostics, sort_keys=True,

@@ -112,14 +112,14 @@ def lanczos_ground(op: SparseHermitianOperator,
     """Lowest eigenpair by restarted Lanczos with full reorthogonalization.
 
     `shift` is a diagonal added to the operator inside the matrix-vector
-    product, so a field-dressed block needs no new matrix.  The Krylov basis
-    takes its dtype from the matrix.  It stops on a Ritz residual below
-    DEFAULT_TOL·max(unit, |theta|), the unit |J| for a system.  Returns
-    (values, vectors, iterations): one value and one column.  Raises
+    product, so a field-dressed block needs no new matrix.  Every 8 steps, at
+    a sweep's end and on an exhausted Krylov space, a checkpoint returns the
+    lowest Ritz pair if its residual is below DEFAULT_TOL·max(unit, |theta|),
+    the unit |J| for a system; a full sweep restarts from that Ritz vector.
+    Returns (values, vectors, iterations): one value and one column.  Raises
     SolverError, with the last Ritz residual estimate, on non-convergence.
     """
-    n = op.dim
-    mat = op.matrix
+    n, mat = op.dim, op.matrix
     if n < 1:
         raise SolverError("empty operator")
     if v0 is None:
@@ -127,70 +127,39 @@ def lanczos_ground(op: SparseHermitianOperator,
     v0 = v0 / np.linalg.norm(v0)
 
     m = min(300, n)  # Krylov vectors per restart
-    total_iter = 0
-    scale = unit
-    resid = np.array([np.inf])
-    for restart in range(MAX_RESTARTS):
-        V = np.empty((m, n), dtype=mat.dtype)
-        alphas = np.empty(m)
-        betas = np.empty(m)
+    V = np.empty((m, n), dtype=mat.dtype)
+    alphas, betas = np.empty(m), np.empty(m)
+    scale, resid = unit, np.inf
+    for sweep in range(MAX_RESTARTS):
         V[0] = v0
-        j_end = m
-        exhausted = False
         for j in range(m):
             w = mat @ V[j]
             if shift is not None:
                 w += shift * V[j]
-            a = np.real(np.vdot(V[j], w))
-            alphas[j] = a
+            alphas[j] = a = np.real(np.vdot(V[j], w))
             w = w - a * V[j]
             if j > 0:
                 w = w - betas[j - 1] * V[j - 1]
-            # full reorthogonalization, two passes
-            for _ in range(2):
-                coeffs = V[:j + 1].conj() @ w
-                w = w - V[:j + 1].T @ coeffs
-            b = np.linalg.norm(w)
-            betas[j] = b
-            total_iter += 1
+            for _ in range(2):  # full reorthogonalization, two passes
+                w -= V[:j + 1].T @ (V[:j + 1].conj() @ w)
+            betas[j] = b = np.linalg.norm(w)
             scale = max(scale, abs(a), b)
-            if b < 1e-14 * scale:
-                j_end = j + 1
-                exhausted = True
-                break
-            # periodic Ritz-residual check to stop the sweep early
-            if j + 1 >= 6 and (j + 1) % 8 == 0:
-                th = scipy.linalg.eigh_tridiagonal(
-                    alphas[:j + 1], betas[:j], select="i",
-                    select_range=(0, 0), eigvals_only=False)
-                if np.all(np.abs(b * th[1][j, :]) <
-                          DEFAULT_TOL * max(unit, abs(th[0][0]))):
-                    j_end = j + 1
-                    break
+            exhausted = b < 1e-14 * scale
+            if exhausted or j + 1 == m or (j + 1) % 8 == 0:
+                theta, S = scipy.linalg.eigh_tridiagonal(alphas[:j + 1],
+                                                         betas[:j])
+                resid = abs(b * S[j, 0])
+                if exhausted or resid < DEFAULT_TOL * max(unit, abs(theta[0])):
+                    vecs = (S[:, :1].T @ V[:j + 1]).T
+                    vecs[:, 0] /= np.linalg.norm(vecs[:, 0])  # near 1 already
+                    return theta[:1], vecs, sweep * m + j + 1
             if j + 1 < m:
                 V[j + 1] = w / b
-        else:
-            j_end = m
-        nv = j_end
-        T_a = alphas[:nv]
-        T_b = betas[:nv - 1] if nv > 1 else np.array([])
-        theta, S = scipy.linalg.eigh_tridiagonal(T_a, T_b)
-        if exhausted:
-            resid = np.zeros(1)
-        else:
-            resid = np.abs(betas[nv - 1] * S[nv - 1, :1])
-        ritz_scale = max(unit, float(np.abs(theta[0])))
-        if exhausted or np.all(resid < DEFAULT_TOL * ritz_scale):
-            vecs = (S[:, :1].T @ V[:nv]).T
-            # re-normalize (reorthogonalization keeps this near 1)
-            vecs[:, 0] /= np.linalg.norm(vecs[:, 0])
-            return theta[:1], vecs, total_iter
-        # restart from the lowest Ritz vector
-        v0 = (S[:, 0].T @ V[:nv])
-        v0 = v0 / np.linalg.norm(v0)
+        v0 = S[:, 0] @ V  # restart from the lowest Ritz vector
+        v0 /= np.linalg.norm(v0)
     raise SolverError(
         "Lanczos failed to converge",
-        {"dim": n, "iterations": total_iter, "residual": float(resid[0]),
+        {"dim": n, "iterations": MAX_RESTARTS * m, "residual": float(resid),
          "tol": DEFAULT_TOL, "restarts": MAX_RESTARTS})
 
 

@@ -53,19 +53,17 @@ INIT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DENSE_DIM = 128
 
 
-class ScfError(RuntimeError):
+class ScfError(SolverError):
     """No self-consistent branch converged.
 
-    Carries a diagnostics summary: the branch count and each branch's last
-    residual.
+    A SolverError, so callers catch one failure type.  Carries a diagnostics
+    summary: the branch count and each branch's last residual.
     """
 
     def __init__(self, message: str, branches=()):
-        super().__init__(message)
-        self.diagnostics = ({"branches": len(branches),
-                             "last_residuals": [float(b.residual)
-                                                for b in branches]}
-                            if branches else {})
+        diagnostics = {"branches": len(branches),
+                       "last_residuals": [float(b.residual) for b in branches]}
+        super().__init__(message, diagnostics if branches else None)
 
 
 @dataclass(frozen=True)
@@ -355,14 +353,15 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = DEFAU
         raise ScfError("no SCF branch converged", branches)
     candidates = [b for b in branches if b.converged] + [decoupled]
     # branches reaching one fixed point differ only by rounding, so ties
-    # within 1e-12 go to the decoupled candidate, then to eta = +1 (the
+    # within 1e-12 |J| go to the decoupled candidate, then to eta = +1 (the
     # window and rule of biseparable_scan); otherwise the seed picks eta
+    unit = abs(system.coupling)
     emin = min(r.ebs for r in candidates)
-    best = min((r for r in candidates if r.ebs <= emin + 1e-12),
+    best = min((r for r in candidates if r.ebs <= emin + 1e-12 * unit),
                key=lambda r: (not r.decoupled, -r.eta, r.ebs))
     # a branch that drifted to the decoupled point is reported as such
     if not best.decoupled and max(abs(best.z_a), abs(best.z_b)) < 1e-7 \
-            and best.ebs >= e_dec - 1e-9:
+            and best.ebs >= e_dec - 1e-9 * unit:
         best = decoupled
     return _canonical(best, len(pairs)), branches + [decoupled]
 
@@ -391,7 +390,7 @@ def _scan_one(args):
     try:
         return BipartitionReport(arc.length, system.n_sites - arc.length,
                                  arc.offset, biseparable_minimum(system, arc, seed))
-    except (ScfError, SolverError) as exc:
+    except SolverError as exc:
         return BipartitionReport(arc.length, system.n_sites - arc.length,
                                  arc.offset, None, failed=True,
                                  message=str(exc))
@@ -430,6 +429,7 @@ def biseparable_scan(system: SpinSystem, seed: int = DEFAULT_SEED,
     if not ok:
         raise ScfError("every bipartition failed")
     emin = min(r.result.ebs for r in ok)
-    ties = [r for r in ok if r.result.ebs <= emin + 1e-12]
+    window = 1e-12 * abs(system.coupling)  # ties, in units of |J|
+    ties = [r for r in ok if r.result.ebs <= emin + window]
     argmin = min(ties, key=lambda r: (r.n_a, r.offset, -r.result.eta))
     return ScanResult(reports, float(emin), argmin)

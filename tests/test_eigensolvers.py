@@ -2,6 +2,7 @@
 states."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -167,6 +168,17 @@ def test_lanczos_diagonal_invariant_subspace():
     op = SparseHermitianOperator(basis, sp.diags(diag))
     vals, vecs, _ = lanczos_ground(op, seed=1)
     assert abs(vals[0] - 0.0) < 1e-9
+
+
+def test_lanczos_restart_converges():
+    # a 1e-5 gap under a unit-wide band: one 300-vector sweep leaves the
+    # lowest Ritz pair short of the tolerance, so the solve restarts from it
+    mat = sp.diags(np.r_[0.0, 1e-5 + np.linspace(0, 1, 1999)]).tocsr()
+    vals, vecs, iterations = lanczos_ground(
+        SimpleNamespace(matrix=mat, dim=mat.shape[0]))
+    assert iterations > 300
+    assert abs(vals[0]) < 1e-9
+    assert np.linalg.norm(mat @ vecs[:, 0] - vals[0] * vecs[:, 0]) < 1e-8
 
 
 def test_lanczos_no_restarts_raises_solver_error(monkeypatch):

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinwitness import scf
-from spinwitness.eigensolvers import dense_spectrum
-from spinwitness.hamiltonians import (Arc, SpinSystem, build_hamiltonian, cut,
-                                     subsystem_bonds)
+from spinwitness.eigensolvers import SolverError, dense_spectrum
+from spinwitness.hamiltonians import (RING, Arc, SpinSystem, build_hamiltonian,
+                                     cut, subsystem_bonds)
 from spinwitness.operators import ProductBasis, heisenberg_matrix
 from spinwitness.scf import (
     BoundaryPair,
@@ -340,6 +340,8 @@ class TestBiseparableMinimum:
         system = SpinSystem.ring(6, "1")
         with pytest.raises(ScfError) as info:
             biseparable_minimum(system, Arc(0, 1))
+        # one failure type: the CLI and the scan catch SolverError alone
+        assert isinstance(info.value, SolverError)
         diag = info.value.diagnostics
         assert diag["branches"] == 10
         assert len(diag["last_residuals"]) == 10
@@ -381,6 +383,25 @@ class TestScan:
         scan = biseparable_scan(SpinSystem.ring(6, "1/2"))
         assert scan.argmin.n_a == 2
         assert scan.argmin.result.decoupled
+
+    def test_tie_windows_independent_of_scale_of_coupling(self):
+        # the arcs n_a = 1 and 3 at offset 2 lie 0.0093 J apart; a tie
+        # window in absolute energy holds both at J = 1e-10 and hands the
+        # argmin to the higher one
+        spins = ("3/2", "1", "1", "1", "1", "1")
+        scans = {j: biseparable_scan(SpinSystem.from_spins(RING, spins, j))
+                 for j in (1e-10, 1.0, 1e3)}
+
+        def rows(scan):
+            return [(r.n_a, r.offset, r.result.eta, r.result.decoupled)
+                    for r in scan.reports]
+
+        unit = scans[1.0]
+        for j, scan in scans.items():
+            assert (scan.argmin.n_a, scan.argmin.offset) == (
+                unit.argmin.n_a, unit.argmin.offset)
+            assert rows(scan) == rows(unit)
+            assert scan.ebs / j == pytest.approx(unit.ebs, rel=1e-12)
 
 
 class TestMapPropertiesSmall:
