@@ -144,7 +144,7 @@ def lanczos_ground(op: SparseHermitianOperator,
                 w -= V[:j + 1].T @ (V[:j + 1].conj() @ w)
             betas[j] = b = np.linalg.norm(w)
             scale = max(scale, abs(a), b)
-            exhausted = b < 1e-14 * scale
+            exhausted = b <= 1e-14 * scale  # <=: the zero operator has scale 0
             if exhausted or j + 1 == m or (j + 1) % 8 == 0:
                 theta, S = scipy.linalg.eigh_tridiagonal(alphas[:j + 1],
                                                          betas[:j])

@@ -11,11 +11,13 @@ Two layers:
   boundary expectations of each subsystem tied by a sign eta = +/-1; both
   eta branches and a grid of starting moduli are scanned, and the
   exactly-decoupled candidate (all boundary expectations zero) is always
-  included in the minimum.  That candidate is solved first: its field-free
-  solves give each segment solver the minimum E_min(M) of every Sz sector,
-  and since boundary fields b_k on spins s_k move any energy by at most
-  sum_k |b_k| s_k, later solves skip every sector whose E_min(M) minus that
-  bound lies above the current minimum by the degeneracy window or more.
+  included in the minimum.  That candidate is solved first, at zero field.
+  Each segment solver keeps every Sz sector's lowest level at zero field
+  and at the fields of its last solve.  The fields are diagonal, so by
+  Weyl's inequality changing them from b' to b moves a sector's lowest
+  level by at most sum_k |b_k - b'_k| s_k; later solves skip every sector
+  whose bound from those two levels lies above the current minimum by the
+  degeneracy window or more.
 """
 
 from __future__ import annotations
@@ -117,10 +119,9 @@ class CollinearChainSolver:
     def __init__(self, system: SpinSystem, sites, field_sites, seed: int = DEFAULT_SEED):
         local = {site: k for k, site in enumerate(sites)}
         self.field_sites = tuple(local[s] for s in field_sites)
-        self.field_spins = tuple(system.site_two_s[s] / 2.0 for s in field_sites)
+        self.field_spins = np.array([system.site_two_s[s] / 2.0 for s in field_sites])
         self.coupling = system.coupling
         self.seed = seed
-        self.by_floor = None  # sectors by field-free minimum, once known
         self.sectors = []
         op = build_on_sites(system, sites)
         basis, mat = op.basis, op.matrix
@@ -134,6 +135,11 @@ class CollinearChainSolver:
                 sec["op"] = SimpleNamespace(matrix=block, dim=len(idx))
                 sec["v0"] = None
             self.sectors.append(sec)
+        # each sector's lowest level at zero field, and at the fields b_last
+        # of its last solve; -inf until solved, a bound that skips nothing
+        self.floor = np.full(len(self.sectors), -np.inf)
+        self.e_last = np.full(len(self.sectors), -np.inf)
+        self.b_last = np.zeros((len(self.sectors), len(self.field_sites)))
 
     def ground(self, z_outside, select_coeffs=None):
         """Lowest dressed eigenstate over all sectors.
@@ -146,49 +152,54 @@ class CollinearChainSolver:
         dict with the dressed energy, the bare-Hamiltonian expectation and
         the per-field-site <sz> values.
 
-        The first field-free call solves every sector and keeps each
-        sector's minimum E_min(M) as its floor.  The fields are diagonal
-        and move any energy by at most reach = sum_k |b_k| s_k, so later
-        calls visit the sectors by ascending floor and stop at the first
-        whose E_min(M) - reach lies above the running minimum by the
-        degeneracy window or more: it and every later sector hold neither
-        the minimum nor a member of its level.
+        Each sector keeps its lowest level at zero field (its floor) and
+        e_last at the fields b_last of its last solve.  Fields b and b'
+        differ by the diagonal sum_k (b_k - b'_k) sz_k, of norm at most
+        sum_k |b_k - b'_k| s_k, so by Weyl's inequality the sector's lowest
+        level at fields b is at least
+            max(floor - sum_k |b_k| s_k, e_last - sum_k |b_k - b_last,k| s_k).
+        A call visits the sectors by ascending bound and stops at the first
+        whose bound lies above the running minimum by the degeneracy window
+        or more: it and every later sector hold neither the minimum nor a
+        member of its level.  An unsolved sector's bound is -inf, so the
+        first call solves every sector.
         """
-        field_values = tuple(self.coupling * float(z) for z in z_outside)
-        if len(field_values) != len(self.field_sites):
+        fields = self.coupling * np.array(z_outside, dtype=float)
+        if len(fields) != len(self.field_sites):
             raise ValueError("one field value per field site required")
-        reach = sum(abs(b) * s for b, s in zip(field_values, self.field_spins))
+        unit = abs(self.coupling)
+        bounds = np.maximum(
+            self.floor - np.abs(fields) @ self.field_spins,
+            self.e_last - np.abs(fields - self.b_last) @ self.field_spins)
         results = []
         best = np.inf
-        for sec in self.by_floor or self.sectors:
-            if self.by_floor and not degenerate_with(best, sec["floor"] - reach,
-                                                     abs(self.coupling)):
+        for k in np.argsort(bounds, kind="stable"):
+            if not degenerate_with(best, bounds[k], unit):
                 break
+            sec = self.sectors[k]
             shift = None
-            for b, d in zip(field_values, sec["diags"]):
+            for b, d in zip(fields, sec["diags"]):
                 if b != 0.0:
                     shift = b * d if shift is None else shift + b * d
             if "dense" in sec:
                 mat = sec["dense"]
                 e0, _, manifold = lowest_level(
-                    mat if shift is None else mat + np.diag(shift),
-                    abs(self.coupling))
+                    mat if shift is None else mat + np.diag(shift), unit)
             else:
                 vals, manifold, _ = lanczos_ground(
                     sec["op"], seed=self.seed, v0=sec["v0"], shift=shift,
-                    unit=abs(self.coupling))
+                    unit=unit)
                 sec["v0"] = manifold[:, 0]
                 e0 = float(vals[0])
+            self.e_last[k], self.b_last[k] = e0, fields
+            if shift is None:
+                self.floor[k] = e0
             results.append((e0, sec, manifold))
             best = min(best, e0)
-        if self.by_floor is None and not any(field_values):
-            for e, sec, _ in results:
-                sec["floor"] = e
-            self.by_floor = sorted(self.sectors, key=lambda sec: sec["floor"])
         results.sort(key=lambda r: r[1]["two_m"])
         e0 = best
         level = [(sec, m) for e, sec, m in results
-                 if degenerate_with(e0, e, abs(self.coupling))]
+                 if degenerate_with(e0, e, unit)]
         sec, manifold = level[0]
         vec = manifold[:, 0]
         if select_coeffs is not None and (len(level) > 1 or manifold.shape[1] > 1):
@@ -200,7 +211,7 @@ class CollinearChainSolver:
             _, _, sec, vec = min(picks, key=lambda p: p[:2])
         p = np.abs(vec) ** 2
         z_fields = [float(p @ d) for d in sec["diags"]]
-        e_bare = e0 - sum(b * z for b, z in zip(field_values, z_fields))
+        e_bare = e0 - sum(b * z for b, z in zip(fields, z_fields))
         return {"energy": e0, "e_bare": e_bare, "z_fields": z_fields}
 
 

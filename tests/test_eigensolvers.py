@@ -170,6 +170,17 @@ def test_lanczos_diagonal_invariant_subspace():
     assert abs(vals[0] - 0.0) < 1e-9
 
 
+@pytest.mark.parametrize("unit", [0.0, 1.0])
+def test_lanczos_zero_operator(unit):
+    # the first Lanczos vector is already an eigenvector; with unit 0 the
+    # exhaustion test compares a zero residual with a zero scale
+    op = SimpleNamespace(matrix=sp.csr_matrix((5, 5)), dim=5)
+    vals, vecs, iterations = lanczos_ground(op, unit=unit)
+    assert vals.tolist() == [0.0]
+    assert iterations == 1
+    assert abs(np.linalg.norm(vecs[:, 0]) - 1.0) < 1e-12
+
+
 def test_lanczos_restart_converges():
     # a 1e-5 gap under a unit-wide band: one 300-vector sweep leaves the
     # lowest Ritz pair short of the tolerance, so the solve restarts from it

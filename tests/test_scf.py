@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinwitness import scf
-from spinwitness.eigensolvers import SolverError, dense_spectrum
+from spinwitness.eigensolvers import SolverError, degenerate_with, dense_spectrum
 from spinwitness.hamiltonians import (RING, Arc, SpinSystem, build_hamiltonian,
                                      cut, subsystem_bonds)
 from spinwitness.operators import ProductBasis, heisenberg_matrix
@@ -167,10 +167,11 @@ class TestCollinearChainSolver:
 
 @st.composite
 def dressed_segments(draw):
-    """(system, sites, field_sites, field sets): a whole chain or the two
+    """(system, sites, field_sites, field history): a whole chain or the two
     pieces left by an interior arc, N <= 6, fields on 1-3 of its sites (a
-    site may carry two), and three field sets: drawn values, the same
-    with every other sign flipped, and zero."""
+    site may carry two), and 3-5 field sets in the order an SCF run meets
+    them: zero, drawn values, then each set the last one drifted, with some
+    signs flipped, or back at zero."""
     n = draw(st.integers(2, 6))
     system = SpinSystem.chain(n, draw(st.sampled_from(["1/2", "1", "3/2", "2"])),
                               draw(st.sampled_from([0.6, 1.0, 1.7])))
@@ -179,10 +180,23 @@ def dressed_segments(draw):
         length = draw(st.integers(1, n - 2))
         _, sites, _ = cut(system, Arc(draw(st.integers(1, n - 1 - length)), length))
     field_sites = draw(st.lists(st.sampled_from(sites), min_size=1, max_size=3))
+    size = len(field_sites)
     zs = draw(st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
-                       min_size=len(field_sites), max_size=len(field_sites)))
-    flipped = [-z if k % 2 else z for k, z in enumerate(zs)]
-    return system, sites, field_sites, [zs, flipped, [0.0] * len(zs)]
+                       min_size=size, max_size=size))
+    history = [[0.0] * size, zs]
+    for _ in range(draw(st.integers(1, 3))):
+        move = draw(st.sampled_from(["drift", "flip", "zero"]))
+        if move == "drift":
+            steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6),
+                                            st.floats(-0.5, 0.5)),
+                                  min_size=size, max_size=size))
+            history.append([z + d for z, d in zip(history[-1], steps)])
+        elif move == "flip":
+            flips = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            history.append([-z if f else z for z, f in zip(history[-1], flips)])
+        else:
+            history.append([0.0] * size)
+    return system, sites, field_sites, history
 
 
 class TestSectorFloors:
@@ -191,24 +205,33 @@ class TestSectorFloors:
     # fields strong enough to polarize: the minimum moves to the sector of
     # highest floor, which only the full reach keeps in the search
     @example((SpinSystem.chain(3, "1/2"), [0, 1, 2], [0, 1, 2],
-              [[2.0, 2.0, 2.0], [2.0, -2.0, 2.0], [0.0, 0.0, 0.0]]), False)
+              [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0], [2.0, -2.0, 2.0],
+               [0.0, 0.0, 0.0]]), False)
     def test_skipping_matches_solving_every_sector(self, case, select):
-        system, sites, field_sites, field_sets = case
-        floored = CollinearChainSolver(system, sites, field_sites)
-        floored.ground([0.0] * len(field_sites))
-        assert floored.by_floor is not None
-        for zs in field_sets:
+        # one solver meets the whole history, so its bounds come from the
+        # floors and from each sector's last solve
+        system, sites, field_sites, history = case
+        pruned = CollinearChainSolver(system, sites, field_sites)
+        for zs in history:
             coeffs = [1.0 - 2.0 * (k % 2) for k in range(len(zs))] if select else None
             # a fresh solver given the same Lanczos start vectors solves
-            # every sector just as the floored one solves those it keeps
+            # every sector just as the pruned one solves those it keeps
             fresh = CollinearChainSolver(system, sites, field_sites)
-            for mine, theirs in zip(fresh.sectors, floored.sectors):
+            for mine, theirs in zip(fresh.sectors, pruned.sectors):
                 mine["v0"] = theirs.get("v0")
-            got = floored.ground(zs, select_coeffs=coeffs)
+            got = pruned.ground(zs, select_coeffs=coeffs)
             want = fresh.ground(zs, select_coeffs=coeffs)
             assert got["energy"] == pytest.approx(want["energy"], abs=1e-12)
             assert got["e_bare"] == pytest.approx(want["e_bare"], abs=1e-12)
             assert got["z_fields"] == pytest.approx(want["z_fields"], abs=1e-12)
+            # no sector of the minimum's level was skipped: each was solved
+            # at these fields
+            level = degenerate_with(want["energy"], fresh.e_last,
+                                    abs(system.coupling))
+            assert np.all(pruned.b_last[level] == system.coupling * np.array(zs))
+            assert pruned.e_last[level] == pytest.approx(fresh.e_last[level],
+                                                         abs=1e-12)
+        assert np.all(np.isfinite(pruned.floor))
 
     def test_multiplet_keeps_its_level(self):
         # an odd spin-1/2 chain at zero field: the ground doublet lies in
@@ -225,11 +248,14 @@ class TestSectorFloors:
         # sector and records nothing
         solver = CollinearChainSolver(SpinSystem.chain(4, "1"), range(4), (0,))
         solver.ground([1.0])
-        assert solver.by_floor is None
+        assert np.all(np.isfinite(solver.e_last))
+        assert np.all(solver.floor == -np.inf)
 
     def test_ring8_scan_skips_most_sector_solves(self, monkeypatch):
         # the N=8 s=1 scan solved 4734 sector blocks (lowest_level plus
-        # lanczos_ground calls) when every call solved every sector
+        # lanczos_ground calls) when every call solved every sector, 1408
+        # when bounded by the floors alone, and 667 with each sector's last
+        # solve bounding it too
         calls = []
 
         def counted(fn):
@@ -242,7 +268,7 @@ class TestSectorFloors:
         monkeypatch.setattr(scf, "lanczos_ground", counted(scf.lanczos_ground))
         scan = biseparable_scan(SpinSystem.ring(8, "1"), workers=1)
         assert scan.argmin.n_a == 1
-        assert len(calls) <= 0.4 * 4734
+        assert len(calls) <= 700
 
 
 class TestBiseparableMinimum:
