@@ -17,7 +17,9 @@ Two layers:
   Weyl's inequality changing them from b' to b moves a sector's lowest
   level by at most sum_k |b_k - b'_k| s_k; later solves skip every sector
   whose bound from those two levels lies above the current minimum by the
-  degeneracy window or more.
+  degeneracy window or more.  A single-site threshold's one dressed solve
+  gets its sector bounds from a cut of the solver's sites in two halves
+  (``CollinearChainSolver.bound_by_halves``) instead.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .eigensolvers import (
@@ -104,6 +107,28 @@ def boundary_geometry(pair: BoundaryPair) -> BoundaryGeometry:
     return BoundaryGeometry(float(np.arccos(c)), diff, (a, b), True)
 
 
+def _sector_blocks(basis, mat):
+    """(2M, positions, CSR block) of each Sz sector of an operator `mat` on
+    `basis` that conserves Sz.  Its rows, taken once in sector order, hold no
+    column outside their own sector, so each block is a run of those rows
+    with its columns renumbered: the same arrays as mat[idx][:, idx],
+    without a scipy column index per sector."""
+    sectors = basis.sectors()
+    order = np.concatenate([idx for _, idx in sectors])
+    rows = mat.tocsr()[order]
+    pos = np.empty(len(order), dtype=rows.indices.dtype)
+    pos[order] = np.arange(len(order))
+    cols = pos[rows.indices]
+    start = 0
+    for t, idx in sectors:
+        stop = start + len(idx)
+        lo, hi = rows.indptr[start], rows.indptr[stop]
+        yield t, idx, sp.csr_matrix(
+            (rows.data[lo:hi], cols[lo:hi] - start, rows.indptr[start:stop + 1] - lo),
+            shape=(len(idx), len(idx)))
+        start = stop
+
+
 class CollinearChainSolver:
     """Ground states of the system's `sites`, each of `field_sites` dressed
     by the +/- z field of a neighbour outside them.
@@ -112,7 +137,7 @@ class CollinearChainSolver:
     inside `sites`) and the diagonal sz operators of the field sites, so
     repeated solves during the fixed-point iteration only add diagonals.
     The product space is enumerated and assembled once and cut into its
-    sectors by index (``ProductBasis.sectors``).  The sites need not be
+    sectors (``_sector_blocks``).  The sites need not be
     connected (the complement of a mid-chain arc is two pieces).
     """
 
@@ -124,9 +149,8 @@ class CollinearChainSolver:
         self.seed = seed
         self.sectors = []
         op = build_on_sites(system, sites)
-        basis, mat = op.basis, op.matrix
-        for t, idx in basis.sectors():
-            block = mat[idx][:, idx]
+        basis = op.basis
+        for t, idx, block in _sector_blocks(basis, op.matrix):
             sec = {"two_m": t,
                    "diags": [basis.two_m[idx, s] / 2.0 for s in self.field_sites]}
             if len(idx) <= DENSE_DIM:
@@ -135,11 +159,59 @@ class CollinearChainSolver:
                 sec["op"] = SimpleNamespace(matrix=block, dim=len(idx))
                 sec["v0"] = None
             self.sectors.append(sec)
-        # each sector's lowest level at zero field, and at the fields b_last
-        # of its last solve; -inf until solved, a bound that skips nothing
+        # each sector's lowest level at zero field, and a lower bound on it at
+        # the fields b_last, exact once solved there; -inf until solved or
+        # bounded (bound_by_halves), a bound that skips nothing
         self.floor = np.full(len(self.sectors), -np.inf)
         self.e_last = np.full(len(self.sectors), -np.inf)
         self.b_last = np.zeros((len(self.sectors), len(self.field_sites)))
+
+    def bound_by_halves(self, system: SpinSystem, order, field_sites, z_outside):
+        """Bound every sector from below at the fields of z_outside (as in
+        ``ground``) before any solve, by cutting the sites in two.
+
+        system and field_sites are the solver's own; order lists its sites,
+        split after its first len // 2 (a single site is left unbounded).
+        Each half keeps its own field sites, and every sector of each half is
+        solved densely at those fields (a Lanczos estimate would lie above
+        the level, not below): e_1(2M_1), e_2(2M_2).  The dressed
+        Hamiltonian is H_1 + H_2 + V, with V the bonds between the halves.
+        H_1 + H_2 on sector 2M is the direct sum over 2M_1 + 2M_2 = 2M, and
+        V is at least the sum of each bond's lowest eigenvalue, so by Weyl's
+        inequality the sector's lowest level is at least
+            min over 2M_1 + 2M_2 = 2M of e_1 + e_2, plus sum over V of
+            min(J s_a s_b, J [S_0(S_0 + 1) - s_a(s_a + 1) - s_b(s_b + 1)] / 2)
+        with S_0 = |s_a - s_b|, lowered by 1e-12 max(|J|, |bound|) for
+        rounding.  It becomes each sector's e_last at these fields.
+        """
+        if len(order) < 2:
+            return
+        fields = self.coupling * np.array(z_outside, dtype=float)
+        cut_at = len(order) // 2
+        half = {site: k >= cut_at for k, site in enumerate(order)}
+        levels = []
+        for part in (order[:cut_at], order[cut_at:]):
+            op = build_on_sites(system, part)
+            own = [k for k, f in enumerate(field_sites) if f in part]
+            local = [part.index(field_sites[k]) for k in own]
+            mat = op.matrix + sp.diags(op.basis.two_m[:, local] @ fields[own] / 2.0)
+            levels.append({t: scipy.linalg.eigvalsh(block.toarray(),
+                                                    subset_by_index=[0, 0])[0]
+                           for t, _, block in _sector_blocks(op.basis, mat)})
+        low, high = levels
+        bound = np.array([min(e + high[sec["two_m"] - t] for t, e in low.items()
+                              if sec["two_m"] - t in high)
+                          for sec in self.sectors])
+        for a, b in system.bonds():
+            if a in half and b in half and half[a] != half[b]:
+                s_a, s_b = (system.site_two_s[x] / 2.0 for x in (a, b))
+                s_0 = abs(s_a - s_b)
+                bound += min(self.coupling * s_a * s_b,
+                             self.coupling * (s_0 * (s_0 + 1) - s_a * (s_a + 1)
+                                              - s_b * (s_b + 1)) / 2)
+        unit = abs(self.coupling)
+        self.e_last = bound - 1e-12 * np.maximum(unit, np.abs(bound))
+        self.b_last[:] = fields
 
     def ground(self, z_outside, select_coeffs=None):
         """Lowest dressed eigenstate over all sectors.
@@ -153,16 +225,19 @@ class CollinearChainSolver:
         the per-field-site <sz> values.
 
         Each sector keeps its lowest level at zero field (its floor) and
-        e_last at the fields b_last of its last solve.  Fields b and b'
-        differ by the diagonal sum_k (b_k - b'_k) sz_k, of norm at most
-        sum_k |b_k - b'_k| s_k, so by Weyl's inequality the sector's lowest
-        level at fields b is at least
+        e_last, a lower bound on its lowest level at the fields b_last:
+        that level itself once solved there, or a bound from
+        ``bound_by_halves``.  Fields b and b' differ by the diagonal
+        sum_k (b_k - b'_k) sz_k, of norm at most sum_k |b_k - b'_k| s_k, so
+        by Weyl's inequality the sector's lowest level at fields b is at
+        least
             max(floor - sum_k |b_k| s_k, e_last - sum_k |b_k - b_last,k| s_k).
         A call visits the sectors by ascending bound and stops at the first
         whose bound lies above the running minimum by the degeneracy window
         or more: it and every later sector hold neither the minimum nor a
-        member of its level.  An unsolved sector's bound is -inf, so the
-        first call solves every sector.
+        member of its level.  An unsolved, unbounded sector's bound is
+        -inf, so a first call without ``bound_by_halves`` solves every
+        sector.
         """
         fields = self.coupling * np.array(z_outside, dtype=float)
         if len(fields) != len(self.field_sites):

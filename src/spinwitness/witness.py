@@ -72,9 +72,12 @@ def single_site_threshold(system: SpinSystem, k: int, seed: int = DEFAULT_SEED) 
     """
     _, rest, pairs = cut(system, Arc(k, 1))
     # the remainder in index order: ring order moves some sums in the last digit
-    solver = CollinearChainSolver(system, sorted(rest), [b for _, b in pairs], seed)
-    g = solver.ground([system.site_two_s[k] / 2.0] * len(pairs))
-    return float(g["energy"])
+    field_sites = [b for _, b in pairs]
+    solver = CollinearChainSolver(system, sorted(rest), field_sites, seed)
+    z = [system.site_two_s[k] / 2.0] * len(pairs)
+    # split in ring order, so that few bonds cross
+    solver.bound_by_halves(system, rest, field_sites, z)
+    return float(solver.ground(z)["energy"])
 
 
 def threshold_table(system: SpinSystem, label: str | None = None,

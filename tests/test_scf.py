@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinwitness import scf
-from spinwitness.eigensolvers import SolverError, degenerate_with, dense_spectrum
-from spinwitness.hamiltonians import (RING, Arc, SpinSystem, build_hamiltonian,
-                                     cut, subsystem_bonds)
+from spinwitness.eigensolvers import (SolverError, degenerate_with, dense_spectrum,
+                                      lanczos_ground)
+from spinwitness.hamiltonians import (CHAIN, RING, Arc, SpinSystem,
+                                     build_hamiltonian, build_on_sites, cut,
+                                     subsystem_bonds)
 from spinwitness.operators import ProductBasis, heisenberg_matrix
 from spinwitness.scf import (
     BoundaryPair,
@@ -21,7 +24,7 @@ from spinwitness.scf import (
     boundary_map,
     scan_arcs,
 )
-from spinwitness.witness import single_site_threshold
+from spinwitness.witness import defect_series, single_site_threshold
 
 
 def z_vec(modulus, theta=0.0):
@@ -244,8 +247,9 @@ class TestSectorFloors:
         assert sum(first["z_fields"]) > 0
 
     def test_no_floors_from_a_field_call(self):
-        # single_site_threshold makes one dressed call: it solves every
-        # sector and records nothing
+        # a dressed call on a fresh solver solves every sector and records
+        # no floor; single_site_threshold bounds the sectors first
+        # (bound_by_halves) and so solves only those its bounds keep
         solver = CollinearChainSolver(SpinSystem.chain(4, "1"), range(4), (0,))
         solver.ground([1.0])
         assert np.all(np.isfinite(solver.e_last))
@@ -269,6 +273,73 @@ class TestSectorFloors:
         scan = biseparable_scan(SpinSystem.ring(8, "1"), workers=1)
         assert scan.argmin.n_a == 1
         assert len(calls) <= 700
+
+
+@st.composite
+def threshold_cuts(draw):
+    """(system, k): a ring (N = 3..7) or chain (N = 2..7) of mixed spins
+    s <= 2 at J in {-1, 0.6, 1, 1e3}, and the site k a threshold factors
+    out."""
+    topology = draw(st.sampled_from([RING, CHAIN]))
+    n = draw(st.integers(3 if topology == RING else 2, 7))
+    two_s = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    system = SpinSystem(topology, tuple(two_s),
+                        draw(st.sampled_from([-1.0, 0.6, 1.0, 1e3])))
+    return system, draw(st.integers(0, n - 1))
+
+
+class TestCutBounds:
+    @settings(max_examples=40, deadline=None)
+    @given(threshold_cuts())
+    # a ferromagnetic ring of mixed spins: the crossing bond's floor is
+    # J s_a s_b, not the antiparallel value
+    @example((SpinSystem(RING, (4, 1, 3, 2, 4), -1.0), 2))
+    def test_bounds_never_exceed_a_level(self, case):
+        # every sector's cut bound lies at or below its lowest level, with
+        # no tolerance, and the pruned threshold is the unpruned one exactly
+        system, k = case
+        _, rest, pairs = cut(system, Arc(k, 1))
+        field_sites = [b for _, b in pairs]
+        z = [system.site_two_s[k] / 2.0] * len(pairs)
+        unpruned = CollinearChainSolver(system, sorted(rest), field_sites)
+        energy = unpruned.ground(z)["energy"]
+        assert np.all(np.isfinite(unpruned.e_last))
+        bounded = CollinearChainSolver(system, sorted(rest), field_sites)
+        bounded.bound_by_halves(system, rest, field_sites, z)
+        if len(rest) > 1:
+            assert np.all(bounded.e_last <= unpruned.e_last)
+            assert np.all(bounded.b_last == system.coupling * np.array(z))
+        else:  # one site: nothing to cut, nothing bounded
+            assert np.all(bounded.e_last == -np.inf)
+        assert single_site_threshold(system, k) == energy
+
+    @settings(max_examples=20, deadline=None)
+    @given(threshold_cuts())
+    def test_sector_blocks_are_the_index_cut(self, case):
+        # the solvers' and the halves' sector blocks are mat[idx][:, idx]
+        # array for array, so every Lanczos solve keeps its bits
+        system, _ = case
+        op = build_on_sites(system, list(range(system.n_sites)))
+        mat = (op.matrix + sp.diags(np.arange(op.dim) / 7.0)).tocsr()
+        for _, idx, block in scf._sector_blocks(op.basis, mat):
+            ref = mat[idx][:, idx]
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(block, name), getattr(ref, name))
+
+    def test_defect_series_skips_most_lanczos_solves(self, monkeypatch):
+        # the defect series of an N=8 s=1 ring (site 5, s_M = 0..5/2) made
+        # 171 lanczos_ground calls when each threshold solved every sector,
+        # 69 with the cut bounds
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lanczos_ground(*args, **kwargs)
+
+        monkeypatch.setattr(scf, "lanczos_ground", counted)
+        defect_series(SpinSystem.ring(8, "1"), 5,
+                      ["0", "1/2", "1", "3/2", "2", "5/2"])
+        assert len(calls) <= 80
 
 
 class TestBiseparableMinimum:

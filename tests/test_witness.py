@@ -411,13 +411,16 @@ def test_thermal_cli_matches_golden(tmp_path):
     ("bisep", "qubit_chain6.yaml"),
     ("scan", "ring8_s32.yaml"),
     ("defect", "ring6_s1.yaml"),
+    ("defect", "substitution_series.yaml"),
+    ("verdict", "ring8_s32.yaml"),
     ("ground", "ferri_ring8_s1.yaml"),
     ("ground", "ring8_s32.yaml"),
     ("thermal", "qubit_chain6.yaml"),
     ("thermal", "ring6_s1.yaml"),
     ("thermal", "ferri_ring8_s1.yaml"),
 ], ids=["ground", "bisep", "scan", "verdict", "map", "scan-chain", "bisep-chain",
-        "scan-ring8-s32", "defect", "ground-ferri", "ground-ring8-s32",
+        "scan-ring8-s32", "defect", "defect-substitution", "verdict-ring8-s32",
+        "ground-ferri", "ground-ring8-s32",
         "thermal-chain", "thermal-ring6-s1", "thermal-ferri"])
 def test_cli_matches_golden(tmp_path, command, config):
     _assert_cli_matches_golden(tmp_path, command, config,
