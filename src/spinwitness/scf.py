@@ -11,7 +11,10 @@ Two layers:
   boundary expectations of each subsystem tied by a sign eta = +/-1; both
   eta branches and a grid of starting moduli are scanned, and the
   exactly-decoupled candidate (all boundary expectations zero) is always
-  included in the minimum.  That candidate is solved first, at zero field.
+  included in the minimum.  A branch that comes within 1e-6 of a fixed point
+  an earlier branch of its arc and eta converged to stops there, unless
+  that point is z = 0, which can be a saddle.  The decoupled candidate is
+  solved first, at zero field.
   Each segment solver keeps every Sz sector's lowest level at zero field
   and at the fields of its last solve.  The fields are diagonal, so by
   Weyl's inequality changing them from b' to b moves a sector's lowest
@@ -357,14 +360,26 @@ class BipartitionReport:
     message: str = ""
 
 
-def _run_branch(solver_a, solver_b, npair, eta, z0):
+def _known_fixed_point(za, zb, known):
+    """The first of the `known` fixed points within 1e-6 of (za, zb) in
+    every boundary modulus, or None."""
+    for r in known:
+        if max(abs(za[0] - r.z_a), abs(za[-1] - r.z_aprime),
+               abs(zb[0] - r.z_b), abs(zb[-1] - r.z_bprime)) < 1e-6:
+            return r
+    return None
+
+
+def _run_branch(solver_a, solver_b, npair, eta, z0, known=()):
     """Alternating minimization from one starting modulus; returns an
     ScfResult.
 
     Each half-cycle is exact (A's dressed ground state for B's boundary
     spins, then B's for A's), so the product-state energy never rises.  A
     converged branch reports the product state of the cycle whose residual
-    fell below TOL.
+    fell below TOL.  A branch that comes within 1e-6 of one of the `known`
+    fixed points (those earlier branches of its arc and eta converged to)
+    stops there and reports that point with its own cycle count.
     """
     sign = [1.0, float(eta)] if npair == 2 else [1.0]
     z_b = np.array([z0 * s for s in sign])
@@ -385,6 +400,9 @@ def _run_branch(solver_a, solver_b, npair, eta, z0):
             return ScfResult(float(ebs), float(za[0]), float(za[-1]),
                              float(zb[0]), float(zb[-1]), eta, True,
                              float(resid), iterations=it)
+        match = _known_fixed_point(za, zb, known)
+        if match is not None:
+            return replace(match, iterations=it)
         # abandon a branch whose residual fails to halve within 100 cycles:
         # the map has no attracting fixed point here
         if resid < 0.5 * best_resid:
@@ -426,13 +444,20 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = DEFAU
 
     branches = []
     for eta in etas:
+        # the fixed points this eta's branches converged to, less z = 0: a
+        # branch can contract towards it and then escape (it may be a
+        # saddle), so passing near it proves nothing
+        known = []
         for f in INIT_GRID:
             try:
-                branches.append(_run_branch(solver_a, solver_b, len(pairs),
-                                            eta, s_bd * f))
+                branch = _run_branch(solver_a, solver_b, len(pairs), eta,
+                                     s_bd * f, known)
             except SolverError:
-                branches.append(ScfResult(np.inf, 0, 0, 0, 0, eta, False,
-                                          np.inf))
+                branch = ScfResult(np.inf, 0, 0, 0, 0, eta, False, np.inf)
+            branches.append(branch)
+            if branch.converged and max(abs(branch.z_a), abs(branch.z_aprime),
+                                        abs(branch.z_b), abs(branch.z_bprime)) >= 1e-7:
+                known.append(branch)
     # the decoupled value alone is only an upper bound on the minimum, so it
     # must not stand in for an arc where every branch failed
     if not any(b.converged for b in branches):

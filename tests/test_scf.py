@@ -445,6 +445,68 @@ class TestBiseparableMinimum:
         assert info.value.diagnostics["branches"] == 10
 
 
+@st.composite
+def scf_arcs(draw):
+    """(system, arc, seed): a ring or chain of N = 3..6 sites, of one spin
+    or of mixed spins s <= 3/2, one of the arcs its scan runs, and a seed."""
+    topology = draw(st.sampled_from([RING, CHAIN]))
+    n = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        two_s = [draw(st.integers(1, 3))] * n
+    else:
+        two_s = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    system = SpinSystem(topology, tuple(two_s))
+    return (system, draw(st.sampled_from(scan_arcs(system))),
+            draw(st.sampled_from([5, 7, 42])))
+
+
+class TestKnownFixedPoints:
+    @settings(max_examples=30, deadline=None)
+    @given(scf_arcs())
+    # the eta = +1 branches from s/4 and s/2 contract to |z| ~ 3.5e-8, then
+    # escape along the antisymmetric mode to a fixed point 0.8 lower: z = 0,
+    # where the branch from 0 converged, is a saddle
+    @example((SpinSystem.ring(8, "1"), Arc(0, 4), 5))
+    @example((SpinSystem.ring(8, "1"), Arc(0, 4), 42))
+    def test_stopped_branch_reports_its_own_fixed_point(self, case):
+        # each branch reports the fixed point it reaches when no branch
+        # stops at a known one
+        system, arc, seed = case
+        _, stopped = biseparable_minimum_detailed(system, arc, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scf, "_known_fixed_point", lambda za, zb, known: None)
+            _, full = biseparable_minimum_detailed(system, arc, seed)
+        assert len(stopped) == len(full)
+        for got, want in zip(stopped, full):
+            assert (got.eta, got.converged) == (want.eta, want.converged)
+            if want.converged:
+                assert got.ebs == pytest.approx(want.ebs, abs=1e-9)
+                for name in ("z_a", "z_aprime", "z_b", "z_bprime"):
+                    assert getattr(got, name) == pytest.approx(
+                        getattr(want, name), abs=1e-6)
+
+    def test_ring8_scan_stops_branches_at_known_fixed_points(self, monkeypatch):
+        # the N=8 s=1 scan's 40 branches reach 14 fixed points; iterating
+        # every branch to its own convergence took 259 cycles and 526
+        # ground calls, stopping at known fixed points 194 and 396
+        calls = []
+
+        def counted(solver, *args, **kwargs):
+            calls.append(1)
+            return ground(solver, *args, **kwargs)
+
+        ground = CollinearChainSolver.ground
+        monkeypatch.setattr(CollinearChainSolver, "ground", counted)
+        system = SpinSystem.ring(8, "1")
+        branches = [b for arc in scan_arcs(system)
+                    for b in biseparable_minimum_detailed(system, arc)[1]
+                    if not b.decoupled]
+        assert len(branches) == 40
+        assert all(b.converged for b in branches)
+        assert sum(b.iterations for b in branches) <= 200
+        assert len(calls) <= 420
+
+
 class TestScan:
     def test_homogeneous_ring_single_offset(self):
         arcs = scan_arcs(SpinSystem.ring(8, "1/2"))
