@@ -164,31 +164,22 @@ def cut(system: SpinSystem, arc: Arc):
     return sites_a, sites_b, pairs
 
 
-def build_hamiltonian(system: SpinSystem,
-                      sector_two_m: int | None = None) -> SparseHermitianOperator:
-    """Full Heisenberg Hamiltonian of the system (N bonds for a ring, N-1 for a chain)."""
-    basis = ProductBasis(system.site_two_s, sector_two_m)
-    h = heisenberg_matrix(basis, system.bonds(), system.coupling)
-    return SparseHermitianOperator(basis, h)
-
-
-def subsystem_bonds(system: SpinSystem, sites: list) -> list:
-    """Bonds of the system with both endpoints inside `sites`, as local index pairs."""
+def build_hamiltonian(system: SpinSystem, sector_two_m: int | None = None,
+                      sites=None) -> SparseHermitianOperator:
+    """Heisenberg Hamiltonian of the system (N bonds for a ring, N-1 for a
+    chain), or of the given `sites` alone: only the bonds with both ends
+    inside them, each site renumbered by its place in `sites`."""
+    sites = range(system.n_sites) if sites is None else sites
     local = {site: k for k, site in enumerate(sites)}
-    return [(local[i], local[j]) for i, j in system.bonds()
-            if i in local and j in local]
-
-
-def build_on_sites(system: SpinSystem, sites: list) -> SparseHermitianOperator:
-    """Hamiltonian restricted to the given sites (only internal bonds kept),
-    on their full product space."""
-    basis = ProductBasis([system.site_two_s[i] for i in sites])
-    h = heisenberg_matrix(basis, subsystem_bonds(system, sites), system.coupling)
-    return SparseHermitianOperator(basis, h)
+    basis = ProductBasis([system.site_two_s[i] for i in sites], sector_two_m)
+    bonds = [(local[i], local[j]) for i, j in system.bonds()
+             if i in local and j in local]
+    return SparseHermitianOperator(basis, heisenberg_matrix(basis, bonds,
+                                                            system.coupling))
 
 
 __all__ = [
     "RING", "CHAIN", "SpinSystem", "Arc",
     "defected_ring", "site_maps", "site_classes", "cut",
-    "build_hamiltonian", "build_on_sites", "subsystem_bonds",
+    "build_hamiltonian",
 ]

@@ -11,18 +11,19 @@ Two layers:
   boundary expectations of each subsystem tied by a sign eta = +/-1; both
   eta branches and a grid of starting moduli are scanned, and the
   exactly-decoupled candidate (all boundary expectations zero) is always
-  included in the minimum.  A branch that comes within 1e-6 of a fixed point
-  an earlier branch of its arc and eta converged to stops there, unless
-  that point is z = 0, which can be a saddle.  The decoupled candidate is
-  solved first, at zero field.
+  included in the minimum: the lowest converged candidate, ties within
+  1e-12 |J| going to the decoupled one.  A branch that comes within 1e-6 of
+  a fixed point an earlier branch of its arc and eta converged to stops
+  there, unless every modulus of that point is below 1e-7 (z = 0, which
+  can be a saddle).  The decoupled candidate is solved first, at zero field.
   Each segment solver keeps every Sz sector's lowest level at zero field
   and at the fields of its last solve.  The fields are diagonal, so by
   Weyl's inequality changing them from b' to b moves a sector's lowest
   level by at most sum_k |b_k - b'_k| s_k; later solves skip every sector
   whose bound from those two levels lies above the current minimum by the
   degeneracy window or more.  A single-site threshold's one dressed solve
-  gets its sector bounds from a cut of the solver's sites in two halves
-  (``CollinearChainSolver.bound_by_halves``) instead.
+  gets its sector bounds from a cut of the solver's own sites, in their ring
+  order, in two halves (``CollinearChainSolver.bound_by_halves``) instead.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .eigensolvers import (
     lowest_level,
     select_in_manifold,
 )
-from .hamiltonians import RING, Arc, SpinSystem, build_on_sites, cut
+from .hamiltonians import RING, Arc, SpinSystem, build_hamiltonian, cut
 from .operators import ProductBasis, heisenberg_matrix, parse_spin, raising
 
 ZERO_MODULUS = 1e-12
@@ -141,17 +142,19 @@ class CollinearChainSolver:
     repeated solves during the fixed-point iteration only add diagonals.
     The product space is enumerated and assembled once and cut into its
     sectors (``_sector_blocks``).  The sites need not be
-    connected (the complement of a mid-chain arc is two pieces).
+    connected (the complement of a mid-chain arc is two pieces).  The solver
+    keeps the system, its sites in the order given and the field sites'
+    local indices, so ``bound_by_halves`` needs only the fields.
     """
 
     def __init__(self, system: SpinSystem, sites, field_sites, seed: int = DEFAULT_SEED):
-        local = {site: k for k, site in enumerate(sites)}
-        self.field_sites = tuple(local[s] for s in field_sites)
+        self.system, self.sites = system, list(sites)
+        self.field_sites = tuple(self.sites.index(s) for s in field_sites)
         self.field_spins = np.array([system.site_two_s[s] / 2.0 for s in field_sites])
         self.coupling = system.coupling
         self.seed = seed
         self.sectors = []
-        op = build_on_sites(system, sites)
+        op = build_hamiltonian(system, sites=self.sites)
         basis = op.basis
         for t, idx, block in _sector_blocks(basis, op.matrix):
             sec = {"two_m": t,
@@ -169,15 +172,15 @@ class CollinearChainSolver:
         self.e_last = np.full(len(self.sectors), -np.inf)
         self.b_last = np.zeros((len(self.sectors), len(self.field_sites)))
 
-    def bound_by_halves(self, system: SpinSystem, order, field_sites, z_outside):
+    def bound_by_halves(self, z_outside):
         """Bound every sector from below at the fields of z_outside (as in
         ``ground``) before any solve, by cutting the sites in two.
 
-        system and field_sites are the solver's own; order lists its sites,
-        split after its first len // 2 (a single site is left unbounded).
-        Each half keeps its own field sites, and every sector of each half is
-        solved densely at those fields (a Lanczos estimate would lie above
-        the level, not below): e_1(2M_1), e_2(2M_2).  The dressed
+        The solver's sites are split in their given order (the ring order,
+        so few bonds cross) after the first len // 2; a single site is left
+        unbounded.  Each half keeps its own field sites, and every sector of
+        each half is solved densely at those fields (a Lanczos estimate would
+        lie above the level, not below): e_1(2M_1), e_2(2M_2).  The dressed
         Hamiltonian is H_1 + H_2 + V, with V the bonds between the halves.
         H_1 + H_2 on sector 2M is the direct sum over 2M_1 + 2M_2 = 2M, and
         V is at least the sum of each bond's lowest eigenvalue, so by Weyl's
@@ -187,16 +190,17 @@ class CollinearChainSolver:
         with S_0 = |s_a - s_b|, lowered by 1e-12 max(|J|, |bound|) for
         rounding.  It becomes each sector's e_last at these fields.
         """
-        if len(order) < 2:
+        system, sites = self.system, self.sites
+        if len(sites) < 2:
             return
         fields = self.coupling * np.array(z_outside, dtype=float)
-        cut_at = len(order) // 2
-        half = {site: k >= cut_at for k, site in enumerate(order)}
+        cut_at = len(sites) // 2
+        half = {site: k >= cut_at for k, site in enumerate(sites)}
         levels = []
-        for part in (order[:cut_at], order[cut_at:]):
-            op = build_on_sites(system, part)
-            own = [k for k, f in enumerate(field_sites) if f in part]
-            local = [part.index(field_sites[k]) for k in own]
+        for lo, hi in ((0, cut_at), (cut_at, len(sites))):
+            op = build_hamiltonian(system, sites=sites[lo:hi])
+            own = [k for k, f in enumerate(self.field_sites) if lo <= f < hi]
+            local = [self.field_sites[k] - lo for k in own]
             mat = op.matrix + sp.diags(op.basis.two_m[:, local] @ fields[own] / 2.0)
             levels.append({t: scipy.linalg.eigvalsh(block.toarray(),
                                                     subset_by_index=[0, 0])[0]
@@ -470,10 +474,6 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = DEFAU
     emin = min(r.ebs for r in candidates)
     best = min((r for r in candidates if r.ebs <= emin + 1e-12 * unit),
                key=lambda r: (not r.decoupled, -r.eta, r.ebs))
-    # a branch that drifted to the decoupled point is reported as such
-    if not best.decoupled and max(abs(best.z_a), abs(best.z_b)) < 1e-7 \
-            and best.ebs >= e_dec - 1e-9 * unit:
-        best = decoupled
     return _canonical(best, len(pairs)), branches + [decoupled]
 
 

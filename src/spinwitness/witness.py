@@ -24,7 +24,7 @@ from .eigensolvers import (
 from .hamiltonians import (
     Arc,
     SpinSystem,
-    build_on_sites,
+    build_hamiltonian,
     cut,
     defected_ring,
     site_classes,
@@ -67,16 +67,14 @@ def ground_energy(system: SpinSystem, seed: int = DEFAULT_SEED) -> float:
 def single_site_threshold(system: SpinSystem, k: int, seed: int = DEFAULT_SEED) -> float:
     """E_bs^k: minimum biseparable energy when only site k is factored out.
 
-    The cut Arc(k, 1): the ground energy of the remaining sites with k's
-    neighbours dressed by the field J s_k of a fully polarized spin k.
+    The cut Arc(k, 1): the ground energy of the remaining sites, in the ring
+    order of ``cut``, with k's neighbours dressed by the field J s_k of a
+    fully polarized spin k.
     """
     _, rest, pairs = cut(system, Arc(k, 1))
-    # the remainder in index order: ring order moves some sums in the last digit
-    field_sites = [b for _, b in pairs]
-    solver = CollinearChainSolver(system, sorted(rest), field_sites, seed)
+    solver = CollinearChainSolver(system, rest, [b for _, b in pairs], seed)
     z = [system.site_two_s[k] / 2.0] * len(pairs)
-    # split in ring order, so that few bonds cross
-    solver.bound_by_halves(system, rest, field_sites, z)
+    solver.bound_by_halves(z)
     return float(solver.ground(z)["energy"])
 
 
@@ -202,7 +200,7 @@ def verify_not_eigenstate(system: SpinSystem, arc: Arc, samples: int = 1000,
         return EigenstateCheck(None, 0, True,
                                f"subsystem {side} has no singlet sector")
     # H in the site order (A sites, then B sites)
-    h = build_on_sites(system, sites_a + sites_b).matrix
+    h = build_hamiltonian(system, sites=sites_a + sites_b).matrix
     rng = np.random.default_rng(seed)
     min_var = np.inf
     for _ in range(samples):

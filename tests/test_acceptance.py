@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spinwitness.eigensolvers import dense_spectrum, lanczos_ground, sectored_ground_state
-from spinwitness.hamiltonians import Arc, SpinSystem, build_hamiltonian, build_on_sites
+from spinwitness.hamiltonians import Arc, SpinSystem, build_hamiltonian
 from spinwitness.scf import biseparable_minimum, biseparable_scan, boundary_geometry, boundary_map
 from spinwitness.witness import defect_series, eta_s, f_factor, verify_not_eigenstate
 
@@ -215,7 +215,7 @@ def test_criterion_07_random_product_states_respect_thresholds(ring8_scans):
         arc = Arc(0, n_a)
         sites_a = arc.sites(system)
         sites_b = [i for i in range(8) if i not in set(sites_a)]
-        h = build_on_sites(system, sites_a + sites_b).matrix
+        h = build_hamiltonian(system, sites=sites_a + sites_b).matrix
         dim_a, dim_b = 2 ** n_a, 2 ** (8 - n_a)
         floor = ebs_by_na[n_a] - 1e-8
         for _ in range(1000):

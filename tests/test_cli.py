@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from spinwitness import cli, scf
 from spinwitness.cli import main
-from spinwitness.config import REQUIRED, SCHEMA, ConfigError, parse_config
+from spinwitness.config import REQUIRED, SCHEMA, parse_config
 from spinwitness.eigensolvers import SolverError
 from spinwitness.hamiltonians import defected_ring
 from spinwitness.operators import parse_spin, product_dim

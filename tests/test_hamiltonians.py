@@ -8,12 +8,11 @@ from spinwitness.hamiltonians import (
     Arc,
     SpinSystem,
     build_hamiltonian,
-    build_on_sites,
     cut,
     defected_ring,
     site_classes,
-    subsystem_bonds,
 )
+from spinwitness.operators import ProductBasis, heisenberg_matrix
 from spinwitness.scf import scan_arcs
 
 
@@ -81,8 +80,8 @@ class TestSymmetries:
         system = SpinSystem.ring(6, "1/2")
         base = np.linalg.eigvalsh(build_hamiltonian(system).matrix.toarray())
         for shift in (1, 3):
-            rotated = build_on_sites(
-                system, [(i + shift) % 6 for i in range(6)])
+            rotated = build_hamiltonian(
+                system, sites=[(i + shift) % 6 for i in range(6)])
             vals = np.linalg.eigvalsh(rotated.matrix.toarray())
             assert np.abs(vals - base).max() < 1e-10
 
@@ -154,19 +153,20 @@ class TestArcs:
 class TestSubsystems:
     def test_subsystem_bonds_local_indices(self):
         system = SpinSystem.ring(6, "1/2")
-        bonds = subsystem_bonds(system, [4, 5, 0])
+        op = build_hamiltonian(system, sites=[4, 5, 0])
         # sites 4-5, 5-0 internal; 0-1 and 3-4 cross the cut
-        assert sorted(bonds) == [(0, 1), (1, 2)]
+        want = heisenberg_matrix(ProductBasis([1, 1, 1]), [(0, 1), (1, 2)])
+        assert np.array_equal(op.matrix.toarray(), want.toarray())
 
     def test_single_site_subsystem_is_zero(self):
         system = SpinSystem.ring(6, "1/2")
-        op = build_on_sites(system, Arc(2, 1).sites(system))
+        op = build_hamiltonian(system, sites=Arc(2, 1).sites(system))
         assert op.dim == 2
         assert op.matrix.nnz == 0
 
     def test_open_chain_energy(self):
         system = SpinSystem.ring(6, "1/2")
-        op = build_on_sites(system, Arc(0, 2).sites(system))
+        op = build_hamiltonian(system, sites=Arc(0, 2).sites(system))
         assert abs(np.linalg.eigvalsh(op.matrix.toarray())[0] + 0.75) < 1e-12
 
 

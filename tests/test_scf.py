@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinwitness import scf
 from spinwitness.eigensolvers import (SolverError, degenerate_with, dense_spectrum,
                                       lanczos_ground)
 from spinwitness.hamiltonians import (CHAIN, RING, Arc, SpinSystem,
-                                     build_hamiltonian, build_on_sites, cut,
-                                     subsystem_bonds)
-from spinwitness.operators import ProductBasis, heisenberg_matrix
+                                     build_hamiltonian, cut)
 from spinwitness.scf import (
     BoundaryPair,
     CollinearChainSolver,
@@ -151,13 +149,12 @@ class TestCollinearChainSolver:
         system = SpinSystem.chain(7, spin, 1.7)
         _, sites, _ = cut(system, Arc(2, 2))
         solver = CollinearChainSolver(system, sites, [sites[0], sites[-1]])
-        spins = [system.site_two_s[i] for i in sites]
         assert any("op" in sec for sec in solver.sectors) == (spin == "3/2")
         for sec in solver.sectors:
-            basis = ProductBasis(spins, sec["two_m"])
-            want = heisenberg_matrix(basis, subsystem_bonds(system, sites), 1.7)
+            want = build_hamiltonian(system, sec["two_m"], sites=sites)
+            basis = want.basis
             got = sec["dense"] if "dense" in sec else sec["op"].matrix.toarray()
-            assert np.array_equal(got, want.toarray())
+            assert np.array_equal(got, want.matrix.toarray())
             for d, k in zip(sec["diags"], solver.field_sites):
                 assert np.array_equal(d, basis.two_m[:, k] / 2.0)
 
@@ -301,11 +298,11 @@ class TestCutBounds:
         _, rest, pairs = cut(system, Arc(k, 1))
         field_sites = [b for _, b in pairs]
         z = [system.site_two_s[k] / 2.0] * len(pairs)
-        unpruned = CollinearChainSolver(system, sorted(rest), field_sites)
+        unpruned = CollinearChainSolver(system, rest, field_sites)
         energy = unpruned.ground(z)["energy"]
         assert np.all(np.isfinite(unpruned.e_last))
-        bounded = CollinearChainSolver(system, sorted(rest), field_sites)
-        bounded.bound_by_halves(system, rest, field_sites, z)
+        bounded = CollinearChainSolver(system, rest, field_sites)
+        bounded.bound_by_halves(z)
         if len(rest) > 1:
             assert np.all(bounded.e_last <= unpruned.e_last)
             assert np.all(bounded.b_last == system.coupling * np.array(z))
@@ -319,12 +316,28 @@ class TestCutBounds:
         # the solvers' and the halves' sector blocks are mat[idx][:, idx]
         # array for array, so every Lanczos solve keeps its bits
         system, _ = case
-        op = build_on_sites(system, list(range(system.n_sites)))
+        op = build_hamiltonian(system)
         mat = (op.matrix + sp.diags(np.arange(op.dim) / 7.0)).tocsr()
         for _, idx, block in scf._sector_blocks(op.basis, mat):
             ref = mat[idx][:, idx]
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(block, name), getattr(ref, name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(threshold_cuts())
+    def test_threshold_matches_dense_remainder(self, case):
+        # an oracle independent of the chain solver: the whole dressed
+        # remainder, H on the other sites plus J s_k sz on each of k's
+        # neighbours, diagonalized at once
+        system, k = case
+        _, rest, pairs = cut(system, Arc(k, 1))
+        assume(np.prod([system.site_two_s[i] + 1 for i in rest]) <= 2000)
+        op = build_hamiltonian(system, sites=rest)
+        s_k = system.site_two_s[k] / 2.0
+        field = sum(op.basis.two_m[:, rest.index(b)] / 2.0 for _, b in pairs)
+        want = dense_spectrum(op.matrix + sp.diags(system.coupling * s_k * field))[0]
+        got = single_site_threshold(system, k)
+        assert abs(got - want) <= 1e-12 * max(abs(system.coupling), abs(want))
 
     def test_defect_series_skips_most_lanczos_solves(self, monkeypatch):
         # the defect series of an N=8 s=1 ring (site 5, s_M = 0..5/2) made
@@ -429,6 +442,25 @@ class TestBiseparableMinimum:
         assert found
         assert all(b.residual < scf.TOL for b in found)
         assert np.mean([b.iterations for b in found]) < 15
+
+    def test_reported_ebs_is_the_lowest_converged_candidate(self, monkeypatch):
+        # a converged branch 1e-10 below the decoupled energy, with z_a and
+        # z_b at zero but z_aprime and z_bprime not: it lies outside the
+        # 1e-12 |J| tie window, so it is the minimum and is reported as found
+        system, arc = SpinSystem.ring(6, "1"), Arc(0, 3)
+        sites_a, sites_b, _ = cut(system, arc)
+        e_dec = sum(dense_spectrum(build_hamiltonian(system, sites=sites).matrix)[0]
+                    for sites in (sites_a, sites_b))
+
+        def fake_branch(solver_a, solver_b, npair, eta, z0, known=()):
+            return scf.ScfResult(e_dec - 1e-10, 0.0, 0.3, 0.0, 0.3, eta, True,
+                                 0.0, iterations=1)
+
+        monkeypatch.setattr(scf, "_run_branch", fake_branch)
+        res = biseparable_minimum(system, arc)
+        assert not res.decoupled
+        assert res.ebs == e_dec - 1e-10
+        assert (res.z_a, res.z_aprime, res.z_b, res.z_bprime) == (0.0, 0.3, 0.0, 0.3)
 
     def test_no_converged_branch_raises(self, monkeypatch):
         # one iteration converges none of the 10 branches; the decoupled

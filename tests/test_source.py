@@ -1,9 +1,10 @@
-"""Static checks on the package source."""
+"""Static checks on the package source and the tests."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spinwitness"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "spinwitness"
 
 
 def _unused_imports(path: Path) -> list:
@@ -24,6 +25,7 @@ def _unused_imports(path: Path) -> list:
 def test_no_unused_imports():
     # __init__.py imports in order to re-export
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted(TESTS.glob("*.py"))
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
