@@ -3,7 +3,8 @@
 Commands: ground | map | bisep | scan | defect | verdict | thermal.
 Common flags: --config PATH, --format {csv|json}, --out PATH, --seed N,
 --workers N.  Data goes to stdout (or --out); diagnostics to stderr.
-Exit codes: 0 success, 2 config error, 3 solver failure.
+Exit codes: 0 success, 2 config error, 3 solver failure (any failed arc of a
+scan or verdict).  bisep writes unconverged branches to stderr as a warning.
 
 Output is deterministic for a given config and seed: fixed row order,
 %.12e float formatting and LF line endings.
@@ -26,7 +27,8 @@ from .eigensolvers import DENSE_LIMIT, SolverError, sectored_ground_state
 from .hamiltonians import defected_ring
 from .operators import parse_spin, product_dim
 from .scf import (biseparable_minimum_detailed, biseparable_scan,
-                  boundary_geometry, boundary_map, map_jobs)
+                  boundary_geometry, boundary_map, map_jobs,
+                  unconverged_warning)
 from .witness import (
     defect_series,
     full_spectrum,
@@ -126,7 +128,9 @@ def cmd_map(cfg: RunConfig, seed: int, workers: int):
 def cmd_bisep(cfg: RunConfig, seed: int, workers: int):
     system, _ = cfg.build_system()
     arc = cfg.bisep_arc(system)
-    best, _ = biseparable_minimum_detailed(system, arc, seed)
+    best, branches = biseparable_minimum_detailed(system, arc, seed)
+    if warning := unconverged_warning(branches):  # stderr: the data is the table
+        print(f"warning: {warning}", file=sys.stderr)
     columns = ["n_a", "offset", "eta", "e_bs", "z_a", "z_aprime",
                "z_b", "z_bprime", "decoupled", "converged", "residual"]
     rows = [[arc.length, arc.offset + 1, best.eta, best.ebs, best.z_a,
@@ -143,14 +147,10 @@ def cmd_scan(cfg: RunConfig, seed: int, workers: int):
                "z_a", "z_b", "is_global_min", "warning"]
     rows = []
     for rep in scan.reports:
-        if rep.failed:
-            rows.append([rep.n_a, rep.offset + 1, 0, np.nan, np.nan, False,
-                         np.nan, np.nan, False, rep.message or "failed"])
-            continue
         r = rep.result
         rows.append([rep.n_a, rep.offset + 1, r.eta, r.ebs, r.ebs - e0,
                      bool(r.decoupled), r.z_a, r.z_b,
-                     bool(rep is scan.argmin), ""])
+                     bool(rep is scan.argmin), rep.warning])
     return columns, rows
 
 

@@ -24,6 +24,9 @@ Two layers:
   degeneracy window or more.  A single-site threshold's one dressed solve
   gets its sector bounds from a cut of the solver's own sites, in their ring
   order, in two halves (``CollinearChainSolver.bound_by_halves``) instead.
+
+E_bs is a minimum over every bipartition, so a ``SolverError`` of any branch
+or arc propagates, its diagnostics naming the arc (n_a, 1-based offset).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .eigensolvers import (
@@ -194,6 +196,7 @@ class CollinearChainSolver:
         if len(sites) < 2:
             return
         fields = self.coupling * np.array(z_outside, dtype=float)
+        unit = abs(self.coupling)
         cut_at = len(sites) // 2
         half = {site: k >= cut_at for k, site in enumerate(sites)}
         levels = []
@@ -202,8 +205,7 @@ class CollinearChainSolver:
             own = [k for k, f in enumerate(self.field_sites) if lo <= f < hi]
             local = [self.field_sites[k] - lo for k in own]
             mat = op.matrix + sp.diags(op.basis.two_m[:, local] @ fields[own] / 2.0)
-            levels.append({t: scipy.linalg.eigvalsh(block.toarray(),
-                                                    subset_by_index=[0, 0])[0]
+            levels.append({t: lowest_level(block.toarray(), unit)[0]
                            for t, _, block in _sector_blocks(op.basis, mat)})
         low, high = levels
         bound = np.array([min(e + high[sec["two_m"] - t] for t, e in low.items()
@@ -216,7 +218,6 @@ class CollinearChainSolver:
                 bound += min(self.coupling * s_a * s_b,
                              self.coupling * (s_0 * (s_0 + 1) - s_a * (s_a + 1)
                                               - s_b * (s_b + 1)) / 2)
-        unit = abs(self.coupling)
         self.e_last = bound - 1e-12 * np.maximum(unit, np.abs(bound))
         self.b_last[:] = fields
 
@@ -359,9 +360,8 @@ class BipartitionReport:
     n_a: int
     n_b: int
     offset: int
-    result: ScfResult | None
-    failed: bool = False
-    message: str = ""
+    result: ScfResult
+    warning: str = ""
 
 
 def _known_fixed_point(za, zb, known):
@@ -453,11 +453,7 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = DEFAU
         # saddle), so passing near it proves nothing
         known = []
         for f in INIT_GRID:
-            try:
-                branch = _run_branch(solver_a, solver_b, len(pairs), eta,
-                                     s_bd * f, known)
-            except SolverError:
-                branch = ScfResult(np.inf, 0, 0, 0, 0, eta, False, np.inf)
+            branch = _run_branch(solver_a, solver_b, len(pairs), eta, s_bd * f, known)
             branches.append(branch)
             if branch.converged and max(abs(branch.z_a), abs(branch.z_aprime),
                                         abs(branch.z_b), abs(branch.z_bprime)) >= 1e-7:
@@ -496,15 +492,22 @@ def map_jobs(fn, jobs, workers: int = 1) -> list:
     return [fn(job) for job in jobs]
 
 
+def unconverged_warning(branches) -> str:
+    """'k of n branches unconverged' (the decoupled candidate not run), or ''."""
+    run = [b for b in branches if not b.decoupled]
+    k = sum(not b.converged for b in run)
+    return f"{k} of {len(run)} branches unconverged" if k else ""
+
+
 def _scan_one(args):
     system, arc, seed = args
     try:
-        return BipartitionReport(arc.length, system.n_sites - arc.length,
-                                 arc.offset, biseparable_minimum(system, arc, seed))
-    except SolverError as exc:
-        return BipartitionReport(arc.length, system.n_sites - arc.length,
-                                 arc.offset, None, failed=True,
-                                 message=str(exc))
+        best, branches = biseparable_minimum_detailed(system, arc, seed)
+    except SolverError as exc:  # name the arc, offset 1-based as printed
+        exc.diagnostics.update(n_a=arc.length, offset=arc.offset + 1)
+        raise
+    return BipartitionReport(arc.length, system.n_sites - arc.length,
+                             arc.offset, best, unconverged_warning(branches))
 
 
 def scan_arcs(system: SpinSystem) -> list:
@@ -536,11 +539,8 @@ def biseparable_scan(system: SpinSystem, seed: int = DEFAULT_SEED,
     arcs = scan_arcs(system)
     reports = map_jobs(_scan_one, [(system, arc, seed) for arc in arcs], workers)
     reports.sort(key=lambda r: (r.n_a, r.offset))
-    ok = [r for r in reports if not r.failed]
-    if not ok:
-        raise ScfError("every bipartition failed")
-    emin = min(r.result.ebs for r in ok)
+    emin = min(r.result.ebs for r in reports)
     window = 1e-12 * abs(system.coupling)  # ties, in units of |J|
-    ties = [r for r in ok if r.result.ebs <= emin + window]
+    ties = [r for r in reports if r.result.ebs <= emin + window]
     argmin = min(ties, key=lambda r: (r.n_a, r.offset, -r.result.eta))
     return ScanResult(reports, float(emin), argmin)

@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .eigensolvers import (
     DEFAULT_SEED,
     degenerate_with,
     dense_spectrum,
+    lowest_level,
     refuse_dense,
     sectored_ground_state,
 )
@@ -173,11 +173,9 @@ def _singlet_projector(site_two_s) -> np.ndarray | None:
     if basis.dim == 0:
         return None
     splus = raising(basis, range(basis.n_sites))
-    vals, vecs = scipy.linalg.eigh((splus.T @ splus).toarray())  # S^2 at M = 0
-    keep = vals < 1e-8
-    if not np.any(keep):
+    e0, _, cols = lowest_level((splus.T @ splus).toarray())  # S^2 at M = 0
+    if not degenerate_with(0.0, e0):
         return None
-    cols = vecs[:, keep]
     # lift from the M=0 sector to the full space
     full = np.zeros((basis.total_dim, cols.shape[1]))
     full[basis.full_index] = cols

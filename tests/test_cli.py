@@ -360,21 +360,37 @@ class TestBisepAndScan:
             e_bs.append(float(record["e_bs"]))
         assert e_bs[0] == pytest.approx(e_bs[1], rel=1e-12, abs=0.0)
 
-    def test_scan_unconverged_arc_is_failed_row(self, tmp_path, capsys,
-                                                 monkeypatch):
-        # with one SCF iteration only the even-even arc converges (from z = 0)
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["scan", "verdict"])
+    def test_unconverged_arc_is_3(self, tmp_path, capsys, monkeypatch,
+                                  command, workers):
+        # with one SCF iteration only the even-even arc converges (from
+        # z = 0); a minimum over the other arcs is no threshold, so neither
+        # command writes data, and the diagnostics name the first failing arc
         monkeypatch.setattr(scf, "MAX_ITER", 1)
-        code, out, _ = run_main(
-            ["scan", "--config", write(tmp_path, RING6_S1), "--workers", "1"],
+        cfg = RING6_S1 + "verdict: {energy: -7.0}\n"
+        code, out, err = run_main(
+            [command, "--config", write(tmp_path, cfg), "--workers", workers],
             capsys)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == "solver failure: no SCF branch converged"
+        diag = json.loads(lines[1].removeprefix("diagnostics: "))
+        assert (diag["n_a"], diag["offset"], diag["branches"]) == (1, 1, 10)
+
+    def test_bisep_unconverged_branches_on_stderr(self, tmp_path, capsys):
+        # Arc(0, 2) of the 4-ring: four of its ten branches drift without
+        # converging; the table on stdout is the decoupled minimum as before
+        code, out, err = run_main(
+            ["bisep", "--config", write(tmp_path, RING4 + "bisep: {n_a: 2}\n"),
+             "--format", "json"], capsys)
         assert code == 0
-        rows = [dict(zip(out.splitlines()[0].split(","), l.split(",")))
-                for l in out.splitlines()[1:]]
-        assert [r["n_a"] for r in rows] == ["1", "2", "3"]
-        for r in (rows[0], rows[2]):
-            assert r["e_bs"] == "nan"
-            assert r["warning"] == "no SCF branch converged"
-        assert rows[1]["is_global_min"] == "true"
+        assert err == "warning: 4 of 10 branches unconverged\n"
+        table = json.loads(out)
+        record = dict(zip(table["columns"], table["rows"][0]))
+        assert record["e_bs"] == -1.5
+        assert record["decoupled"] and record["converged"]
 
 
 class TestThermalAndVerdict:

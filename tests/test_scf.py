@@ -1,5 +1,7 @@
 """Boundary map geometry and the self-consistent biseparable minimizer."""
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -476,6 +478,32 @@ class TestBiseparableMinimum:
         assert len(diag["last_residuals"]) == 10
         assert info.value.diagnostics["branches"] == 10
 
+    def test_failing_branch_raises(self, monkeypatch):
+        # a solver error in one branch is not a branch result: the minimum
+        # over the rest would not be the arc's minimum
+        run_branch, calls = scf._run_branch, []
+
+        def fail_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise SolverError("Lanczos failed to converge", {"dim": 70})
+            return run_branch(*args, **kwargs)
+
+        monkeypatch.setattr(scf, "_run_branch", fail_third)
+        with pytest.raises(SolverError, match="Lanczos failed to converge"):
+            biseparable_minimum(SpinSystem.ring(6, "1"), Arc(0, 3))
+
+    def test_drifting_branches_are_counted(self):
+        # the four eta = -1 branches from s/4 to s drift towards z = 0
+        # without converging; the decoupled candidate is not counted
+        system = SpinSystem.ring(4, "1/2")
+        best, branches = biseparable_minimum_detailed(system, Arc(0, 2))
+        assert best.decoupled
+        assert scf.unconverged_warning(branches) == "4 of 10 branches unconverged"
+        reports = {r.n_a: r for r in biseparable_scan(system).reports}
+        assert reports[2].warning == "4 of 10 branches unconverged"
+        assert reports[1].warning == ""
+
 
 @st.composite
 def scf_arcs(draw):
@@ -557,17 +585,28 @@ class TestScan:
     def test_scan_minimum_is_min_of_reports(self):
         system = SpinSystem.ring(6, "1/2")
         scan = biseparable_scan(system)
-        ok = [r.result.ebs for r in scan.reports if not r.failed]
-        assert abs(scan.ebs - min(ok)) < 1e-15
+        assert abs(scan.ebs - min(r.result.ebs for r in scan.reports)) < 1e-15
         assert scan.argmin.result.ebs == scan.ebs
 
-    def test_unconverged_arc_is_failed_report(self, monkeypatch):
-        # with one iteration only the even-even arc converges (from z = 0)
+    def test_unconverged_arc_raises(self, monkeypatch):
+        # with one iteration only the even-even arc converges (from z = 0);
+        # the minimum over the others is not E_bs, so the scan raises, naming
+        # the first failing arc (offset 1-based)
         monkeypatch.setattr(scf, "MAX_ITER", 1)
-        scan = biseparable_scan(SpinSystem.ring(6, "1"))
-        failed = [r.n_a for r in scan.reports if r.failed]
-        assert failed == [1, 3]
-        assert scan.argmin.n_a == 2
+        with pytest.raises(ScfError, match="no SCF branch converged") as info:
+            biseparable_scan(SpinSystem.ring(6, "1"))
+        diag = info.value.diagnostics
+        assert (diag["n_a"], diag["offset"], diag["branches"]) == (1, 1, 10)
+
+    def test_arc_tagged_error_survives_pickling(self):
+        # a worker process hands its exception back pickled
+        err = ScfError("no SCF branch converged",
+                       [scf.ScfResult(np.inf, 0, 0, 0, 0, 1, False, 0.5)])
+        err.diagnostics.update(n_a=3, offset=2)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is ScfError and str(back) == "no SCF branch converged"
+        assert back.diagnostics == {"branches": 1, "last_residuals": [0.5],
+                                    "n_a": 3, "offset": 2}
 
     def test_qubit_hexagon_argmin_even(self):
         # 6-ring of qubits: the (2,4) decoupled split wins over (1,5) and (3,3)

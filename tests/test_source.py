@@ -29,3 +29,24 @@ def test_no_unused_imports():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _linalg_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return [f"{path.name}:{name}" for name in names
+            if name.startswith(("scipy.linalg", "scipy.sparse.linalg"))]
+
+
+def test_lapack_only_in_eigensolvers():
+    # one eigensolver entry point: every other module solves through it
+    found = [entry for path in sorted(SRC.glob("*.py"))
+             if path.name != "eigensolvers.py"
+             for entry in _linalg_imports(path)]
+    assert found == []
+    assert _linalg_imports(SRC / "eigensolvers.py")
