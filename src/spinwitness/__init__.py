@@ -31,7 +31,6 @@ from .operators import (
 from .scf import (
     BoundaryGeometry,
     BoundaryPair,
-    ScfError,
     ScfResult,
     biseparable_minimum,
     biseparable_scan,

@@ -25,7 +25,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .eigensolvers import DENSE_LIMIT, SolverError, sectored_ground_state
 from .hamiltonians import defected_ring
-from .operators import parse_spin, product_dim
+from .operators import parse_spin
 from .scf import (biseparable_minimum_detailed, biseparable_scan,
                   boundary_geometry, boundary_map, map_jobs,
                   unconverged_warning)
@@ -96,11 +96,8 @@ def cmd_ground(cfg: RunConfig, seed: int, workers: int):
 
 def cmd_map(cfg: RunConfig, seed: int, workers: int):
     block = cfg.block("map")
-    try:  # the longest chain is checked before any job starts
-        dim = product_dim([parse_spin(block["spin"])]
-                          * max(block["lengths"], default=0))
-    except ValueError as exc:
-        raise ConfigError(f"map: {exc}") from exc
+    # the longest chain, counted exactly, is checked before any job starts
+    dim = (parse_spin(block["spin"]) + 1) ** max(block["lengths"], default=0)
     if dim > DENSE_LIMIT:  # boundary_map solves each chain densely
         raise ConfigError(f"map: chain of {dim} states above the dense "
                           f"limit {DENSE_LIMIT}")

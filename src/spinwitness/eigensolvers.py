@@ -35,7 +35,8 @@ DEFAULT_SEED = 42
 
 
 class SolverError(RuntimeError):
-    """Raised when an eigensolve fails to converge; carries diagnostics."""
+    """Raised when a solve fails: an eigensolve that does not converge, or an
+    arc none of whose SCF branches converges.  Carries a diagnostics dict."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

@@ -25,8 +25,9 @@ Two layers:
   gets its sector bounds from a cut of the solver's own sites, in their ring
   order, in two halves (``CollinearChainSolver.bound_by_halves``) instead.
 
-E_bs is a minimum over every bipartition, so a ``SolverError`` of any branch
-or arc propagates, its diagnostics naming the arc (n_a, 1-based offset).
+E_bs is a minimum over every bipartition, so every failure is a
+``SolverError`` that propagates: of an eigensolve, or of an arc none of whose
+branches converged.  Its diagnostics name the arc (n_a, 1-based offset).
 """
 
 from __future__ import annotations
@@ -64,19 +65,6 @@ INIT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DENSE_DIM = 128
 
 
-class ScfError(SolverError):
-    """No self-consistent branch converged.
-
-    A SolverError, so callers catch one failure type.  Carries a diagnostics
-    summary: the branch count and each branch's last residual.
-    """
-
-    def __init__(self, message: str, branches=()):
-        diagnostics = {"branches": len(branches),
-                       "last_residuals": [float(b.residual) for b in branches]}
-        super().__init__(message, diagnostics if branches else None)
-
-
 @dataclass(frozen=True)
 class BoundaryPair:
     """Expectation vectors of the two boundary spins of one subsystem.
@@ -96,7 +84,6 @@ class BoundaryGeometry:
     theta: float
     modulus_diff: float
     moduli: tuple
-    defined: bool
 
 
 def boundary_geometry(pair: BoundaryPair) -> BoundaryGeometry:
@@ -108,9 +95,9 @@ def boundary_geometry(pair: BoundaryPair) -> BoundaryGeometry:
     # equal moduli differ only by rounding; report them as exactly equal
     diff = abs(a - b) if abs(a - b) >= ZERO_MODULUS else 0.0
     if a < ZERO_MODULUS or b < ZERO_MODULUS:
-        return BoundaryGeometry(np.nan, diff, (a, b), False)
+        return BoundaryGeometry(np.nan, diff, (a, b))
     c = float(np.clip(z @ zp / (a * b), -1.0, 1.0))
-    return BoundaryGeometry(float(np.arccos(c)), diff, (a, b), True)
+    return BoundaryGeometry(float(np.arccos(c)), diff, (a, b))
 
 
 def _sector_blocks(basis, mat):
@@ -153,7 +140,6 @@ class CollinearChainSolver:
         self.system, self.sites = system, list(sites)
         self.field_sites = tuple(self.sites.index(s) for s in field_sites)
         self.field_spins = np.array([system.site_two_s[s] / 2.0 for s in field_sites])
-        self.coupling = system.coupling
         self.seed = seed
         self.sectors = []
         op = build_hamiltonian(system, sites=self.sites)
@@ -195,8 +181,9 @@ class CollinearChainSolver:
         system, sites = self.system, self.sites
         if len(sites) < 2:
             return
-        fields = self.coupling * np.array(z_outside, dtype=float)
-        unit = abs(self.coupling)
+        coupling = system.coupling
+        fields = coupling * np.array(z_outside, dtype=float)
+        unit = abs(coupling)
         cut_at = len(sites) // 2
         half = {site: k >= cut_at for k, site in enumerate(sites)}
         levels = []
@@ -215,9 +202,9 @@ class CollinearChainSolver:
             if a in half and b in half and half[a] != half[b]:
                 s_a, s_b = (system.site_two_s[x] / 2.0 for x in (a, b))
                 s_0 = abs(s_a - s_b)
-                bound += min(self.coupling * s_a * s_b,
-                             self.coupling * (s_0 * (s_0 + 1) - s_a * (s_a + 1)
-                                              - s_b * (s_b + 1)) / 2)
+                bound += min(coupling * s_a * s_b,
+                             coupling * (s_0 * (s_0 + 1) - s_a * (s_a + 1)
+                                         - s_b * (s_b + 1)) / 2)
         self.e_last = bound - 1e-12 * np.maximum(unit, np.abs(bound))
         self.b_last[:] = fields
 
@@ -247,10 +234,10 @@ class CollinearChainSolver:
         -inf, so a first call without ``bound_by_halves`` solves every
         sector.
         """
-        fields = self.coupling * np.array(z_outside, dtype=float)
+        fields = self.system.coupling * np.array(z_outside, dtype=float)
         if len(fields) != len(self.field_sites):
             raise ValueError("one field value per field site required")
-        unit = abs(self.coupling)
+        unit = abs(self.system.coupling)
         bounds = np.maximum(
             self.floor - np.abs(fields) @ self.field_spins,
             self.e_last - np.abs(fields - self.b_last) @ self.field_spins)
@@ -341,7 +328,7 @@ def boundary_map(chain_spins, z_b, z_bprime) -> BoundaryPair:
 
 @dataclass
 class ScfResult:
-    """One converged biseparable minimum for a fixed bipartition."""
+    """An arc's decoupled candidate, or one branch's result, converged or not."""
 
     ebs: float
     z_a: float
@@ -374,7 +361,7 @@ def _known_fixed_point(za, zb, known):
     return None
 
 
-def _run_branch(solver_a, solver_b, npair, eta, z0, known=()):
+def _run_branch(solver_a, solver_b, eta, z0, known=()):
     """Alternating minimization from one starting modulus; returns an
     ScfResult.
 
@@ -385,6 +372,7 @@ def _run_branch(solver_a, solver_b, npair, eta, z0, known=()):
     fixed points (those earlier branches of its arc and eta converged to)
     stops there and reports that point with its own cycle count.
     """
+    npair = len(solver_a.field_sites)
     sign = [1.0, float(eta)] if npair == 2 else [1.0]
     z_b = np.array([z0 * s for s in sign])
     z_a = np.zeros(npair)
@@ -400,7 +388,7 @@ def _run_branch(solver_a, solver_b, npair, eta, z0, known=()):
         if resid < TOL:
             # the crossing bonds add J z_a . z_b to the product state's energy
             ebs = (ga["e_bare"] + gb["e_bare"]
-                   + solver_a.coupling * float(za @ zb))
+                   + solver_a.system.coupling * float(za @ zb))
             return ScfResult(float(ebs), float(za[0]), float(za[-1]),
                              float(zb[0]), float(zb[-1]), eta, True,
                              float(resid), iterations=it)
@@ -428,7 +416,8 @@ def biseparable_minimum(system: SpinSystem, arc: Arc,
 
 
 def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = DEFAULT_SEED):
-    """As biseparable_minimum but also returns every branch result."""
+    """As biseparable_minimum but also returns the result of every branch
+    run; the decoupled candidate is not run, and shows only as the best."""
     sites_a, sites_b, pairs = cut(system, arc)
     solver_a = CollinearChainSolver(system, sites_a, [a for a, _ in pairs], seed)
     solver_b = CollinearChainSolver(system, sites_b, [b for _, b in pairs], seed)
@@ -453,7 +442,7 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = DEFAU
         # saddle), so passing near it proves nothing
         known = []
         for f in INIT_GRID:
-            branch = _run_branch(solver_a, solver_b, len(pairs), eta, s_bd * f, known)
+            branch = _run_branch(solver_a, solver_b, eta, s_bd * f, known)
             branches.append(branch)
             if branch.converged and max(abs(branch.z_a), abs(branch.z_aprime),
                                         abs(branch.z_b), abs(branch.z_bprime)) >= 1e-7:
@@ -461,26 +450,28 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = DEFAU
     # the decoupled value alone is only an upper bound on the minimum, so it
     # must not stand in for an arc where every branch failed
     if not any(b.converged for b in branches):
-        raise ScfError("no SCF branch converged", branches)
+        raise SolverError("no SCF branch converged", {
+            "branches": len(branches),
+            "last_residuals": [float(b.residual) for b in branches]})
     candidates = [b for b in branches if b.converged] + [decoupled]
     # branches reaching one fixed point differ only by rounding, so ties
-    # within 1e-12 |J| go to the decoupled candidate, then to eta = +1 (the
-    # window and rule of biseparable_scan); otherwise the seed picks eta
+    # within 1e-12 |J| (the window of biseparable_scan) go to the decoupled
+    # candidate, then to eta = +1; otherwise the seed picks eta
     unit = abs(system.coupling)
     emin = min(r.ebs for r in candidates)
     best = min((r for r in candidates if r.ebs <= emin + 1e-12 * unit),
                key=lambda r: (not r.decoupled, -r.eta, r.ebs))
-    return _canonical(best, len(pairs)), branches + [decoupled]
+    return _canonical(best), branches
 
 
-def _canonical(result: ScfResult, npair: int) -> ScfResult:
+def _canonical(result: ScfResult) -> ScfResult:
     """A fixed point as reported: of it and its spin-flipped twin (same
     energy) the one with z_b >= 0, and eta the sign of z_b * z_bprime (1 for
-    a decoupled point or a single coupling pair)."""
+    a decoupled point; with one coupling pair z_bprime is z_b, so 1)."""
     if result.z_b < 0:
         result = replace(result, z_a=-result.z_a, z_aprime=-result.z_aprime,
                          z_b=-result.z_b, z_bprime=-result.z_bprime)
-    eta = -1 if npair == 2 and result.z_b * result.z_bprime < 0 else 1
+    eta = -1 if result.z_b * result.z_bprime < 0 else 1
     return replace(result, eta=eta)
 
 
@@ -493,10 +484,9 @@ def map_jobs(fn, jobs, workers: int = 1) -> list:
 
 
 def unconverged_warning(branches) -> str:
-    """'k of n branches unconverged' (the decoupled candidate not run), or ''."""
-    run = [b for b in branches if not b.decoupled]
-    k = sum(not b.converged for b in run)
-    return f"{k} of {len(run)} branches unconverged" if k else ""
+    """'k of n branches unconverged' of the branches run, or ''."""
+    k = sum(not b.converged for b in branches)
+    return f"{k} of {len(branches)} branches unconverged" if k else ""
 
 
 def _scan_one(args):
@@ -540,7 +530,6 @@ def biseparable_scan(system: SpinSystem, seed: int = DEFAULT_SEED,
     reports = map_jobs(_scan_one, [(system, arc, seed) for arc in arcs], workers)
     reports.sort(key=lambda r: (r.n_a, r.offset))
     emin = min(r.result.ebs for r in reports)
-    window = 1e-12 * abs(system.coupling)  # ties, in units of |J|
-    ties = [r for r in reports if r.result.ebs <= emin + window]
-    argmin = min(ties, key=lambda r: (r.n_a, r.offset, -r.result.eta))
+    window = 1e-12 * abs(system.coupling)  # ties go to the first arc
+    argmin = next(r for r in reports if r.result.ebs <= emin + window)
     return ScanResult(reports, float(emin), argmin)

@@ -170,8 +170,6 @@ def _singlet_projector(site_two_s) -> np.ndarray | None:
     if sum(site_two_s) % 2 == 1:
         return None  # half-integer total spin cannot reach S = 0
     basis = ProductBasis(site_two_s, 0)
-    if basis.dim == 0:
-        return None
     splus = raising(basis, range(basis.n_sites))
     e0, _, cols = lowest_level((splus.T @ splus).toarray())  # S^2 at M = 0
     if not degenerate_with(0.0, e0):

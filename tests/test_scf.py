@@ -16,7 +16,6 @@ from spinwitness.hamiltonians import (CHAIN, RING, Arc, SpinSystem,
 from spinwitness.scf import (
     BoundaryPair,
     CollinearChainSolver,
-    ScfError,
     biseparable_minimum,
     biseparable_minimum_detailed,
     biseparable_scan,
@@ -36,12 +35,11 @@ class TestBoundaryGeometry:
         g = boundary_geometry(BoundaryPair(z_vec(0.5), z_vec(0.3, np.pi / 3)))
         assert abs(g.theta - np.pi / 3) < 1e-12
         assert abs(g.modulus_diff - 0.2) < 1e-12
-        assert g.defined
 
     def test_undefined_at_zero_modulus(self):
         g = boundary_geometry(BoundaryPair(z_vec(0.0), z_vec(0.3)))
-        assert not g.defined
         assert np.isnan(g.theta)
+        assert g.moduli == (0.0, pytest.approx(0.3))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -67,17 +65,16 @@ class TestBoundaryMap:
     def test_parallel_maps_to_parallel(self):
         pair = boundary_map(["1/2"] * 3, z_vec(0.5), z_vec(0.5))
         g = boundary_geometry(pair)
-        assert g.defined and g.theta < 1e-8
+        assert g.theta < 1e-8
 
     def test_even_chain_antiparallel_fixed(self):
         pair = boundary_map(["1/2"] * 4, z_vec(0.5), z_vec(0.5, np.pi))
         g = boundary_geometry(pair)
-        assert g.defined and abs(g.theta - np.pi) < 1e-8
+        assert abs(g.theta - np.pi) < 1e-8
 
     def test_odd_chain_contracts_right_angle(self):
         pair = boundary_map(["1/2"] * 3, z_vec(0.5), z_vec(0.5, np.pi / 2))
         g = boundary_geometry(pair)
-        assert g.defined
         assert abs(g.theta - 0.5588276630471) < 1e-9  # frozen from this solver
         assert g.theta < np.pi / 2
 
@@ -415,13 +412,18 @@ class TestBiseparableMinimum:
     def test_chain_edge_arc_single_coupling(self):
         system = SpinSystem.chain(4, "1/2")
         best, branches = biseparable_minimum_detailed(system, Arc(0, 1))
-        # one coupling bond: only the eta=+1 branch family plus decoupled
+        # one coupling bond: only the eta=+1 branch family, and eta = 1
+        assert len(branches) == len(scf.INIT_GRID)
         assert all(b.eta == 1 for b in branches)
+        assert best.eta == 1
 
     def test_detailed_reports_decoupled_candidate(self):
+        # the decoupled candidate wins as best; the branches are those run
         system = SpinSystem.ring(4, "1/2")
-        _, branches = biseparable_minimum_detailed(system, Arc(0, 2))
-        assert any(b.decoupled for b in branches)
+        best, branches = biseparable_minimum_detailed(system, Arc(0, 2))
+        assert best.decoupled
+        assert len(branches) == 10
+        assert not any(b.decoupled for b in branches)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_tied_branches_report_geometric_eta(self, seed):
@@ -440,7 +442,7 @@ class TestBiseparableMinimum:
         # alternation settles in a few cycles and reports the converging one
         _, branches = biseparable_minimum_detailed(SpinSystem.ring(8, "1"),
                                                    Arc(0, n_a))
-        found = [b for b in branches if b.converged and not b.decoupled]
+        found = [b for b in branches if b.converged]
         assert found
         assert all(b.residual < scf.TOL for b in found)
         assert np.mean([b.iterations for b in found]) < 15
@@ -454,7 +456,7 @@ class TestBiseparableMinimum:
         e_dec = sum(dense_spectrum(build_hamiltonian(system, sites=sites).matrix)[0]
                     for sites in (sites_a, sites_b))
 
-        def fake_branch(solver_a, solver_b, npair, eta, z0, known=()):
+        def fake_branch(solver_a, solver_b, eta, z0, known=()):
             return scf.ScfResult(e_dec - 1e-10, 0.0, 0.3, 0.0, 0.3, eta, True,
                                  0.0, iterations=1)
 
@@ -469,10 +471,10 @@ class TestBiseparableMinimum:
         # energy is only an upper bound and must not be reported as E_bs
         monkeypatch.setattr(scf, "MAX_ITER", 1)
         system = SpinSystem.ring(6, "1")
-        with pytest.raises(ScfError) as info:
+        with pytest.raises(SolverError) as info:
             biseparable_minimum(system, Arc(0, 1))
         # one failure type: the CLI and the scan catch SolverError alone
-        assert isinstance(info.value, SolverError)
+        assert type(info.value) is SolverError
         diag = info.value.diagnostics
         assert diag["branches"] == 10
         assert len(diag["last_residuals"]) == 10
@@ -495,7 +497,7 @@ class TestBiseparableMinimum:
 
     def test_drifting_branches_are_counted(self):
         # the four eta = -1 branches from s/4 to s drift towards z = 0
-        # without converging; the decoupled candidate is not counted
+        # without converging; the decoupled candidate is not a branch
         system = SpinSystem.ring(4, "1/2")
         best, branches = biseparable_minimum_detailed(system, Arc(0, 2))
         assert best.decoupled
@@ -559,8 +561,7 @@ class TestKnownFixedPoints:
         monkeypatch.setattr(CollinearChainSolver, "ground", counted)
         system = SpinSystem.ring(8, "1")
         branches = [b for arc in scan_arcs(system)
-                    for b in biseparable_minimum_detailed(system, arc)[1]
-                    if not b.decoupled]
+                    for b in biseparable_minimum_detailed(system, arc)[1]]
         assert len(branches) == 40
         assert all(b.converged for b in branches)
         assert sum(b.iterations for b in branches) <= 200
@@ -593,18 +594,18 @@ class TestScan:
         # the minimum over the others is not E_bs, so the scan raises, naming
         # the first failing arc (offset 1-based)
         monkeypatch.setattr(scf, "MAX_ITER", 1)
-        with pytest.raises(ScfError, match="no SCF branch converged") as info:
+        with pytest.raises(SolverError, match="no SCF branch converged") as info:
             biseparable_scan(SpinSystem.ring(6, "1"))
         diag = info.value.diagnostics
         assert (diag["n_a"], diag["offset"], diag["branches"]) == (1, 1, 10)
 
     def test_arc_tagged_error_survives_pickling(self):
         # a worker process hands its exception back pickled
-        err = ScfError("no SCF branch converged",
-                       [scf.ScfResult(np.inf, 0, 0, 0, 0, 1, False, 0.5)])
+        err = SolverError("no SCF branch converged",
+                          {"branches": 1, "last_residuals": [0.5]})
         err.diagnostics.update(n_a=3, offset=2)
         back = pickle.loads(pickle.dumps(err))
-        assert type(back) is ScfError and str(back) == "no SCF branch converged"
+        assert type(back) is SolverError and str(back) == "no SCF branch converged"
         assert back.diagnostics == {"branches": 1, "last_residuals": [0.5],
                                     "n_a": 3, "offset": 2}
 

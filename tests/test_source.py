@@ -1,6 +1,7 @@
 """Static checks on the package source and the tests."""
 
 import ast
+import importlib
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -50,3 +51,16 @@ def test_lapack_only_in_eigensolvers():
              for entry in _linalg_imports(path)]
     assert found == []
     assert _linalg_imports(SRC / "eigensolvers.py")
+
+
+
+def test_one_failure_type_per_exit_code():
+    # the CLI exits 2 on ConfigError and 3 on SolverError; any other
+    # exception class in the package is a failure type neither handler names
+    errors = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"spinwitness.{path.stem}")
+        errors |= {f"{path.stem}.{name}" for name, obj in vars(module).items()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__}
+    assert errors == {"config.ConfigError", "eigensolvers.SolverError"}

@@ -386,26 +386,12 @@ def _assert_csv_matches(out, golden):
                 (cell, expected)
 
 
-def _assert_cli_matches_golden(tmp_path, command, config, golden):
-    """`command` on configs/`config` reproduces tests/golden/`golden`."""
-    root = Path(__file__).resolve().parent
-    out = tmp_path / golden
-    assert main([command, "--config", str(root.parent / "configs" / config),
-                 "--out", str(out), "--workers", "1"]) == 0
-    _assert_csv_matches(out, root / "golden" / golden)
-
-
-def test_thermal_cli_matches_golden(tmp_path):
-    """`thermal` on configs/qubit_ring8.yaml reproduces the committed table."""
-    _assert_cli_matches_golden(tmp_path, "thermal", "qubit_ring8.yaml",
-                               "thermal_qubit_ring8.csv")
-
-
 @pytest.mark.parametrize("command, config", [
     ("ground", "qubit_ring8.yaml"),
     ("bisep", "qubit_ring8.yaml"),
     ("scan", "qubit_ring8.yaml"),
     ("verdict", "qubit_ring8.yaml"),
+    ("thermal", "qubit_ring8.yaml"),
     ("map", "boundary_map.yaml"),
     ("scan", "qubit_chain6.yaml"),
     ("bisep", "qubit_chain6.yaml"),
@@ -418,13 +404,18 @@ def test_thermal_cli_matches_golden(tmp_path):
     ("thermal", "qubit_chain6.yaml"),
     ("thermal", "ring6_s1.yaml"),
     ("thermal", "ferri_ring8_s1.yaml"),
-], ids=["ground", "bisep", "scan", "verdict", "map", "scan-chain", "bisep-chain",
-        "scan-ring8-s32", "defect", "defect-substitution", "verdict-ring8-s32",
-        "ground-ferri", "ground-ring8-s32",
+], ids=["ground", "bisep", "scan", "verdict", "thermal", "map", "scan-chain",
+        "bisep-chain", "scan-ring8-s32", "defect", "defect-substitution",
+        "verdict-ring8-s32", "ground-ferri", "ground-ring8-s32",
         "thermal-chain", "thermal-ring6-s1", "thermal-ferri"])
 def test_cli_matches_golden(tmp_path, command, config):
-    _assert_cli_matches_golden(tmp_path, command, config,
-                               f"{command}_{config.removesuffix('.yaml')}.csv")
+    """`command` on configs/`config` reproduces its table in tests/golden."""
+    root = Path(__file__).resolve().parent
+    golden = f"{command}_{config.removesuffix('.yaml')}.csv"
+    out = tmp_path / golden
+    assert main([command, "--config", str(root.parent / "configs" / config),
+                 "--out", str(out), "--workers", "1"]) == 0
+    _assert_csv_matches(out, root / "golden" / golden)
 
 
 @pytest.mark.parametrize("demo, tables", [
