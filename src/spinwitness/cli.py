@@ -26,11 +26,10 @@ from .config import ConfigError, RunConfig, load_config
 from .eigensolvers import DENSE_LIMIT, SolverError, sectored_ground_state
 from .hamiltonians import defected_ring
 from .operators import parse_spin
-from .scf import (biseparable_minimum_detailed, biseparable_scan,
-                  boundary_geometry, boundary_map, map_jobs,
-                  unconverged_warning)
+from .scf import (biseparable_scan, bipartition_report, boundary_geometry,
+                  boundary_map, map_jobs)
 from .witness import (
-    defect_series,
+    defect_table,
     full_spectrum,
     ground_energy,
     thermal_energy,
@@ -81,11 +80,6 @@ def _json_cell(value) -> str:
     return json.dumps(str(value))
 
 
-def _metadata(cfg: RunConfig, seed: int, command: str) -> dict:
-    return {"version": __version__, "command": command, "seed": seed,
-            "config_hash": cfg.digest()}
-
-
 def cmd_ground(cfg: RunConfig, seed: int, workers: int):
     system, _ = cfg.build_system()
     res = sectored_ground_state(system, seed=seed)
@@ -96,41 +90,43 @@ def cmd_ground(cfg: RunConfig, seed: int, workers: int):
 
 def cmd_map(cfg: RunConfig, seed: int, workers: int):
     block = cfg.block("map")
+    two_s = parse_spin(block["spin"])
     # the longest chain, counted exactly, is checked before any job starts
-    dim = (parse_spin(block["spin"]) + 1) ** max(block["lengths"], default=0)
+    dim = (two_s + 1) ** max(block["lengths"], default=0)
     if dim > DENSE_LIMIT:  # boundary_map solves each chain densely
         raise ConfigError(f"map: chain of {dim} states above the dense "
                           f"limit {DENSE_LIMIT}")
+    # (modulus, diff, second modulus) but for a negative second one; every
+    # level lies within (|modulus| + second modulus) s, which must be finite
+    pairs = [(zb, dz, zb - dz) for zb in block["moduli"]
+             for dz in block["modulus_diffs"] if zb - dz >= 0]
+    if not all(np.isfinite((abs(zb) / 2 + m2 / 2) * two_s) for zb, _, m2 in pairs):
+        raise ConfigError("map: a boundary field overflows the float range")
     thetas = np.linspace(0.0, np.pi, block["theta_points"])
     columns = ["n_a", "theta_b", "z_diff_b", "modulus_b",
                "thetabar_a", "z_diff_a", "modulus_a", "modulus_aprime"]
     rows = []
     for n_a in block["lengths"]:
-        for zb in block["moduli"]:
-            for dz in block["modulus_diffs"]:
-                m2 = zb - dz
-                if m2 < 0:
-                    continue  # second modulus would be negative
-                for th in thetas:
-                    z_b = np.array([0.0, 0.0, zb])
-                    z_bp = m2 * np.array([np.sin(th), 0.0, np.cos(th)])
-                    pair = boundary_map([block["spin"]] * n_a, z_b, z_bp)
-                    geo = boundary_geometry(pair)
-                    rows.append([n_a, float(th), float(dz), float(zb),
-                                 float(geo.theta), float(geo.modulus_diff),
-                                 float(geo.moduli[0]), float(geo.moduli[1])])
+        for zb, dz, m2 in pairs:
+            for th in thetas:
+                z_bp = m2 * np.array([np.sin(th), 0.0, np.cos(th)])
+                geo = boundary_geometry(
+                    boundary_map([block["spin"]] * n_a, [0.0, 0.0, zb], z_bp))
+                rows.append([n_a, float(th), float(dz), float(zb),
+                             float(geo.theta), float(geo.modulus_diff),
+                             float(geo.moduli[0]), float(geo.moduli[1])])
     return columns, rows
 
 
 def cmd_bisep(cfg: RunConfig, seed: int, workers: int):
     system, _ = cfg.build_system()
-    arc = cfg.bisep_arc(system)
-    best, branches = biseparable_minimum_detailed(system, arc, seed)
-    if warning := unconverged_warning(branches):  # stderr: the data is the table
-        print(f"warning: {warning}", file=sys.stderr)
+    rep = bipartition_report(system, cfg.bisep_arc(system), seed)
+    if rep.warning:  # stderr: the data is the table
+        print(f"warning: {rep.warning}", file=sys.stderr)
+    best = rep.result
     columns = ["n_a", "offset", "eta", "e_bs", "z_a", "z_aprime",
                "z_b", "z_bprime", "decoupled", "converged", "residual"]
-    rows = [[arc.length, arc.offset + 1, best.eta, best.ebs, best.z_a,
+    rows = [[rep.n_a, rep.offset + 1, best.eta, best.ebs, best.z_a,
              best.z_aprime, best.z_b, best.z_bprime, bool(best.decoupled),
              bool(best.converged), best.residual]]
     return columns, rows
@@ -164,20 +160,13 @@ def cmd_defect(cfg: RunConfig, seed: int, workers: int):
             defected_ring(system, site, sm)
     except ValueError as exc:
         raise ConfigError(f"defect_series: {exc}") from exc
-    jobs = [(system, site, sm, None if labels is None else labels[i:i + 1], seed)
+    jobs = [(system, site, sm, None if labels is None else labels[i], seed)
             for i, sm in enumerate(spins)]
-    tables = map_jobs(_defect_one, jobs, workers)
+    tables = map_jobs(defect_table, jobs, workers)
     columns = ["label", "defect_spin", "k", "e0", "ebs_k", "cost"]
-    rows = []
-    for table, sm in zip(tables, spins):
-        for k, e, c in table.entries:
-            rows.append([table.label, str(sm), k + 1, table.e0, e, c])
+    rows = [[table.label, str(sm), k + 1, table.e0, e, c]
+            for table, sm in zip(tables, spins) for k, e, c in table.entries]
     return columns, rows
-
-
-def _defect_one(args):
-    system, site, sm, labels, seed = args
-    return defect_series(system, site, [sm], labels=labels, seed=seed)[0]
 
 
 def cmd_verdict(cfg: RunConfig, seed: int, workers: int):
@@ -200,16 +189,14 @@ def cmd_thermal(cfg: RunConfig, seed: int, workers: int):
     if not block["points"] and not block["thresholds"]:
         return columns, []  # no rows: main refuses before any solve
     spectrum = full_spectrum(system)
-    rows = []
-    for t in np.linspace(block["t_min"], block["t_max"], block["points"]):
-        rows.append(["curve", float(t), thermal_energy(spectrum, float(t))])
+    rows = [["curve", float(t), thermal_energy(spectrum, float(t))]
+            for t in np.linspace(block["t_min"], block["t_max"], block["points"])]
     for ebs in block["thresholds"]:
         try:
-            tstar = threshold_temperature(spectrum, ebs, abs(system.coupling))
+            tstar = float(threshold_temperature(spectrum, ebs, abs(system.coupling)))
         except ValueError:
-            rows.append(["crossing", np.nan, ebs])
-            continue
-        rows.append(["crossing", float(tstar), ebs])
+            tstar = np.nan
+        rows.append(["crossing", tstar, ebs])
     return columns, rows
 
 
@@ -268,7 +255,8 @@ def main(argv=None) -> int:
                                                default=str), file=sys.stderr)
         return 3
     emit(columns, rows, args.format, args.out,
-         _metadata(cfg, seed, args.command))
+         {"version": __version__, "command": args.command, "seed": seed,
+          "config_hash": cfg.digest()})
     return 0
 
 

@@ -74,8 +74,9 @@ def dense_spectrum(mat) -> np.ndarray:
 def degenerate_with(e0: float, e, unit: float = 1.0):
     """True where the level(s) e lie in the degeneracy window of e0:
     DEGENERACY_TOL times the larger of |e0| and the energy unit, |J| for a
-    system, so that the outcome does not depend on the scale of J."""
-    return np.asarray(e) - e0 < DEGENERACY_TOL * max(unit, abs(e0))
+    system, so that the outcome does not depend on the scale of J; inclusive,
+    so e0 is in its own level where the window underflows (subnormal J)."""
+    return np.asarray(e) - e0 <= DEGENERACY_TOL * max(unit, abs(e0))
 
 
 def lowest_level(mat: np.ndarray, unit: float = 1.0):
@@ -102,7 +103,8 @@ def select_in_manifold(manifold: np.ndarray, selector):
     diagonal = np.ndim(selector) == 1
     block = manifold.conj().T @ (selector[:, None] * manifold if diagonal
                                  else selector @ manifold)
-    vals, vecs = scipy.linalg.eigh((block + block.conj().T) / 2.0)
+    # halved first so the sum cannot overflow; for normal floats, same bits
+    vals, vecs = scipy.linalg.eigh(block / 2.0 + block.conj().T / 2.0)
     return float(vals[0]), manifold @ vecs[:, 0]
 
 

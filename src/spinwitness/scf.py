@@ -27,7 +27,8 @@ Two layers:
 
 E_bs is a minimum over every bipartition, so every failure is a
 ``SolverError`` that propagates: of an eigensolve, or of an arc none of whose
-branches converged.  Its diagnostics name the arc (n_a, 1-based offset).
+branches converged.  ``bipartition_report``, one arc's solve for ``bisep``
+and a scan alike, adds the arc (n_a, 1-based offset) to its diagnostics.
 """
 
 from __future__ import annotations
@@ -476,28 +477,28 @@ def _canonical(result: ScfResult) -> ScfResult:
 
 
 def map_jobs(fn, jobs, workers: int = 1) -> list:
-    """[fn(job) for job in jobs], over a process pool when workers > 1."""
+    """[fn(*job) for job in jobs], in job order, over a process pool when
+    workers > 1."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]
 
 
-def unconverged_warning(branches) -> str:
-    """'k of n branches unconverged' of the branches run, or ''."""
-    k = sum(not b.converged for b in branches)
-    return f"{k} of {len(branches)} branches unconverged" if k else ""
-
-
-def _scan_one(args):
-    system, arc, seed = args
+def bipartition_report(system: SpinSystem, arc: Arc,
+                       seed: int = DEFAULT_SEED) -> BipartitionReport:
+    """The arc's minimum, warning 'k of n branches unconverged' when some of
+    its branches did not converge.  A SolverError gets the arc's n_a and
+    1-based offset, as printed, added to its diagnostics."""
     try:
         best, branches = biseparable_minimum_detailed(system, arc, seed)
-    except SolverError as exc:  # name the arc, offset 1-based as printed
+    except SolverError as exc:
         exc.diagnostics.update(n_a=arc.length, offset=arc.offset + 1)
         raise
-    return BipartitionReport(arc.length, system.n_sites - arc.length,
-                             arc.offset, best, unconverged_warning(branches))
+    k = sum(not b.converged for b in branches)
+    return BipartitionReport(
+        arc.length, system.n_sites - arc.length, arc.offset, best,
+        f"{k} of {len(branches)} branches unconverged" if k else "")
 
 
 def scan_arcs(system: SpinSystem) -> list:
@@ -525,10 +526,10 @@ class ScanResult:
 
 def biseparable_scan(system: SpinSystem, seed: int = DEFAULT_SEED,
                      workers: int = 1) -> ScanResult:
-    """E_bs = min over contiguous bipartitions of E_bs(N_A, N_B)."""
-    arcs = scan_arcs(system)
-    reports = map_jobs(_scan_one, [(system, arc, seed) for arc in arcs], workers)
-    reports.sort(key=lambda r: (r.n_a, r.offset))
+    """E_bs = min over contiguous bipartitions of E_bs(N_A, N_B); the
+    reports are in ``scan_arcs`` order, (n_a, offset)."""
+    reports = map_jobs(bipartition_report,
+                       [(system, arc, seed) for arc in scan_arcs(system)], workers)
     emin = min(r.result.ebs for r in reports)
     window = 1e-12 * abs(system.coupling)  # ties go to the first arc
     argmin = next(r for r in reports if r.result.ebs <= emin + window)

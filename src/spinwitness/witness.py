@@ -94,27 +94,34 @@ def threshold_table(system: SpinSystem, label: str | None = None,
                           float(e0), entries)
 
 
-def defect_series(system: SpinSystem, defect_site: int, defect_spins,
-                  labels=None, seed: int = DEFAULT_SEED) -> list:
-    """Threshold tables for the homogeneous ring `system` with one
-    substituted spin, one per s_M.
+def defect_table(system: SpinSystem, defect_site: int, defect_spin,
+                 label=None, seed: int = DEFAULT_SEED) -> ThresholdTable:
+    """Threshold table of the homogeneous ring `system` with the spin at
+    `defect_site` replaced by s_M = `defect_spin`, labelled "s_M=..." unless
+    a label is given.
 
     A spinless substitution contributes a zero-cost entry at the defect site
     (a spin-0 site is in a product state with everything) and the open-chain
     thresholds for the remaining sites.
     """
-    tables = []
-    for idx, sm in enumerate(defect_spins):
-        sm_two = parse_spin(sm)
-        label = labels[idx] if labels is not None else f"s_M={spin_str(sm_two)}"
-        defected, site_labels = defected_ring(system, defect_site, sm)
-        table = threshold_table(defected, label=label, site_labels=site_labels,
-                                seed=seed)
-        if sm_two == 0:
-            table.entries.append((defect_site, table.e0, 0.0))
-            table.entries.sort(key=lambda t: t[0])
-        tables.append(table)
-    return tables
+    sm_two = parse_spin(defect_spin)
+    defected, site_labels = defected_ring(system, defect_site, defect_spin)
+    table = threshold_table(
+        defected, label=f"s_M={spin_str(sm_two)}" if label is None else label,
+        site_labels=site_labels, seed=seed)
+    if sm_two == 0:
+        table.entries.append((defect_site, table.e0, 0.0))
+        table.entries.sort(key=lambda t: t[0])
+    return table
+
+
+def defect_series(system: SpinSystem, defect_site: int, defect_spins,
+                  labels=None, seed: int = DEFAULT_SEED) -> list:
+    """``defect_table`` of each s_M in `defect_spins`, labelled by the
+    matching entry of `labels` when given."""
+    return [defect_table(system, defect_site, sm,
+                         None if labels is None else labels[i], seed)
+            for i, sm in enumerate(defect_spins)]
 
 
 def verdict(measured_energy: float, table: ThresholdTable,

@@ -195,6 +195,20 @@ class TestExitCodes:
         diag = json.loads(lines[1].removeprefix("diagnostics: "))
         assert diag["branches"] == 10
         assert len(diag["last_residuals"]) == 10
+        assert (diag["n_a"], diag["offset"]) == (1, 1)  # the arc, as in a scan
+
+    def test_subnormal_coupling_solves(self, tmp_path, capsys):
+        # the degeneracy window 1e-9 max(|J|, |e0|) underflows to 0 here; a
+        # level still holds its own lowest value
+        cfg = write(tmp_path, RING4 + "  coupling: 1.0e-320\nbisep: {n_a: 1}\n"
+                    "verdict: {energy: -1.0e-320}\n"
+                    'defect_series: {site: 1, spins: ["0", "1"]}\n'
+                    "thermal: {points: 3}\n")
+        for command in ("ground", "bisep", "scan", "defect", "verdict", "thermal"):
+            code, out, err = run_main([command, "--config", cfg], capsys)
+            assert code == 0, (command, err)
+            if command == "ground":  # digits limited by IEEE precision
+                assert out.splitlines()[1].startswith("-1.999977734365e-320,")
 
     @pytest.mark.parametrize("command,extra", [
         ("thermal", "thermal: {points: abc}"),
@@ -453,6 +467,27 @@ class TestMapCommand:
         assert err.startswith("config error:")
 
 
+    def test_overflowing_second_modulus_is_2(self, tmp_path, capsys):
+        # 1e308 - (-1e308) overflows; refused before any solve
+        cfg = ("map: {lengths: [2], moduli: [1.0e+308], "
+               "modulus_diffs: [-1.0e+308]}\n")
+        code, out, err = run_main(
+            ["map", "--config", write(tmp_path, cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: map:")
+
+    def test_largest_finite_fields_solve(self, tmp_path, capsys):
+        # fields of 1e308 on spins 1: each matrix element is finite, and the
+        # degenerate level at theta = pi is resolved without overflow
+        cfg = ('map: {lengths: [2], spin: "1", theta_points: 2, '
+               "moduli: [1.0e+308], modulus_diffs: [1.0e+308]}\n")
+        code, out, err = run_main(
+            ["map", "--config", write(tmp_path, cfg)], capsys)
+        assert code == 0, err
+        assert len(out.splitlines()) == 3
+
+
 class TestDefectCommand:
     def test_series_rows(self, tmp_path, capsys):
         cfg = RING4 + "defect_series:\n  site: 1\n  spins: [\"0\", \"1\"]\n"
@@ -668,3 +703,54 @@ def test_exit_code_contract_fuzzed_from_schema(tmp_path_factory, command, raw, f
                      "--workers", "1"])
     event(f"{command} exit {code}")
     assert code in (0, 2, 3), err.getvalue()
+
+
+# Extreme values: a coupling whose degeneracy window underflows or whose
+# energies near the float range, and map fields at the edge of overflow.
+# N <= 5 and spins <= 3/2 keep every solve on the dense route.
+SPINS = ["1/2", "1", "3/2"]
+EXTREMES = [0.0, 0.5, -1.0, 1e-320, 1e308, -1e308]
+
+
+@st.composite
+def extreme_configs(draw):
+    n = draw(st.integers(2, 5))
+    model = {"topology": draw(st.sampled_from(["ring", "chain"])), "N": n,
+             "coupling": draw(st.sampled_from([1.0, -1.0, 1e-320, 1e300]))}
+    if draw(st.booleans()):
+        model["spin"] = draw(st.sampled_from(SPINS))
+    else:
+        model["spins"] = draw(st.lists(st.sampled_from(SPINS), min_size=n,
+                                       max_size=n))
+    some = st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=2)
+    return {
+        "model": model,
+        "bisep": {"n_a": draw(st.integers(1, 3)),
+                  "offset": draw(st.integers(1, n))},
+        "verdict": {"energy": draw(st.sampled_from(EXTREMES))},
+        "defect_series": {"site": draw(st.integers(1, n)),
+                          "spins": draw(st.lists(st.sampled_from(["0"] + SPINS),
+                                                 min_size=1, max_size=2))},
+        "thermal": {"points": draw(st.integers(0, 2)),
+                    "thresholds": draw(st.lists(st.sampled_from(EXTREMES),
+                                                max_size=2))},
+        "map": {"lengths": [draw(st.integers(1, 3))],
+                "spin": draw(st.sampled_from(SPINS)),
+                "theta_points": draw(st.integers(1, 3)),
+                "moduli": draw(some), "modulus_diffs": draw(some)},
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(raw=extreme_configs())
+def test_any_config_exits_0_2_or_3(tmp_path_factory, raw):
+    """Every command on a small config of extreme values exits 0, 2 or 3,
+    and no other exception escapes."""
+    path = tmp_path_factory.getbasetemp() / "extreme.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    for command in sorted(cli.COMMANDS):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, "--config", str(path), "--workers", "1"])
+        event(f"{command} exit {code}")
+        assert code in (0, 2, 3), (command, err.getvalue())

@@ -19,8 +19,10 @@ from spinwitness.scf import (
     biseparable_minimum,
     biseparable_minimum_detailed,
     biseparable_scan,
+    bipartition_report,
     boundary_geometry,
     boundary_map,
+    map_jobs,
     scan_arcs,
 )
 from spinwitness.witness import defect_series, single_site_threshold
@@ -499,9 +501,9 @@ class TestBiseparableMinimum:
         # the four eta = -1 branches from s/4 to s drift towards z = 0
         # without converging; the decoupled candidate is not a branch
         system = SpinSystem.ring(4, "1/2")
-        best, branches = biseparable_minimum_detailed(system, Arc(0, 2))
-        assert best.decoupled
-        assert scf.unconverged_warning(branches) == "4 of 10 branches unconverged"
+        report = bipartition_report(system, Arc(0, 2))
+        assert report.result.decoupled
+        assert report.warning == "4 of 10 branches unconverged"
         reports = {r.n_a: r for r in biseparable_scan(system).reports}
         assert reports[2].warning == "4 of 10 branches unconverged"
         assert reports[1].warning == ""
@@ -599,6 +601,14 @@ class TestScan:
         diag = info.value.diagnostics
         assert (diag["n_a"], diag["offset"], diag["branches"]) == (1, 1, 10)
 
+    def test_bisep_arc_is_tagged_as_in_a_scan(self, monkeypatch):
+        # one arc's failure names it as the scan's does, offset 1-based
+        monkeypatch.setattr(scf, "MAX_ITER", 1)
+        with pytest.raises(SolverError, match="no SCF branch converged") as info:
+            bipartition_report(SpinSystem.chain(6, "1"), Arc(2, 1))
+        diag = info.value.diagnostics
+        assert (diag["n_a"], diag["offset"], diag["branches"]) == (1, 3, 10)
+
     def test_arc_tagged_error_survives_pickling(self):
         # a worker process hands its exception back pickled
         err = SolverError("no SCF branch converged",
@@ -633,6 +643,12 @@ class TestScan:
                 unit.argmin.n_a, unit.argmin.offset)
             assert rows(scan) == rows(unit)
             assert scan.ebs / j == pytest.approx(unit.ebs, rel=1e-12)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_jobs_applies_each_job_in_order(workers):
+    assert map_jobs(pow, [(2, 3), (3, 2), (5, 0)], workers) == [8, 9, 1]
+    assert map_jobs(pow, [], workers) == []
 
 
 class TestMapPropertiesSmall:
