@@ -19,7 +19,7 @@ import pathlib
 
 import numpy as np
 
-from spinwitness import boundary_geometry, boundary_map
+from spinwitness import SpinSystem, boundary_geometry, boundary_map
 
 OUT = pathlib.Path(__file__).resolve().parent / "results"
 OUT.mkdir(exist_ok=True)
@@ -37,8 +37,8 @@ def main():
         w.writerow(["n_a", "theta_b", "thetabar_a"])
         for n_a in (3, 4, 5, 6):
             for th in thetas:
-                pair = boundary_map(["1/2"] * n_a, field(0.5, 0.0),
-                                    field(0.5, th))
+                pair = boundary_map(SpinSystem.chain(n_a, "1/2"), range(n_a),
+                                    field(0.5, 0.0), field(0.5, th))
                 geo = boundary_geometry(pair)
                 w.writerow([n_a, f"{th:.6f}", f"{geo.theta:.6f}"])
             kind = "odd (contracts)" if n_a % 2 else "even (expands)"
@@ -52,8 +52,8 @@ def main():
             # the orientations that can survive as fixed points
             theta = 0.0 if n_a == 3 else np.pi
             for z_diff in np.linspace(0.0, 0.45, 10):
-                pair = boundary_map(["1/2"] * n_a, field(0.5, 0.0),
-                                    field(0.5 - z_diff, theta))
+                pair = boundary_map(SpinSystem.chain(n_a, "1/2"), range(n_a),
+                                    field(0.5, 0.0), field(0.5 - z_diff, theta))
                 geo = boundary_geometry(pair)
                 w.writerow([n_a, f"{z_diff:.6f}", f"{geo.modulus_diff:.6f}"])
 

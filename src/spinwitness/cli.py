@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .eigensolvers import DENSE_LIMIT, SolverError, sectored_ground_state
-from .hamiltonians import defected_ring
+from .hamiltonians import CHAIN, SpinSystem, defected_ring
 from .operators import parse_spin
 from .scf import (biseparable_scan, bipartition_report, boundary_geometry,
                   boundary_map, map_jobs)
@@ -91,6 +91,8 @@ def cmd_ground(cfg: RunConfig, seed: int, workers: int):
 def cmd_map(cfg: RunConfig, seed: int, workers: int):
     block = cfg.block("map")
     two_s = parse_spin(block["spin"])
+    if not two_s:  # each chain is a SpinSystem, whose spins are > 0
+        raise ConfigError("map: spin must be > 0")
     # the longest chain, counted exactly, is checked before any job starts
     dim = (two_s + 1) ** max(block["lengths"], default=0)
     if dim > DENSE_LIMIT:  # boundary_map solves each chain densely
@@ -107,11 +109,14 @@ def cmd_map(cfg: RunConfig, seed: int, workers: int):
                "thetabar_a", "z_diff_a", "modulus_a", "modulus_aprime"]
     rows = []
     for n_a in block["lengths"]:
+        # a chain needs two sites: a spin 1/2 past range(n_a) adds no bond and,
+        # unlike a copy of the map's spin (up to 600), fits MAX_PRODUCT_DIM
+        system = SpinSystem.from_spins(CHAIN, [block["spin"]] * n_a + ["1/2"])
         for zb, dz, m2 in pairs:
             for th in thetas:
                 z_bp = m2 * np.array([np.sin(th), 0.0, np.cos(th)])
                 geo = boundary_geometry(
-                    boundary_map([block["spin"]] * n_a, [0.0, 0.0, zb], z_bp))
+                    boundary_map(system, range(n_a), [0.0, 0.0, zb], z_bp))
                 rows.append([n_a, float(th), float(dz), float(zb),
                              float(geo.theta), float(geo.modulus_diff),
                              float(geo.moduli[0]), float(geo.moduli[1])])

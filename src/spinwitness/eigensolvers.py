@@ -76,7 +76,7 @@ def degenerate_with(e0: float, e, unit: float = 1.0):
     DEGENERACY_TOL times the larger of |e0| and the energy unit, |J| for a
     system, so that the outcome does not depend on the scale of J; inclusive,
     so e0 is in its own level where the window underflows (subnormal J)."""
-    return np.asarray(e) - e0 <= DEGENERACY_TOL * max(unit, abs(e0))
+    return np.asarray(e) <= float(e0) + DEGENERACY_TOL * max(unit, abs(e0))
 
 
 def lowest_level(mat: np.ndarray, unit: float = 1.0):

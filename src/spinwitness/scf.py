@@ -3,8 +3,8 @@
 Two layers:
 
 * ``boundary_map`` — the one-step map used to probe the fixed-point geometry
-  with general (x-z plane) boundary fields.  This validates the reduction to
-  collinear fields with equal boundary moduli.
+  of any segment of a system with general (x-z plane) boundary fields.  This
+  validates the reduction to collinear fields with equal boundary moduli.
 * ``biseparable_minimum`` / ``biseparable_scan`` — the production solver:
   alternating minimization over product states, each half-cycle an exact
   dressed ground-state solve.  Fields are restricted to +/- z with the two
@@ -26,9 +26,11 @@ Two layers:
   order, in two halves (``CollinearChainSolver.bound_by_halves``) instead.
 
 E_bs is a minimum over every bipartition, so every failure is a
-``SolverError`` that propagates: of an eigensolve, or of an arc none of whose
-branches converged.  ``bipartition_report``, one arc's solve for ``bisep``
-and a scan alike, adds the arc (n_a, 1-based offset) to its diagnostics.
+``SolverError`` that propagates: of an eigensolve, of an arc none of whose
+branches converged, or of a cut of an odd ring with two sites or more on
+each side, where a non-collinear product state can lie lower.
+``bipartition_report``, one arc's solve for ``bisep`` and a scan alike, adds
+the arc (n_a, 1-based offset) to its diagnostics.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .eigensolvers import (
     select_in_manifold,
 )
 from .hamiltonians import RING, Arc, SpinSystem, build_hamiltonian, cut
-from .operators import ProductBasis, heisenberg_matrix, parse_spin, raising
+from .operators import raising
 
 ZERO_MODULUS = 1e-12
 # The fixed-point search of every arc: alternating minimization from each
@@ -286,31 +288,28 @@ class CollinearChainSolver:
         return {"energy": e0, "e_bare": e_bare, "z_fields": z_fields}
 
 
-def boundary_map(chain_spins, z_b, z_bprime) -> BoundaryPair:
-    """One application of the boundary map on an open segment.
+def boundary_map(system: SpinSystem, sites, z_b, z_bprime) -> BoundaryPair:
+    """One application of the boundary map on the segment `sites` of `system`.
 
-    Solves the ground state of H_chain + z_b . s_last + z_bprime . s_first
-    (fields confined to the x-z plane; rotational symmetry of the isotropic
-    exchange makes this lossless) and returns the expectation vectors of the
-    boundary spins: BoundaryPair(z=<s_last>, zprime=<s_first>).  Each field
-    is b_x (s+ + s-)/2 + b_z sz, and each spin is read as
-    (Re <s+>, Im <s+>, <sz>), since <s+> = <sx> + i <sy>.
+    Solves the ground state of the bonds inside `sites` (``build_hamiltonian``)
+    plus z_b . s_last + z_bprime . s_first, fields in the x-z plane (the
+    isotropic exchange's rotational symmetry makes this lossless), and returns
+    BoundaryPair(z=<s_last>, zprime=<s_first>).  Each field is
+    b_x (s+ + s-)/2 + b_z sz; each spin is (Re <s+>, Im <s+>, <sz>).
     """
-    spins = [parse_spin(s) for s in chain_spins]
     z_b = np.asarray(z_b, dtype=float)
     z_bp = np.asarray(z_bprime, dtype=float)
     for v in (z_b, z_bp):
         if v.shape != (3,) or not np.all(np.isfinite(v)) or abs(v[1]) > ZERO_MODULUS:
             raise ValueError("boundary fields must be finite 3-vectors in the "
                              "x-z plane")
-    basis = ProductBasis(spins)
-    last = basis.n_sites - 1
-    splus = {site: raising(basis, [site]) for site in (0, last)}
-    sz = {site: basis.two_m[:, site] / 2.0 for site in (0, last)}
-    chain = heisenberg_matrix(basis, [(k, k + 1) for k in range(last)])
+    op = build_hamiltonian(system, sites=sites)
+    last = op.basis.n_sites - 1
+    splus = {site: raising(op.basis, [site]) for site in (0, last)}
+    sz = {site: op.basis.two_m[:, site] / 2.0 for site in (0, last)}
     fields = sum(b[0] / 2.0 * (splus[site] + splus[site].T) + sp.diags(b[2] * sz[site])
                  for site, b in ((last, z_b), (0, z_bp)))
-    _, _, manifold = lowest_level((chain + fields).toarray())
+    _, _, manifold = lowest_level((op.matrix + fields).toarray(), abs(system.coupling))
     vec = manifold[:, 0]
     if manifold.shape[1] > 1:
         # infinitesimal-field limit: minimize the field coupling inside the
@@ -419,6 +418,10 @@ def biseparable_minimum(system: SpinSystem, arc: Arc,
 def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = DEFAULT_SEED):
     """As biseparable_minimum but also returns the result of every branch
     run; the decoupled candidate is not run, and shows only as the best."""
+    n = system.n_sites
+    if system.topology == RING and n % 2 and 2 <= arc.length <= n - 2:
+        raise SolverError("on this cut of an odd ring a non-collinear product "
+                          "state can lie lower", {"n_sites": n})
     sites_a, sites_b, pairs = cut(system, arc)
     solver_a = CollinearChainSolver(system, sites_a, [a for a, _ in pairs], seed)
     solver_b = CollinearChainSolver(system, sites_b, [b for _, b in pairs], seed)

@@ -129,7 +129,8 @@ def _angle_after_map(n_a, spin, modulus, theta_b):
     s, c = np.sin(theta_b), np.cos(theta_b)
     z_b = modulus * np.array([0.0, 0.0, 1.0])
     z_bp = modulus * np.array([s, 0.0, c])
-    return boundary_geometry(boundary_map([spin] * n_a, z_b, z_bp)).theta
+    return boundary_geometry(boundary_map(SpinSystem.chain(n_a, spin),
+                                          range(n_a), z_b, z_bp)).theta
 
 
 def test_criterion_05_boundary_map_properties():
@@ -151,7 +152,7 @@ def test_criterion_05_boundary_map_properties():
         assert abs(_angle_after_map(n_a, "1/2", 0.5, np.pi) - np.pi) < 1e-8
     # (c) the modulus difference contracts for aligned boundary fields
     for z_diff in (0.05, 0.25, 0.45):
-        pair = boundary_map(["1/2"] * 3,
+        pair = boundary_map(SpinSystem.chain(3, "1/2"), range(3),
                             np.array([0.0, 0.0, 0.5]),
                             np.array([0.0, 0.0, 0.5 - z_diff]))
         geo = boundary_geometry(pair)

@@ -393,6 +393,24 @@ class TestBisepAndScan:
         diag = json.loads(lines[1].removeprefix("diagnostics: "))
         assert (diag["n_a"], diag["offset"], diag["branches"]) == (1, 1, 10)
 
+    @pytest.mark.parametrize("command, offset", [
+        ("bisep", 2), ("scan", 1), ("verdict", 1)])
+    def test_odd_ring_cut_is_3(self, tmp_path, capsys, command, offset):
+        # a non-collinear product state across Arc(1, 2) of this ring reaches
+        # -6.5033206, below the collinear -6.5 the scan reported, so that a
+        # verdict at -6.502 certified an energy a biseparable state attains;
+        # every command on a cut with n_a = 2 exits 3 (the scans at the first)
+        cfg = ('model: {topology: ring, N: 5, spins: ["1", "1", "1", "1", "3/2"]}\n'
+               "verdict: {energy: -6.502}\nbisep: {n_a: 2, offset: 2}\n")
+        code, out, err = run_main(
+            [command, "--config", write(tmp_path, cfg), "--workers", "1"], capsys)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("solver failure: ")
+        diag = json.loads(lines[1].removeprefix("diagnostics: "))
+        assert diag == {"n_a": 2, "n_sites": 5, "offset": offset}
+
     def test_bisep_unconverged_branches_on_stderr(self, tmp_path, capsys):
         # Arc(0, 2) of the 4-ring: four of its ten branches drift without
         # converging; the table on stdout is the decoupled minimum as before
@@ -477,15 +495,26 @@ class TestMapCommand:
         assert out == ""
         assert err.startswith("config error: map:")
 
+    # a numpy overflow warning is an error here, as it would reach stderr
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_largest_finite_fields_solve(self, tmp_path, capsys):
         # fields of 1e308 on spins 1: each matrix element is finite, and the
-        # degenerate level at theta = pi is resolved without overflow
+        # degenerate level at theta = pi is resolved without overflow, also
+        # in the degeneracy windows, which compare levels without e - e0
         cfg = ('map: {lengths: [2], spin: "1", theta_points: 2, '
                "moduli: [1.0e+308], modulus_diffs: [1.0e+308]}\n")
         code, out, err = run_main(
             ["map", "--config", write(tmp_path, cfg)], capsys)
         assert code == 0, err
+        assert err == ""
         assert len(out.splitlines()) == 3
+
+    def test_spin_zero_is_2(self, tmp_path, capsys):
+        # each chain is a SpinSystem, and a spinless site is none
+        code, out, err = run_main(
+            ["map", "--config", write(tmp_path, 'map: {spin: "0"}\n')], capsys)
+        assert (code, out) == (2, "")
+        assert err == "config error: map: spin must be > 0\n"
 
 
 class TestDefectCommand:

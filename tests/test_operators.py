@@ -1,10 +1,12 @@
-"""Spin algebra, product bases and sparse operator construction."""
+"""Spin algebra, product bases and sparse operator construction, and the
+Kronecker-product references the solvers are held to."""
 
 import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +20,9 @@ from spinwitness.operators import (
     spin_str,
     symmetry_orbits,
 )
-from spinwitness.hamiltonians import SpinSystem, site_maps
-from spinwitness.scf import boundary_map
+from spinwitness.eigensolvers import SolverError
+from spinwitness.hamiltonians import CHAIN, RING, Arc, SpinSystem, site_maps
+from spinwitness.scf import biseparable_minimum, boundary_map, scan_arcs
 
 
 def bond_operator(basis, i, j, coupling=1.0):
@@ -310,15 +313,18 @@ class TestOperators:
         assert mat.shape == (b.total_dim, b.dim)
         assert np.abs(mat.toarray() - dense[:, b.full_index]).max() < 1e-12
 
-    @pytest.mark.parametrize("spins, b, bprime", [
-        ([1, 2, 1], [0.3, 0.0, -0.7], [-0.9, 0.0, 0.2]),
-        ([3, 1], [0.5, 0.0, 0.5], [0.4, 0.0, -1.1]),
-        ([2], [0.6, 0.0, 0.25], [-0.2, 0.0, 0.4]),  # both fields on one spin
+    @pytest.mark.parametrize("chain, sites, b, bprime", [
+        (["1/2", "1", "1/2"], [0, 1, 2], [0.3, 0.0, -0.7], [-0.9, 0.0, 0.2]),
+        (["3/2", "1/2"], [0, 1], [0.5, 0.0, 0.5], [0.4, 0.0, -1.1]),
+        # both fields on one spin; the site outside the segment adds no bond
+        (["1", "1/2"], [0], [0.6, 0.0, 0.25], [-0.2, 0.0, 0.4]),
     ], ids=["three-sites", "two-sites", "one-site"])
-    def test_boundary_map_matches_kron(self, spins, b, bprime):
+    def test_boundary_map_matches_kron(self, chain, sites, b, bprime):
         # boundary_map builds b . s from s+ and two_m and reads <s> from
-        # <s+>; the oracle dresses the chain with Kronecker-embedded sx, sy,
-        # sz and reads each component as a plain expectation value
+        # <s+>; the oracle dresses the segment with Kronecker-embedded sx,
+        # sy, sz and reads each component as a plain expectation value
+        system = SpinSystem.from_spins(CHAIN, chain)
+        spins = [system.site_two_s[i] for i in sites]
         last = len(spins) - 1
 
         def embed(site, comp):
@@ -335,7 +341,7 @@ class TestOperators:
         v = vecs[:, 0]
         want = [[np.vdot(v, embed(site, comp) @ v).real
                  for comp in ("sx", "sy", "sz")] for site in (last, 0)]
-        pair = boundary_map([spin_str(t) for t in spins], b, bprime)
+        pair = boundary_map(system, sites, b, bprime)
         assert np.abs(np.array([pair.z, pair.zprime]) - want).max() < 1e-12
 
     def test_operator_add_and_scale(self):
@@ -343,3 +349,97 @@ class TestOperators:
         op = bond_operator(b, 0, 1)
         two = op + op
         assert np.abs(two.toarray() - bond_operator(b, 0, 1, 2.0).toarray()).max() < 1e-14
+
+
+def product_state_minimum(system, arc, starts=6, cycles=30, seed=0):
+    """Lowest energy of the product states |A>|B> that alternating exact
+    dressed solves reach on the cut A = arc, from `starts` random x-z
+    boundary spins.  Each half-cycle solves one side's exchange in the x-z
+    fields J <s> of its neighbours across the cut, so each energy
+    <H_A> + <H_B> + J sum <s_a>.<s_b> is that of a real product state: an
+    upper bound on the biseparable minimum of the cut, built from the
+    Kronecker references alone."""
+    n, two_s, j = system.n_sites, system.site_two_s, system.coupling
+    bonds = [(i, i + 1) for i in range(n - 1)]
+    bonds += [(n - 1, 0)] if system.topology == RING else []
+    in_a = {(arc.offset + k) % n for k in range(arc.length)}
+    crossing = [(a, b) if a in in_a else (b, a) for a, b in bonds
+                if (a in in_a) != (b in in_a)]
+    sides = []
+    for side, edge in ((sorted(in_a), {a for a, _ in crossing}),
+                       (sorted(set(range(n)) - in_a), {b for _, b in crossing})):
+        local = {site: k for k, site in enumerate(side)}
+        spins = [two_s[site] for site in side]
+        dim = int(np.prod([t + 1 for t in spins]))
+        h = np.zeros((dim, dim)) + np.real(dense_exchange(
+            spins, [(local[a], local[b]) for a, b in bonds
+                    if a in local and b in local], j))
+        ops = {site: [kron_embed(spins, local[site],
+                                 getattr(local_spin_matrices(two_s[site]), c))
+                      for c in ("sx", "sz")] for site in edge}
+        sides.append((h, ops))
+
+    def solve(own, neighbour_spins):
+        # own = 0 for A (its sites come first in each crossing pair), 1 for B
+        h, ops = sides[own]
+        dressed = h.copy()
+        for pair in crossing:
+            bx, bz = j * neighbour_spins[pair[1 - own]]
+            sx, sz = ops[pair[own]]
+            dressed += bx * sx + bz * sz
+        v = scipy.linalg.eigh(dressed, subset_by_index=[0, 0])[1][:, 0]
+        return v @ h @ v, {site: np.array([v @ sx @ v, v @ sz @ v])
+                           for site, (sx, sz) in ops.items()}
+
+    def energy(e_a, e_b, spins_a, spins_b):
+        return e_a + e_b + j * sum(spins_a[a] @ spins_b[b] for a, b in crossing)
+
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(starts):
+        spins_b = {}
+        for _, b in crossing:
+            modulus, phi = rng.uniform(0, two_s[b] / 2), rng.uniform(0, 2 * np.pi)
+            spins_b[b] = modulus * np.array([np.sin(phi), np.cos(phi)])
+        e_b = None
+        for _ in range(cycles):
+            e_a, spins_a = solve(0, spins_b)
+            if e_b is not None:
+                best = min(best, energy(e_a, e_b, spins_a, spins_b))
+            e_b, spins_b = solve(1, spins_a)
+            best = min(best, energy(e_a, e_b, spins_a, spins_b))
+    return best
+
+
+class TestProductStateOracle:
+    @pytest.mark.parametrize("system", [
+        SpinSystem.ring(6, "1/2"), SpinSystem.ring(6, "1"),
+        SpinSystem.from_spins(RING, ["1/2", "1"] * 3), SpinSystem.ring(8, "1/2"),
+        SpinSystem.chain(5, "1"),
+        SpinSystem.from_spins(CHAIN, ["1", "1/2", "1", "1", "1/2", "1"]),
+        # odd rings: their n_a = 1 cuts only
+        SpinSystem.from_spins(RING, ["1", "1", "1", "1", "3/2"]),
+        SpinSystem.ring(5, "1"), SpinSystem.ring(7, "1/2"),
+    ], ids=["ring6-s12", "ring6-s1", "ring6-mixed", "ring8-s12", "chain5-s1",
+            "chain6-mixed", "ring5-mixed", "ring5-s1", "ring7-s12"])
+    def test_no_product_state_below_ebs(self, system):
+        # every arc the scan runs and the collinear search bounds: the
+        # non-collinear alternating minimizer finds no product state below
+        # the arc's E_bs (it reaches it to 1e-14 on each of these)
+        n = system.n_sites
+        arcs = [arc for arc in scan_arcs(system)
+                if not (system.topology == RING and n % 2 and 2 <= arc.length <= n - 2)]
+        assert arcs
+        for arc in arcs:
+            ebs = biseparable_minimum(system, arc).ebs
+            assert product_state_minimum(system, arc) >= ebs - 1e-8, arc
+
+    def test_refused_odd_ring_cut_has_a_lower_state(self):
+        # the collinear search put Arc(1, 2) of this ring at -6.5, the scan's
+        # E_bs; a non-collinear product state reaches -6.5033206, so the cut
+        # is refused rather than reported
+        system = SpinSystem.from_spins(RING, ["1", "1", "1", "1", "3/2"])
+        assert product_state_minimum(system, Arc(1, 2)) < -6.5033
+        with pytest.raises(SolverError) as info:
+            biseparable_minimum(system, Arc(1, 2))
+        assert info.value.diagnostics == {"n_sites": 5}

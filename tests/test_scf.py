@@ -28,8 +28,18 @@ from spinwitness.scf import (
 from spinwitness.witness import defect_series, single_site_threshold
 
 
+QUBITS3 = SpinSystem.chain(3, "1/2")
+
+
 def z_vec(modulus, theta=0.0):
     return modulus * np.array([np.sin(theta), 0.0, np.cos(theta)])
+
+
+def collinear_bounded(system, arc):
+    """False on the cuts the collinear search refuses: those of an odd ring
+    with two sites or more on each side."""
+    n = system.n_sites
+    return not (system.topology == RING and n % 2 and 2 <= arc.length <= n - 2)
 
 
 class TestBoundaryGeometry:
@@ -52,7 +62,7 @@ class TestBoundaryGeometry:
 class TestBoundaryMap:
     def test_rejects_y_component(self):
         with pytest.raises(ValueError):
-            boundary_map(["1/2"] * 3, [0, 0.1, 0.5], [0, 0, 0.5])
+            boundary_map(QUBITS3, range(3), [0, 0.1, 0.5], [0, 0, 0.5])
 
     @pytest.mark.parametrize("field", [[0.5, 0.0], [np.inf, 0.0, 0.0],
                                        [0.0, 0.0, np.nan], [[0.5, 0.0, 0.5]]],
@@ -60,42 +70,89 @@ class TestBoundaryMap:
     def test_rejects_malformed_field(self, field):
         # a field that is not a finite 3-vector, on either edge
         with pytest.raises(ValueError):
-            boundary_map(["1/2"] * 3, field, z_vec(0.5))
+            boundary_map(QUBITS3, range(3), field, z_vec(0.5))
         with pytest.raises(ValueError):
-            boundary_map(["1/2"] * 3, z_vec(0.5), field)
+            boundary_map(QUBITS3, range(3), z_vec(0.5), field)
 
     def test_parallel_maps_to_parallel(self):
-        pair = boundary_map(["1/2"] * 3, z_vec(0.5), z_vec(0.5))
+        pair = boundary_map(QUBITS3, range(3), z_vec(0.5), z_vec(0.5))
         g = boundary_geometry(pair)
         assert g.theta < 1e-8
 
     def test_even_chain_antiparallel_fixed(self):
-        pair = boundary_map(["1/2"] * 4, z_vec(0.5), z_vec(0.5, np.pi))
+        pair = boundary_map(SpinSystem.chain(4, "1/2"), range(4), z_vec(0.5),
+                            z_vec(0.5, np.pi))
         g = boundary_geometry(pair)
         assert abs(g.theta - np.pi) < 1e-8
 
     def test_odd_chain_contracts_right_angle(self):
-        pair = boundary_map(["1/2"] * 3, z_vec(0.5), z_vec(0.5, np.pi / 2))
+        pair = boundary_map(QUBITS3, range(3), z_vec(0.5), z_vec(0.5, np.pi / 2))
         g = boundary_geometry(pair)
         assert abs(g.theta - 0.5588276630471) < 1e-9  # frozen from this solver
         assert g.theta < np.pi / 2
 
     def test_single_site_aligns_with_field(self):
-        # one free spin in two boundary fields: <s> antialigns with their sum
-        pair = boundary_map(["1/2"], z_vec(0.5), z_vec(0.5))
+        # one free spin in two boundary fields: <s> antialigns with their sum;
+        # its neighbours lie outside the segment, so no bond reaches it
+        pair = boundary_map(QUBITS3, [1], z_vec(0.5), z_vec(0.5))
         assert np.allclose(pair.z, [0, 0, -0.5], atol=1e-10)
         assert np.allclose(pair.zprime, [0, 0, -0.5], atol=1e-10)
 
     def test_zero_field_degenerate_resolution_deterministic(self):
-        a = boundary_map(["1/2"] * 3, np.zeros(3), np.zeros(3))
-        b = boundary_map(["1/2"] * 3, np.zeros(3), np.zeros(3))
+        a = boundary_map(QUBITS3, range(3), np.zeros(3), np.zeros(3))
+        b = boundary_map(QUBITS3, range(3), np.zeros(3), np.zeros(3))
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.zprime, b.zprime)
 
+    @pytest.mark.parametrize("coupling", [1e-12, 1e6])
+    def test_invariant_under_scale_of_coupling(self, coupling):
+        # J and the fields scaled together scale every level, so the map's
+        # degeneracy window (|J| the unit) picks the same state
+        want = boundary_map(QUBITS3, range(3), z_vec(0.5), z_vec(0.5, 1.0))
+        got = boundary_map(SpinSystem.chain(3, "1/2", coupling), range(3),
+                           coupling * z_vec(0.5), coupling * z_vec(0.5, 1.0))
+        assert np.abs(np.array([got.z, got.zprime])
+                      - [want.z, want.zprime]).max() < 1e-9
+
     def test_moduli_bounded_by_spin(self):
-        pair = boundary_map(["3/2"] * 3, z_vec(1.5), z_vec(1.5, np.pi))
+        pair = boundary_map(SpinSystem.chain(3, "3/2"), range(3), z_vec(1.5),
+                            z_vec(1.5, np.pi))
         g = boundary_geometry(pair)
         assert all(m <= 1.5 + 1e-12 for m in g.moduli)
+
+
+@st.composite
+def ring_segments(draw):
+    """(system, arc, fields): an arc of two sites or more of a ring of
+    N = 3..6 spins 1/2 and 1 (every sector of a segment below 128 states),
+    and the two boundary fields z_b, z_bprime in units of J."""
+    n = draw(st.integers(3, 6))
+    two_s = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    system = SpinSystem(RING, tuple(two_s), draw(st.sampled_from([1.0, 0.6, -1.3])))
+    arc = Arc(draw(st.integers(0, n - 1)), draw(st.integers(2, n - 1)))
+    fields = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+    return system, arc, fields
+
+
+class TestBoundaryMapOnRingCuts:
+    @settings(max_examples=40, deadline=None)
+    @given(ring_segments())
+    def test_matches_collinear_chain_solver(self, case):
+        # the map on a wrapping ring segment, dressed along z, and the
+        # production solver with the same fields give one ground state
+        system, arc, (z_b, z_bp) = case
+        sites, _, pairs = cut(system, arc)
+        j = system.coupling
+        op = build_hamiltonian(system, sites=sites)
+        two_m = op.basis.two_m
+        vals = dense_spectrum(op.matrix + sp.diags(
+            j * (z_b * two_m[:, -1] + z_bp * two_m[:, 0]) / 2.0))
+        assume(vals[1] - vals[0] > 1e-3 * abs(j))  # one ground state
+        pair = boundary_map(system, sites, [0, 0, j * z_b], [0, 0, j * z_bp])
+        got = CollinearChainSolver(system, sites, [a for a, _ in pairs]).ground(
+            [z_b, z_bp])
+        assert abs(pair.z[2] - got["z_fields"][0]) < 1e-12
+        assert abs(pair.zprime[2] - got["z_fields"][1]) < 1e-12
 
 
 class TestCollinearChainSolver:
@@ -520,8 +577,8 @@ def scf_arcs(draw):
     else:
         two_s = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     system = SpinSystem(topology, tuple(two_s))
-    return (system, draw(st.sampled_from(scan_arcs(system))),
-            draw(st.sampled_from([5, 7, 42])))
+    arcs = [arc for arc in scan_arcs(system) if collinear_bounded(system, arc)]
+    return system, draw(st.sampled_from(arcs)), draw(st.sampled_from([5, 7, 42]))
 
 
 class TestKnownFixedPoints:
@@ -656,8 +713,8 @@ class TestMapPropertiesSmall:
         # |theta_bar - theta_B| at theta_B = pi/2 shrinks with chain length
         # within each parity class
         def deflection(n_a):
-            pair = boundary_map(["1/2"] * n_a, z_vec(0.5),
-                                z_vec(0.5, np.pi / 2))
+            pair = boundary_map(SpinSystem.chain(n_a, "1/2"), range(n_a),
+                                z_vec(0.5), z_vec(0.5, np.pi / 2))
             return abs(boundary_geometry(pair).theta - np.pi / 2)
 
         assert deflection(5) < deflection(3)

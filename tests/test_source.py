@@ -64,3 +64,11 @@ def test_one_failure_type_per_exit_code():
                    if isinstance(obj, type) and issubclass(obj, BaseException)
                    and obj.__module__ == module.__name__}
     assert errors == {"config.ConfigError", "eigensolvers.SolverError"}
+
+
+def test_one_hamiltonian_builder():
+    # build_hamiltonian assembles every Hamiltonian but full_spectrum's, which
+    # sizes its symmetry blocks from a basis before it assembles on it
+    naming = [path.name for path in sorted(SRC.glob("*.py"))
+              if "heisenberg_matrix" in path.read_text()]
+    assert naming == ["hamiltonians.py", "operators.py", "witness.py"]
