@@ -32,7 +32,6 @@ from .scf import (
     BoundaryGeometry,
     BoundaryPair,
     ScfResult,
-    biseparable_minimum,
     biseparable_scan,
     boundary_geometry,
     boundary_map,

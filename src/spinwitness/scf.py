@@ -5,10 +5,10 @@ Two layers:
 * ``boundary_map`` — the one-step map used to probe the fixed-point geometry
   of any segment of a system with general (x-z plane) boundary fields.  This
   validates the reduction to collinear fields with equal boundary moduli.
-* ``biseparable_minimum`` / ``biseparable_scan`` — the production solver:
-  alternating minimization over product states, each half-cycle an exact
-  dressed ground-state solve.  Fields are restricted to +/- z with the two
-  boundary expectations of each subsystem tied by a sign eta = +/-1; both
+* ``biseparable_minimum_detailed`` / ``biseparable_scan`` — the production
+  solver: alternating minimization over product states, each half-cycle an
+  exact dressed ground-state solve.  Fields are restricted to +/- z with the
+  two boundary expectations of each subsystem tied by a sign eta = +/-1; both
   eta branches and a grid of starting moduli are scanned, and the
   exactly-decoupled candidate (all boundary expectations zero) is always
   included in the minimum: the lowest converged candidate, ties within
@@ -21,9 +21,9 @@ Two layers:
   Weyl's inequality changing them from b' to b moves a sector's lowest
   level by at most sum_k |b_k - b'_k| s_k; later solves skip every sector
   whose bound from those two levels lies above the current minimum by the
-  degeneracy window or more.  A single-site threshold's one dressed solve
-  gets its sector bounds from a cut of the solver's own sites, in their ring
-  order, in two halves (``CollinearChainSolver.bound_by_halves``) instead.
+  degeneracy window or more.  A single-site arc runs no branch: it is one
+  dressed solve of the rest, its sector bounds from a cut of the solver's
+  own sites in two halves (``CollinearChainSolver.bound_by_halves``).
 
 E_bs is a minimum over every bipartition, so every failure is a
 ``SolverError`` that propagates: of an eigensolve, of an arc none of whose
@@ -408,23 +408,26 @@ def _run_branch(solver_a, solver_b, eta, z0, known=()):
                      iterations=it)
 
 
-def biseparable_minimum(system: SpinSystem, arc: Arc,
-                        seed: int = DEFAULT_SEED) -> ScfResult:
-    """Minimum energy over biseparable states for one contiguous bipartition."""
-    result, _ = biseparable_minimum_detailed(system, arc, seed)
-    return result
-
-
 def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = DEFAULT_SEED):
-    """As biseparable_minimum but also returns the result of every branch
-    run; the decoupled candidate is not run, and shows only as the best."""
+    """(best, branches): the minimum energy over biseparable states for one
+    contiguous bipartition, and every SCF branch run (the decoupled
+    candidate shows only as best).  A single-site arc runs none: its minimum
+    is the rest's ground energy beside the lone spin fully polarized (README,
+    lemma 2), a degenerate level resolved as in the eta = +1 branch."""
     n = system.n_sites
     if system.topology == RING and n % 2 and 2 <= arc.length <= n - 2:
         raise SolverError("on this cut of an odd ring a non-collinear product "
                           "state can lie lower", {"n_sites": n})
     sites_a, sites_b, pairs = cut(system, arc)
-    solver_a = CollinearChainSolver(system, sites_a, [a for a, _ in pairs], seed)
     solver_b = CollinearChainSolver(system, sites_b, [b for _, b in pairs], seed)
+    if arc.length == 1:
+        z = [system.site_two_s[sites_a[0]] / 2.0] * len(pairs)
+        solver_b.bound_by_halves(z)
+        g = solver_b.ground(z, select_coeffs=[-1.0] * len(pairs))
+        z_b = g["z_fields"]
+        return _canonical(ScfResult(float(g["energy"]), z[0], z[0], z_b[0],
+                                    z_b[-1], 1, True, 0.0)), []
+    solver_a = CollinearChainSolver(system, sites_a, [a for a, _ in pairs], seed)
 
     # the exactly-decoupled candidate is always evaluated, and first: these
     # field-free calls give each solver the sector floors its later calls
@@ -505,8 +508,9 @@ def bipartition_report(system: SpinSystem, arc: Arc,
 
 
 def scan_arcs(system: SpinSystem) -> list:
-    """Contiguous arcs scanned for the global minimum: N_A = 1..N/2; one offset
-    for homogeneous rings, all valid offsets otherwise."""
+    """Contiguous arcs scanned for the global minimum, N_A = 1..N/2: one
+    offset on a homogeneous ring, all on another, and a chain's end cuts,
+    offsets 0 and N - N_A, each bipartition once (README, lemma 1)."""
     n = system.n_sites
     homogeneous = len(set(system.site_two_s)) == 1
     arcs = []
@@ -514,7 +518,7 @@ def scan_arcs(system: SpinSystem) -> list:
         if system.topology == RING:
             offsets = [0] if homogeneous else range(n)
         else:
-            offsets = range(n - length + 1)
+            offsets = [0] if 2 * length == n else [0, n - length]
         for off in offsets:
             arcs.append(Arc(off, length))
     return arcs
@@ -529,8 +533,8 @@ class ScanResult:
 
 def biseparable_scan(system: SpinSystem, seed: int = DEFAULT_SEED,
                      workers: int = 1) -> ScanResult:
-    """E_bs = min over contiguous bipartitions of E_bs(N_A, N_B); the
-    reports are in ``scan_arcs`` order, (n_a, offset)."""
+    """E_bs = min over contiguous bipartitions of E_bs(N_A, N_B), a chain's
+    end cuts sufficing; the reports are in ``scan_arcs`` order."""
     reports = map_jobs(bipartition_report,
                        [(system, arc, seed) for arc in scan_arcs(system)], workers)
     emin = min(r.result.ebs for r in reports)

@@ -38,7 +38,7 @@ from .operators import (
     spin_str,
     symmetry_orbits,
 )
-from .scf import CollinearChainSolver
+from .scf import bipartition_report
 
 
 @dataclass
@@ -65,17 +65,12 @@ def ground_energy(system: SpinSystem, seed: int = DEFAULT_SEED) -> float:
 
 
 def single_site_threshold(system: SpinSystem, k: int, seed: int = DEFAULT_SEED) -> float:
-    """E_bs^k: minimum biseparable energy when only site k is factored out.
-
-    The cut Arc(k, 1): the ground energy of the remaining sites, in the ring
-    order of ``cut``, with k's neighbours dressed by the field J s_k of a
-    fully polarized spin k.
+    """E_bs^k: minimum biseparable energy when only site k is factored out,
+    the minimum of the cut Arc(k, 1) (``bipartition_report``): the ground
+    energy of the remaining sites with k's neighbours dressed by the field
+    J s_k of a fully polarized spin k.
     """
-    _, rest, pairs = cut(system, Arc(k, 1))
-    solver = CollinearChainSolver(system, rest, [b for _, b in pairs], seed)
-    z = [system.site_two_s[k] / 2.0] * len(pairs)
-    solver.bound_by_halves(z)
-    return float(solver.ground(z)["energy"])
+    return bipartition_report(system, Arc(k, 1), seed).result.ebs
 
 
 def threshold_table(system: SpinSystem, label: str | None = None,

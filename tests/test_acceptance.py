@@ -14,7 +14,8 @@ import pytest
 
 from spinwitness.eigensolvers import dense_spectrum, lanczos_ground, sectored_ground_state
 from spinwitness.hamiltonians import Arc, SpinSystem, build_hamiltonian
-from spinwitness.scf import biseparable_minimum, biseparable_scan, boundary_geometry, boundary_map
+from spinwitness.scf import (bipartition_report, biseparable_scan, boundary_geometry,
+                             boundary_map)
 from spinwitness.witness import defect_series, eta_s, f_factor, verify_not_eigenstate
 
 # ---------------------------------------------------------------------------
@@ -115,7 +116,7 @@ def test_criterion_04_even_even_qubit_decoupling():
     """Qubit even-even bipartitions decouple: E_bs = sum of open-chain E0s."""
     system = SpinSystem.ring(8, "1/2")
     for n_a in (2, 4):
-        res = biseparable_minimum(system, Arc(0, n_a))
+        res = bipartition_report(system, Arc(0, n_a)).result
         ea = dense_spectrum(
             build_hamiltonian(SpinSystem.chain(n_a, "1/2")).matrix)[0]
         eb = dense_spectrum(

@@ -183,9 +183,9 @@ class TestExitCodes:
         assert 'diagnostics: {"dim": 70, "residual": 0.5}' in err.splitlines()
 
     def test_unconverged_bisep_is_3(self, tmp_path, capsys, monkeypatch):
-        # one SCF iteration converges none of the arc's branches
+        # one SCF iteration converges none of the odd-odd arc's branches
         monkeypatch.setattr(scf, "MAX_ITER", 1)
-        cfg = RING6_S1 + "bisep: {n_a: 1}\n"
+        cfg = RING6_S1 + "bisep: {n_a: 3}\n"
         code, out, err = run_main(
             ["bisep", "--config", write(tmp_path, cfg)], capsys)
         assert code == 3
@@ -195,7 +195,7 @@ class TestExitCodes:
         diag = json.loads(lines[1].removeprefix("diagnostics: "))
         assert diag["branches"] == 10
         assert len(diag["last_residuals"]) == 10
-        assert (diag["n_a"], diag["offset"]) == (1, 1)  # the arc, as in a scan
+        assert (diag["n_a"], diag["offset"]) == (3, 1)  # the arc, as in a scan
 
     def test_subnormal_coupling_solves(self, tmp_path, capsys):
         # the degeneracy window 1e-9 max(|J|, |e0|) underflows to 0 here; a
@@ -378,9 +378,10 @@ class TestBisepAndScan:
     @pytest.mark.parametrize("command", ["scan", "verdict"])
     def test_unconverged_arc_is_3(self, tmp_path, capsys, monkeypatch,
                                   command, workers):
-        # with one SCF iteration only the even-even arc converges (from
-        # z = 0); a minimum over the other arcs is no threshold, so neither
-        # command writes data, and the diagnostics name the first failing arc
+        # with one SCF iteration the odd-odd arc converges no branch (the
+        # single-site arc runs none, the even-even one converges from z = 0);
+        # a minimum over the other arcs is no threshold, so neither command
+        # writes data, and the diagnostics name the failing arc
         monkeypatch.setattr(scf, "MAX_ITER", 1)
         cfg = RING6_S1 + "verdict: {energy: -7.0}\n"
         code, out, err = run_main(
@@ -391,7 +392,7 @@ class TestBisepAndScan:
         lines = err.splitlines()
         assert lines[0] == "solver failure: no SCF branch converged"
         diag = json.loads(lines[1].removeprefix("diagnostics: "))
-        assert (diag["n_a"], diag["offset"], diag["branches"]) == (1, 1, 10)
+        assert (diag["n_a"], diag["offset"], diag["branches"]) == (3, 1, 10)
 
     @pytest.mark.parametrize("command, offset", [
         ("bisep", 2), ("scan", 1), ("verdict", 1)])

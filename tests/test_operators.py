@@ -22,7 +22,7 @@ from spinwitness.operators import (
 )
 from spinwitness.eigensolvers import SolverError
 from spinwitness.hamiltonians import CHAIN, RING, Arc, SpinSystem, site_maps
-from spinwitness.scf import biseparable_minimum, boundary_map, scan_arcs
+from spinwitness.scf import bipartition_report, boundary_map, scan_arcs
 
 
 def bond_operator(basis, i, j, coupling=1.0):
@@ -431,7 +431,7 @@ class TestProductStateOracle:
                 if not (system.topology == RING and n % 2 and 2 <= arc.length <= n - 2)]
         assert arcs
         for arc in arcs:
-            ebs = biseparable_minimum(system, arc).ebs
+            ebs = bipartition_report(system, arc).result.ebs
             assert product_state_minimum(system, arc) >= ebs - 1e-8, arc
 
     def test_refused_odd_ring_cut_has_a_lower_state(self):
@@ -441,5 +441,5 @@ class TestProductStateOracle:
         system = SpinSystem.from_spins(RING, ["1", "1", "1", "1", "3/2"])
         assert product_state_minimum(system, Arc(1, 2)) < -6.5033
         with pytest.raises(SolverError) as info:
-            biseparable_minimum(system, Arc(1, 2))
-        assert info.value.diagnostics == {"n_sites": 5}
+            bipartition_report(system, Arc(1, 2))
+        assert info.value.diagnostics == {"n_sites": 5, "n_a": 2, "offset": 2}

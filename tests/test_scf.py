@@ -16,7 +16,6 @@ from spinwitness.hamiltonians import (CHAIN, RING, Arc, SpinSystem,
 from spinwitness.scf import (
     BoundaryPair,
     CollinearChainSolver,
-    biseparable_minimum,
     biseparable_minimum_detailed,
     biseparable_scan,
     bipartition_report,
@@ -343,6 +342,24 @@ def threshold_cuts(draw):
     return system, draw(st.integers(0, n - 1))
 
 
+def scf_search(system, arc):
+    """(branches, decoupled energy) of the SCF search on the cut A = arc,
+    the oracle of a single-site arc's one dressed solve: ``_run_branch``
+    from each INIT_GRID fraction of B's first boundary spin, on both eta
+    signs when the cut has two coupling pairs, on one pair of chain
+    solvers, after the two field-free solves of the decoupled value."""
+    sites_a, sites_b, pairs = cut(system, arc)
+    solver_a = CollinearChainSolver(system, sites_a, [a for a, _ in pairs])
+    solver_b = CollinearChainSolver(system, sites_b, [b for _, b in pairs])
+    zero = [0.0] * len(pairs)
+    decoupled = solver_a.ground(zero)["e_bare"] + solver_b.ground(zero)["e_bare"]
+    s_bd = system.site_two_s[pairs[0][1]] / 2.0
+    branches = [scf._run_branch(solver_a, solver_b, eta, s_bd * f)
+                for eta in ((1, -1) if len(pairs) == 2 else (1,))
+                for f in scf.INIT_GRID]
+    return branches, decoupled
+
+
 class TestCutBounds:
     @settings(max_examples=40, deadline=None)
     @given(threshold_cuts())
@@ -367,6 +384,21 @@ class TestCutBounds:
         else:  # one site: nothing to cut, nothing bounded
             assert np.all(bounded.e_last == -np.inf)
         assert single_site_threshold(system, k) == energy
+
+    @settings(max_examples=25, deadline=None)
+    @given(threshold_cuts())
+    def test_single_site_arc_is_the_scf_minimum(self, case):
+        # lemma 2: the lone spin's dressed energy is concave and flip
+        # symmetric in its <s>, so the one solve at |<s>| = s_k is the
+        # minimum the SCF search finds, decoupled candidate included
+        system, k = case
+        best, branches = biseparable_minimum_detailed(system, Arc(k, 1))
+        assert branches == []
+        assert best.converged and not best.decoupled and best.residual == 0.0
+        found, decoupled = scf_search(system, Arc(k, 1))
+        assume(any(b.converged for b in found))
+        want = min([b.ebs for b in found if b.converged] + [decoupled])
+        assert abs(best.ebs - want) <= 1e-12 * max(abs(system.coupling), abs(want))
 
     @settings(max_examples=20, deadline=None)
     @given(threshold_cuts())
@@ -417,7 +449,7 @@ class TestBiseparableMinimum:
     def test_even_even_decouples(self):
         # qubit ring: even-even splits exactly into two open chains
         system = SpinSystem.ring(6, "1/2")
-        res = biseparable_minimum(system, Arc(0, 2))
+        res = bipartition_report(system, Arc(0, 2)).result
         e2 = dense_spectrum(build_hamiltonian(SpinSystem.chain(2, "1/2")).matrix)[0]
         e4 = dense_spectrum(build_hamiltonian(SpinSystem.chain(4, "1/2")).matrix)[0]
         assert res.decoupled
@@ -428,10 +460,10 @@ class TestBiseparableMinimum:
         # J scales the crossing bonds as well as the bonds inside A and B,
         # so E_bs scales with J and the fixed point does not move
         for n_a in (1, 2, 3):
-            unit = biseparable_minimum(SpinSystem.ring(6, "1"), Arc(0, n_a))
+            unit = bipartition_report(SpinSystem.ring(6, "1"), Arc(0, n_a)).result
             for coupling in (0.5, 2.0):
-                scaled = biseparable_minimum(SpinSystem.ring(6, "1", coupling),
-                                             Arc(0, n_a))
+                scaled = bipartition_report(SpinSystem.ring(6, "1", coupling),
+                                            Arc(0, n_a)).result
                 assert scaled.ebs == pytest.approx(coupling * unit.ebs, rel=1e-12)
                 for name in ("z_a", "z_aprime", "z_b", "z_bprime"):
                     assert getattr(scaled, name) == pytest.approx(
@@ -441,10 +473,10 @@ class TestBiseparableMinimum:
     def test_lanczos_route_independent_of_scale_of_coupling(self):
         # the s=3/2 segment of Arc(0, 1) has sectors above DENSE_DIM, so the
         # chain solver's Lanczos iteration stops on a residual in units of |J|
-        unit = biseparable_minimum(SpinSystem.ring(6, "3/2"), Arc(0, 1))
+        unit = bipartition_report(SpinSystem.ring(6, "3/2"), Arc(0, 1)).result
         for coupling in (1e-10, 1.0, 1e3):
-            scaled = biseparable_minimum(SpinSystem.ring(6, "3/2", coupling),
-                                         Arc(0, 1))
+            scaled = bipartition_report(SpinSystem.ring(6, "3/2", coupling),
+                                        Arc(0, 1)).result
             assert scaled.ebs / coupling == pytest.approx(unit.ebs, rel=1e-13)
             for name in ("z_a", "z_aprime", "z_b", "z_bprime"):
                 assert getattr(scaled, name) == pytest.approx(
@@ -452,25 +484,26 @@ class TestBiseparableMinimum:
 
     def test_converged_result_is_fixed_point(self):
         system = SpinSystem.ring(6, "1")
-        res = biseparable_minimum(system, Arc(0, 1))
+        res = bipartition_report(system, Arc(0, 1)).result
         assert res.converged
         assert res.residual < 1e-9
 
     def test_single_site_arc_matches_threshold(self):
+        # one function solves both, so they agree to the bit
         system = SpinSystem.ring(6, "1")
-        res = biseparable_minimum(system, Arc(0, 1))
-        assert abs(res.ebs - single_site_threshold(system, 0)) < 1e-8
+        res = bipartition_report(system, Arc(0, 1)).result
+        assert res.ebs == single_site_threshold(system, 0)
 
     def test_ebs_above_ground(self):
         system = SpinSystem.ring(6, "1/2")
         e0 = dense_spectrum(build_hamiltonian(system).matrix)[0]
         for n_a in (1, 2, 3):
-            res = biseparable_minimum(system, Arc(0, n_a))
+            res = bipartition_report(system, Arc(0, n_a)).result
             assert res.ebs > e0 + 1e-6
 
     def test_chain_edge_arc_single_coupling(self):
         system = SpinSystem.chain(4, "1/2")
-        best, branches = biseparable_minimum_detailed(system, Arc(0, 1))
+        best, branches = biseparable_minimum_detailed(system, Arc(0, 2))
         # one coupling bond: only the eta=+1 branch family, and eta = 1
         assert len(branches) == len(scf.INIT_GRID)
         assert all(b.eta == 1 for b in branches)
@@ -489,7 +522,7 @@ class TestBiseparableMinimum:
         # which branch reaches the fixed point first depends on the seed; the
         # report is the point's canonical form: z_b >= 0 and eta the sign of
         # z_b * z_bprime, here antiparallel
-        res = biseparable_minimum(SpinSystem.ring(8, "1"), Arc(0, 2), seed)
+        res = bipartition_report(SpinSystem.ring(8, "1"), Arc(0, 2), seed).result
         assert res.eta == -1
         assert res.z_b > 0 > res.z_bprime
         assert not res.decoupled
@@ -498,9 +531,12 @@ class TestBiseparableMinimum:
     @pytest.mark.parametrize("n_a", [1, 2, 3, 4])
     def test_branches_converge_in_few_cycles(self, n_a):
         # each half-cycle is an exact minimization, so the undamped
-        # alternation settles in a few cycles and reports the converging one
-        _, branches = biseparable_minimum_detailed(SpinSystem.ring(8, "1"),
-                                                   Arc(0, n_a))
+        # alternation settles in a few cycles and reports the converging
+        # one; a single-site arc runs no branch, so its SCF search is run
+        # on its own solvers
+        system, arc = SpinSystem.ring(8, "1"), Arc(0, n_a)
+        branches = (scf_search(system, arc)[0] if n_a == 1
+                    else biseparable_minimum_detailed(system, arc)[1])
         found = [b for b in branches if b.converged]
         assert found
         assert all(b.residual < scf.TOL for b in found)
@@ -520,18 +556,19 @@ class TestBiseparableMinimum:
                                  0.0, iterations=1)
 
         monkeypatch.setattr(scf, "_run_branch", fake_branch)
-        res = biseparable_minimum(system, arc)
+        res = bipartition_report(system, arc).result
         assert not res.decoupled
         assert res.ebs == e_dec - 1e-10
         assert (res.z_a, res.z_aprime, res.z_b, res.z_bprime) == (0.0, 0.3, 0.0, 0.3)
 
     def test_no_converged_branch_raises(self, monkeypatch):
-        # one iteration converges none of the 10 branches; the decoupled
-        # energy is only an upper bound and must not be reported as E_bs
+        # one iteration converges none of the odd-odd arc's 10 branches; the
+        # decoupled energy is only an upper bound and must not be reported
+        # as E_bs
         monkeypatch.setattr(scf, "MAX_ITER", 1)
         system = SpinSystem.ring(6, "1")
         with pytest.raises(SolverError) as info:
-            biseparable_minimum(system, Arc(0, 1))
+            biseparable_minimum_detailed(system, Arc(0, 3))
         # one failure type: the CLI and the scan catch SolverError alone
         assert type(info.value) is SolverError
         diag = info.value.diagnostics
@@ -552,7 +589,7 @@ class TestBiseparableMinimum:
 
         monkeypatch.setattr(scf, "_run_branch", fail_third)
         with pytest.raises(SolverError, match="Lanczos failed to converge"):
-            biseparable_minimum(SpinSystem.ring(6, "1"), Arc(0, 3))
+            bipartition_report(SpinSystem.ring(6, "1"), Arc(0, 3))
 
     def test_drifting_branches_are_counted(self):
         # the four eta = -1 branches from s/4 to s drift towards z = 0
@@ -607,9 +644,10 @@ class TestKnownFixedPoints:
                         getattr(want, name), abs=1e-6)
 
     def test_ring8_scan_stops_branches_at_known_fixed_points(self, monkeypatch):
-        # the N=8 s=1 scan's 40 branches reach 14 fixed points; iterating
-        # every branch to its own convergence took 259 cycles and 526
-        # ground calls, stopping at known fixed points 194 and 396
+        # the N=8 s=1 scan runs 30 branches (its single-site arc runs
+        # none); iterating every branch to its own convergence takes 239
+        # cycles and 485 ground calls, stopping at known fixed points 182
+        # and 371
         calls = []
 
         def counted(solver, *args, **kwargs):
@@ -621,22 +659,48 @@ class TestKnownFixedPoints:
         system = SpinSystem.ring(8, "1")
         branches = [b for arc in scan_arcs(system)
                     for b in biseparable_minimum_detailed(system, arc)[1]]
-        assert len(branches) == 40
+        assert len(branches) == 30
         assert all(b.converged for b in branches)
-        assert sum(b.iterations for b in branches) <= 200
-        assert len(calls) <= 420
+        assert sum(b.iterations for b in branches) <= 190
+        assert len(calls) <= 390
+
+
+@st.composite
+def mixed_chains(draw):
+    """A chain of N = 2..8 mixed spins s <= 3/2, at most 6561 product
+    states, at J in {-1, 0.6, 1}."""
+    two_s = draw(st.lists(st.integers(1, 3), min_size=2, max_size=8).filter(
+        lambda t: np.prod([x + 1 for x in t]) <= 6561))
+    return SpinSystem(CHAIN, tuple(two_s), draw(st.sampled_from([-1.0, 0.6, 1.0])))
 
 
 class TestScan:
+    @settings(max_examples=15, deadline=None)
+    @given(mixed_chains())
+    def test_chain_end_cuts_hold_the_minimum(self, system):
+        # lemma 1: the marginals of a product state across a mid-chain arc
+        # are those of a product state across an end cut, so the scan, which
+        # runs the end cuts only, reaches the minimum over every arc of the
+        # chain, every offset of every length (the oracle)
+        n = system.n_sites
+        every = [Arc(off, length) for length in range(1, n // 2 + 1)
+                 for off in range(n - length + 1)]
+        emin = min(bipartition_report(system, arc).result.ebs for arc in every)
+        scan = biseparable_scan(system)
+        assert all(r.offset in (0, n - r.n_a) for r in scan.reports)
+        assert scan.ebs - emin <= 1e-12 * max(abs(system.coupling), abs(emin))
+
     def test_homogeneous_ring_single_offset(self):
         arcs = scan_arcs(SpinSystem.ring(8, "1/2"))
         assert [(a.offset, a.length) for a in arcs] == [(0, 1), (0, 2),
                                                         (0, 3), (0, 4)]
 
-    def test_chain_all_offsets(self):
-        arcs = scan_arcs(SpinSystem.chain(4, "1/2"))
-        lengths = {(a.offset, a.length) for a in arcs}
-        assert (0, 1) in lengths and (3, 1) in lengths and (1, 2) in lengths
+    def test_chain_end_cuts(self):
+        # each bipartition once: the two halves of an even chain are one cut
+        for n, want in ((4, [(0, 1), (3, 1), (0, 2)]),
+                        (5, [(0, 1), (4, 1), (0, 2), (3, 2)])):
+            arcs = scan_arcs(SpinSystem.chain(n, "1/2"))
+            assert [(a.offset, a.length) for a in arcs] == want
 
     def test_defected_ring_all_offsets(self):
         arcs = scan_arcs(SpinSystem.from_spins("ring", ["1"] * 3 + ["1/2"]))
@@ -649,22 +713,22 @@ class TestScan:
         assert scan.argmin.result.ebs == scan.ebs
 
     def test_unconverged_arc_raises(self, monkeypatch):
-        # with one iteration only the even-even arc converges (from z = 0);
-        # the minimum over the others is not E_bs, so the scan raises, naming
-        # the first failing arc (offset 1-based)
+        # with one iteration the single-site arc (no branch) and the
+        # even-even arc (from z = 0) succeed; the minimum over them is not
+        # E_bs, so the scan raises, naming the failing arc (offset 1-based)
         monkeypatch.setattr(scf, "MAX_ITER", 1)
         with pytest.raises(SolverError, match="no SCF branch converged") as info:
             biseparable_scan(SpinSystem.ring(6, "1"))
         diag = info.value.diagnostics
-        assert (diag["n_a"], diag["offset"], diag["branches"]) == (1, 1, 10)
+        assert (diag["n_a"], diag["offset"], diag["branches"]) == (3, 1, 10)
 
     def test_bisep_arc_is_tagged_as_in_a_scan(self, monkeypatch):
         # one arc's failure names it as the scan's does, offset 1-based
         monkeypatch.setattr(scf, "MAX_ITER", 1)
         with pytest.raises(SolverError, match="no SCF branch converged") as info:
-            bipartition_report(SpinSystem.chain(6, "1"), Arc(2, 1))
+            bipartition_report(SpinSystem.chain(6, "1"), Arc(1, 2))
         diag = info.value.diagnostics
-        assert (diag["n_a"], diag["offset"], diag["branches"]) == (1, 3, 10)
+        assert (diag["n_a"], diag["offset"], diag["branches"]) == (2, 2, 10)
 
     def test_arc_tagged_error_survives_pickling(self):
         # a worker process hands its exception back pickled
