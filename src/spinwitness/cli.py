@@ -65,8 +65,11 @@ def emit(columns, rows, fmt, out, metadata):
                 % (json.dumps(list(columns)), json.dumps(metadata, sort_keys=True),
                    rows_text))
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -198,7 +201,7 @@ def cmd_thermal(cfg: RunConfig, seed: int, workers: int):
             for t in np.linspace(block["t_min"], block["t_max"], block["points"])]
     for ebs in block["thresholds"]:
         try:
-            tstar = float(threshold_temperature(spectrum, ebs, abs(system.coupling)))
+            tstar = float(threshold_temperature(spectrum, ebs))
         except ValueError:
             tstar = np.nan
         rows.append(["crossing", tstar, ebs])
@@ -250,6 +253,9 @@ def main(argv=None) -> int:
         columns, rows = COMMANDS[args.command](cfg, seed, workers)
         if not rows:
             raise ConfigError(f"the config selects no {args.command} rows")
+        emit(columns, rows, args.format, args.out,
+             {"version": __version__, "command": args.command, "seed": seed,
+              "config_hash": cfg.digest()})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -259,9 +265,6 @@ def main(argv=None) -> int:
             print("diagnostics: " + json.dumps(exc.diagnostics, sort_keys=True,
                                                default=str), file=sys.stderr)
         return 3
-    emit(columns, rows, args.format, args.out,
-         {"version": __version__, "command": args.command, "seed": seed,
-          "config_hash": cfg.digest()})
     return 0
 
 

@@ -102,7 +102,7 @@ SCHEMA = {
          "thermal": (_block("thermal"), {}),
          "verdict": (_block("verdict"), ABSENT), "bisep": (_block("bisep"), ABSENT)},
     "model": {"topology": (_one_of(RING, CHAIN), REQUIRED),
-              "N": (_integer(2, MAX_SITES), REQUIRED), "coupling": (_real(), 1.0),
+              "N": (_integer(2, MAX_SITES), REQUIRED),
               "spin": (_spin, ABSENT), "spins": (_list(_spin), ABSENT),
               "defect": (_block("model.defect"), ABSENT)},
     "model.defect": {"site": (_integer(1), REQUIRED), "spin": (_spin, REQUIRED)},
@@ -167,7 +167,7 @@ class RunConfig:
         if len(spins) != n:
             raise ConfigError("'spins' length must equal N")
         try:
-            system = SpinSystem.from_spins(m["topology"], spins, m["coupling"])
+            system = SpinSystem.from_spins(m["topology"], spins)
             if defect is None:
                 return system, list(range(n))
             return defected_ring(system, defect["site"] - 1, defect["spin"])

@@ -73,26 +73,26 @@ def dense_spectrum(mat) -> np.ndarray:
 
 def degenerate_with(e0: float, e, unit: float = 1.0):
     """True where the level(s) e lie in the degeneracy window of e0:
-    DEGENERACY_TOL times the larger of |e0| and the energy unit, |J| for a
-    system, so that the outcome does not depend on the scale of J; inclusive,
-    so e0 is in its own level where the window underflows (subnormal J)."""
+    DEGENERACY_TOL times the larger of |e0| and `unit`: J = 1 for a system,
+    the spectrum's width for ``thermal_energy``; inclusive, so e0 is in its
+    own level where the window underflows."""
     return np.asarray(e) <= float(e0) + DEGENERACY_TOL * max(unit, abs(e0))
 
 
-def lowest_level(mat: np.ndarray, unit: float = 1.0):
+def lowest_level(mat: np.ndarray):
     """Lowest level of a dense Hermitian block: (e0, e1, manifold).
 
     LAPACK is asked for the two lowest pairs; only when they share one
     degeneracy window is the full spectrum computed, so that the columns of
     `manifold` span the whole level.  e1 is the second-lowest eigenvalue
-    (inf for a 1x1 block).  `unit` scales the window (``degenerate_with``).
+    (inf for a 1x1 block).
     """
     if mat.shape[0] == 1:
         return float(np.real(mat[0, 0])), np.inf, np.ones((1, 1))
     vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[0, 1])
-    if degenerate_with(vals[0], vals[1], unit):
+    if degenerate_with(vals[0], vals[1]):
         vals, vecs = scipy.linalg.eigh(mat)
-    level = degenerate_with(vals[0], vals, unit)
+    level = degenerate_with(vals[0], vals)
     return float(vals[0]), float(vals[1]), vecs[:, level]
 
 
@@ -108,17 +108,15 @@ def select_in_manifold(manifold: np.ndarray, selector):
     return float(vals[0]), manifold @ vecs[:, 0]
 
 
-def lanczos_ground(op: SparseHermitianOperator,
-                   seed: int = DEFAULT_SEED,
-                   v0: np.ndarray | None = None,
-                   shift: np.ndarray | None = None, unit: float = 1.0):
+def lanczos_ground(op: SparseHermitianOperator, seed: int = DEFAULT_SEED,
+                   v0: np.ndarray | None = None, shift: np.ndarray | None = None):
     """Lowest eigenpair by restarted Lanczos with full reorthogonalization.
 
     `shift` is a diagonal added to the operator inside the matrix-vector
     product, so a field-dressed block needs no new matrix.  Every 8 steps, at
     a sweep's end and on an exhausted Krylov space, a checkpoint returns the
-    lowest Ritz pair if its residual is below DEFAULT_TOL·max(unit, |theta|),
-    the unit |J| for a system; a full sweep restarts from that Ritz vector.
+    lowest Ritz pair if its residual is below DEFAULT_TOL·max(1, |theta|),
+    in units of J; a full sweep restarts from that Ritz vector.
     Returns (values, vectors, iterations): one value and one column.  Raises
     SolverError, with the last Ritz residual estimate, on non-convergence.
     """
@@ -132,7 +130,7 @@ def lanczos_ground(op: SparseHermitianOperator,
     m = min(300, n)  # Krylov vectors per restart
     V = np.empty((m, n), dtype=mat.dtype)
     alphas, betas = np.empty(m), np.empty(m)
-    scale, resid = unit, np.inf
+    scale, resid = 1.0, np.inf
     for sweep in range(MAX_RESTARTS):
         V[0] = v0
         for j in range(m):
@@ -147,12 +145,12 @@ def lanczos_ground(op: SparseHermitianOperator,
                 w -= V[:j + 1].T @ (V[:j + 1].conj() @ w)
             betas[j] = b = np.linalg.norm(w)
             scale = max(scale, abs(a), b)
-            exhausted = b <= 1e-14 * scale  # <=: the zero operator has scale 0
+            exhausted = b <= 1e-14 * scale
             if exhausted or j + 1 == m or (j + 1) % 8 == 0:
                 theta, S = scipy.linalg.eigh_tridiagonal(alphas[:j + 1],
                                                          betas[:j])
                 resid = abs(b * S[j, 0])
-                if exhausted or resid < DEFAULT_TOL * max(unit, abs(theta[0])):
+                if exhausted or resid < DEFAULT_TOL * max(1.0, abs(theta[0])):
                     vecs = (S[:, :1].T @ V[:j + 1]).T
                     vecs[:, 0] /= np.linalg.norm(vecs[:, 0])  # near 1 already
                     return theta[:1], vecs, sweep * m + j + 1
@@ -166,16 +164,16 @@ def lanczos_ground(op: SparseHermitianOperator,
          "tol": DEFAULT_TOL, "restarts": MAX_RESTARTS})
 
 
-def ground_state(op: SparseHermitianOperator, seed: int = DEFAULT_SEED,
-                 unit: float = 1.0) -> GroundStateResult:
+def ground_state(op: SparseHermitianOperator,
+                 seed: int = DEFAULT_SEED) -> GroundStateResult:
     """Lowest eigenpair and gap of a single operator (no sector blocking here).
 
     Dense up to LANCZOS_CROSSOVER; above it one eigsh call from a seeded v0,
-    never ARPACK's own generator.  A failed call raises SolverError.  `unit`
-    scales the degeneracy window (``degenerate_with``).
+    never ARPACK's own generator.  A failed call raises SolverError.  The
+    degeneracy window is ``degenerate_with``'s, in units of J.
     """
     if op.dim <= LANCZOS_CROSSOVER:
-        e0, e1, manifold = lowest_level(op.matrix.toarray(), unit)
+        e0, e1, manifold = lowest_level(op.matrix.toarray())
         vec = manifold[:, 0]
     else:
         # imported here: at module level it costs ~27 ms a process (2-vCPU Xeon)
@@ -189,7 +187,7 @@ def ground_state(op: SparseHermitianOperator, seed: int = DEFAULT_SEED,
             }) from exc
         (e0, e1), vec = vals.tolist(), vecs[:, 0]
     return GroundStateResult(e0, vec, e1 - e0,
-                             bool(degenerate_with(e0, e1, unit)))
+                             bool(degenerate_with(e0, e1)))
 
 
 def sectored_ground_state(system: SpinSystem,
@@ -205,7 +203,7 @@ def sectored_ground_state(system: SpinSystem,
     """
     two_m = sum(system.site_two_s) % 2
     op = build_hamiltonian(system, two_m)
-    r = ground_state(op, seed=seed, unit=abs(system.coupling))
+    r = ground_state(op, seed=seed)
     up = raising(op.basis, range(system.n_sites)) @ r.vector
     s_sq = two_m * (two_m + 2) / 4 + float(np.vdot(up, up).real)
     multiplet = s_sq > 3 / 8

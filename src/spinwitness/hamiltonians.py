@@ -1,8 +1,7 @@
 """Heisenberg ring/chain Hamiltonians and their open subsystems.
 
-Energies are in units of J = 1; `SpinSystem.coupling` scales every bond,
-including the crossing bonds of a cut.  Sites are indexed 0-based in this
-API.
+Energies are in units of J: every bond, the crossing bonds of a cut
+included, is s_i . s_j.  Sites are indexed 0-based in this API.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ class SpinSystem:
 
     topology: str
     site_two_s: tuple
-    coupling: float = 1.0
 
     def __post_init__(self):
         if self.topology not in (RING, CHAIN):
@@ -38,25 +36,22 @@ class SpinSystem:
             raise ValueError("a ring needs at least 3 sites")
         if self.topology == CHAIN and n < 2:
             raise ValueError("a chain needs at least 2 sites")
-        if self.coupling == 0:
-            raise ValueError("coupling must be nonzero: at J = 0 every state "
-                             "is a ground state and no energy witnesses anything")
         if any(int(t) <= 0 for t in self.site_two_s):
             raise ValueError("all spins must be > 0; model a spinless defect "
                              "by removing the site (chain topology)")
         product_dim(self.site_two_s)  # refuse a space too large to enumerate
 
     @classmethod
-    def ring(cls, n: int, spin, coupling: float = 1.0) -> "SpinSystem":
-        return cls(RING, (parse_spin(spin),) * n, coupling)
+    def ring(cls, n: int, spin) -> "SpinSystem":
+        return cls(RING, (parse_spin(spin),) * n)
 
     @classmethod
-    def chain(cls, n: int, spin, coupling: float = 1.0) -> "SpinSystem":
-        return cls(CHAIN, (parse_spin(spin),) * n, coupling)
+    def chain(cls, n: int, spin) -> "SpinSystem":
+        return cls(CHAIN, (parse_spin(spin),) * n)
 
     @classmethod
-    def from_spins(cls, topology: str, spins, coupling: float = 1.0) -> "SpinSystem":
-        return cls(topology, tuple(parse_spin(s) for s in spins), coupling)
+    def from_spins(cls, topology: str, spins) -> "SpinSystem":
+        return cls(topology, tuple(parse_spin(s) for s in spins))
 
     @property
     def n_sites(self) -> int:
@@ -77,7 +72,7 @@ class SpinSystem:
 
 
 def defected_ring(base: SpinSystem, defect_site: int, defect_spin):
-    """A homogeneous ring `base` with one substituted spin; same coupling.
+    """A homogeneous ring `base` with one substituted spin.
 
     A spinless substitution (defect_spin = 0) removes the site, leaving an
     open chain.  Returns (system, labels) where labels[i] is the original
@@ -90,10 +85,10 @@ def defected_ring(base: SpinSystem, defect_site: int, defect_spin):
         raise ValueError("defect site out of range")
     if sub == 0:
         order = [(defect_site + 1 + i) % n for i in range(n - 1)]
-        return SpinSystem(CHAIN, base.site_two_s[1:], base.coupling), order
+        return SpinSystem(CHAIN, base.site_two_s[1:]), order
     spins = list(base.site_two_s)
     spins[defect_site] = sub
-    return SpinSystem(RING, tuple(spins), base.coupling), list(range(n))
+    return SpinSystem(RING, tuple(spins)), list(range(n))
 
 
 def site_maps(system: SpinSystem):
@@ -174,8 +169,7 @@ def build_hamiltonian(system: SpinSystem, sector_two_m: int | None = None,
     basis = ProductBasis([system.site_two_s[i] for i in sites], sector_two_m)
     bonds = [(local[i], local[j]) for i, j in system.bonds()
              if i in local and j in local]
-    return SparseHermitianOperator(basis, heisenberg_matrix(basis, bonds,
-                                                            system.coupling))
+    return SparseHermitianOperator(basis, heisenberg_matrix(basis, bonds))
 
 
 __all__ = [

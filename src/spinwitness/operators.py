@@ -177,9 +177,8 @@ def _flipflop_entries(basis: ProductBasis, i: int, j: int):
     return rows, cols, np.concatenate([vals, vals])
 
 
-def heisenberg_matrix(basis: ProductBasis, bonds,
-                      coupling: float = 1.0) -> sp.csr_matrix:
-    """J * sum over bonds (i, j) of s_i . s_j, assembled in one COO pass.
+def heisenberg_matrix(basis: ProductBasis, bonds) -> sp.csr_matrix:
+    """Sum over bonds (i, j) of s_i . s_j, assembled in one COO pass.
 
     Explicit zeros are dropped, so the sparsity matches the exact operator;
     an empty bond list gives the zero matrix.
@@ -194,7 +193,7 @@ def heisenberg_matrix(basis: ProductBasis, bonds,
     idx = np.arange(basis.dim)
     rows, cols, vals = (np.concatenate(parts)
                         for parts in zip((idx, idx, diag), *entries))
-    mat = sp.coo_matrix((coupling * vals, (rows, cols)),
+    mat = sp.coo_matrix((vals, (rows, cols)),
                         shape=(basis.dim, basis.dim)).tocsr()
     mat.eliminate_zeros()
     return mat

@@ -12,7 +12,7 @@ Two layers:
   eta branches and a grid of starting moduli are scanned, and the
   exactly-decoupled candidate (all boundary expectations zero) is always
   included in the minimum: the lowest converged candidate, ties within
-  1e-12 |J| going to the decoupled one.  A branch that comes within 1e-6 of
+  1e-12 going to the decoupled one.  A branch that comes within 1e-6 of
   a fixed point an earlier branch of its arc and eta converged to stops
   there, unless every modulus of that point is below 1e-7 (z = 0, which
   can be a saddle).  The decoupled candidate is solved first, at zero field.
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import count
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,7 +60,6 @@ ZERO_MODULUS = 1e-12
 # has two coupling pairs; a branch has converged once a cycle moves every
 # boundary modulus by less than TOL
 TOL = 1e-10
-MAX_ITER = 10000
 INIT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 # The chain solver solves sectors up to this dimension densely.  Above it, it
 # runs one Lanczos solve warm-started from the previous iterate's ground
@@ -177,16 +177,14 @@ class CollinearChainSolver:
         V is at least the sum of each bond's lowest eigenvalue, so by Weyl's
         inequality the sector's lowest level is at least
             min over 2M_1 + 2M_2 = 2M of e_1 + e_2, plus sum over V of
-            min(J s_a s_b, J [S_0(S_0 + 1) - s_a(s_a + 1) - s_b(s_b + 1)] / 2)
-        with S_0 = |s_a - s_b|, lowered by 1e-12 max(|J|, |bound|) for
+            [S_0(S_0 + 1) - s_a(s_a + 1) - s_b(s_b + 1)] / 2
+        with S_0 = |s_a - s_b|, lowered by 1e-12 max(1, |bound|) for
         rounding.  It becomes each sector's e_last at these fields.
         """
         system, sites = self.system, self.sites
         if len(sites) < 2:
             return
-        coupling = system.coupling
-        fields = coupling * np.array(z_outside, dtype=float)
-        unit = abs(coupling)
+        fields = np.array(z_outside, dtype=float)
         cut_at = len(sites) // 2
         half = {site: k >= cut_at for k, site in enumerate(sites)}
         levels = []
@@ -195,7 +193,7 @@ class CollinearChainSolver:
             own = [k for k, f in enumerate(self.field_sites) if lo <= f < hi]
             local = [self.field_sites[k] - lo for k in own]
             mat = op.matrix + sp.diags(op.basis.two_m[:, local] @ fields[own] / 2.0)
-            levels.append({t: lowest_level(block.toarray(), unit)[0]
+            levels.append({t: lowest_level(block.toarray())[0]
                            for t, _, block in _sector_blocks(op.basis, mat)})
         low, high = levels
         bound = np.array([min(e + high[sec["two_m"] - t] for t, e in low.items()
@@ -205,17 +203,15 @@ class CollinearChainSolver:
             if a in half and b in half and half[a] != half[b]:
                 s_a, s_b = (system.site_two_s[x] / 2.0 for x in (a, b))
                 s_0 = abs(s_a - s_b)
-                bound += min(coupling * s_a * s_b,
-                             coupling * (s_0 * (s_0 + 1) - s_a * (s_a + 1)
-                                         - s_b * (s_b + 1)) / 2)
-        self.e_last = bound - 1e-12 * np.maximum(unit, np.abs(bound))
+                bound += (s_0 * (s_0 + 1) - s_a * (s_a + 1) - s_b * (s_b + 1)) / 2
+        self.e_last = bound - 1e-12 * np.maximum(1.0, np.abs(bound))
         self.b_last[:] = fields
 
     def ground(self, z_outside, select_coeffs=None):
         """Lowest dressed eigenstate over all sectors.
 
         z_outside: the <sz> z_k of each field site's neighbour across the
-        cut, which dresses the field site with the field b_k = J z_k z_hat.
+        cut, which dresses the field site with the field b_k = z_k z_hat.
         select_coeffs: coefficients c_k resolving degenerate minima by
         minimizing sum_k c_k <sz_(field site k)> over the degenerate level
         (the infinitesimal-field limit of the upcoming fields).  Returns a
@@ -237,17 +233,16 @@ class CollinearChainSolver:
         -inf, so a first call without ``bound_by_halves`` solves every
         sector.
         """
-        fields = self.system.coupling * np.array(z_outside, dtype=float)
+        fields = np.array(z_outside, dtype=float)
         if len(fields) != len(self.field_sites):
             raise ValueError("one field value per field site required")
-        unit = abs(self.system.coupling)
         bounds = np.maximum(
             self.floor - np.abs(fields) @ self.field_spins,
             self.e_last - np.abs(fields - self.b_last) @ self.field_spins)
         results = []
         best = np.inf
         for k in np.argsort(bounds, kind="stable"):
-            if not degenerate_with(best, bounds[k], unit):
+            if not degenerate_with(best, bounds[k]):
                 break
             sec = self.sectors[k]
             shift = None
@@ -257,11 +252,10 @@ class CollinearChainSolver:
             if "dense" in sec:
                 mat = sec["dense"]
                 e0, _, manifold = lowest_level(
-                    mat if shift is None else mat + np.diag(shift), unit)
+                    mat if shift is None else mat + np.diag(shift))
             else:
                 vals, manifold, _ = lanczos_ground(
-                    sec["op"], seed=self.seed, v0=sec["v0"], shift=shift,
-                    unit=unit)
+                    sec["op"], seed=self.seed, v0=sec["v0"], shift=shift)
                 sec["v0"] = manifold[:, 0]
                 e0 = float(vals[0])
             self.e_last[k], self.b_last[k] = e0, fields
@@ -271,8 +265,7 @@ class CollinearChainSolver:
             best = min(best, e0)
         results.sort(key=lambda r: r[1]["two_m"])
         e0 = best
-        level = [(sec, m) for e, sec, m in results
-                 if degenerate_with(e0, e, unit)]
+        level = [(sec, m) for e, sec, m in results if degenerate_with(e0, e)]
         sec, manifold = level[0]
         vec = manifold[:, 0]
         if select_coeffs is not None and (len(level) > 1 or manifold.shape[1] > 1):
@@ -309,7 +302,7 @@ def boundary_map(system: SpinSystem, sites, z_b, z_bprime) -> BoundaryPair:
     sz = {site: op.basis.two_m[:, site] / 2.0 for site in (0, last)}
     fields = sum(b[0] / 2.0 * (splus[site] + splus[site].T) + sp.diags(b[2] * sz[site])
                  for site, b in ((last, z_b), (0, z_bp)))
-    _, _, manifold = lowest_level((op.matrix + fields).toarray(), abs(system.coupling))
+    _, _, manifold = lowest_level((op.matrix + fields).toarray())
     vec = manifold[:, 0]
     if manifold.shape[1] > 1:
         # infinitesimal-field limit: minimize the field coupling inside the
@@ -378,7 +371,9 @@ def _run_branch(solver_a, solver_b, eta, z0, known=()):
     z_a = np.zeros(npair)
     best_resid = np.inf
     since_progress = 0
-    for it in range(1, MAX_ITER + 1):
+    # no cap: the first residual is below 2^19 (each 2s + 1 <= 2^20 / 2), so a
+    # branch converges or stalls within 54 halvings of 101 cycles each
+    for it in count(1):
         ga = solver_a.ground(z_b, select_coeffs=sign)
         za = np.array(ga["z_fields"])
         gb = solver_b.ground(za, select_coeffs=[-s for s in sign])
@@ -386,9 +381,8 @@ def _run_branch(solver_a, solver_b, eta, z0, known=()):
         resid = max(np.max(np.abs(za - z_a)), np.max(np.abs(zb - z_b)))
         z_a, z_b = za, zb
         if resid < TOL:
-            # the crossing bonds add J z_a . z_b to the product state's energy
-            ebs = (ga["e_bare"] + gb["e_bare"]
-                   + solver_a.system.coupling * float(za @ zb))
+            # the crossing bonds add z_a . z_b to the product state's energy
+            ebs = ga["e_bare"] + gb["e_bare"] + float(za @ zb)
             return ScfResult(float(ebs), float(za[0]), float(za[-1]),
                              float(zb[0]), float(zb[-1]), eta, True,
                              float(resid), iterations=it)
@@ -462,11 +456,10 @@ def biseparable_minimum_detailed(system: SpinSystem, arc: Arc, seed: int = DEFAU
             "last_residuals": [float(b.residual) for b in branches]})
     candidates = [b for b in branches if b.converged] + [decoupled]
     # branches reaching one fixed point differ only by rounding, so ties
-    # within 1e-12 |J| (the window of biseparable_scan) go to the decoupled
+    # within 1e-12 (the window of biseparable_scan) go to the decoupled
     # candidate, then to eta = +1; otherwise the seed picks eta
-    unit = abs(system.coupling)
     emin = min(r.ebs for r in candidates)
-    best = min((r for r in candidates if r.ebs <= emin + 1e-12 * unit),
+    best = min((r for r in candidates if r.ebs <= emin + 1e-12),
                key=lambda r: (not r.decoupled, -r.eta, r.ebs))
     return _canonical(best), branches
 
@@ -483,8 +476,10 @@ def _canonical(result: ScfResult) -> ScfResult:
 
 
 def map_jobs(fn, jobs, workers: int = 1) -> list:
-    """[fn(*job) for job in jobs], in job order, over a process pool when
-    workers > 1."""
+    """[fn(*job) for job in jobs], in job order, over a pool of
+    min(workers, len(jobs)) processes when that is above 1: a pool forks all
+    its processes at its first job, so a larger one would fork idle ones."""
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*jobs)))
@@ -538,6 +533,5 @@ def biseparable_scan(system: SpinSystem, seed: int = DEFAULT_SEED,
     reports = map_jobs(bipartition_report,
                        [(system, arc, seed) for arc in scan_arcs(system)], workers)
     emin = min(r.result.ebs for r in reports)
-    window = 1e-12 * abs(system.coupling)  # ties go to the first arc
-    argmin = next(r for r in reports if r.result.ebs <= emin + window)
+    argmin = next(r for r in reports if r.result.ebs <= emin + 1e-12)  # ties: first arc
     return ScanResult(reports, float(emin), argmin)

@@ -68,7 +68,7 @@ def single_site_threshold(system: SpinSystem, k: int, seed: int = DEFAULT_SEED) 
     """E_bs^k: minimum biseparable energy when only site k is factored out,
     the minimum of the cut Arc(k, 1) (``bipartition_report``): the ground
     energy of the remaining sites with k's neighbours dressed by the field
-    J s_k of a fully polarized spin k.
+    s_k of a fully polarized spin k.
     """
     return bipartition_report(system, Arc(k, 1), seed).result.ebs
 
@@ -314,7 +314,7 @@ def full_spectrum(system: SpinSystem) -> np.ndarray:
         # H on a, then on T^-1 a: <column| H |a> = (H Q)[a, column]
         # (a complex Q gives the block of -k, whose spectrum is the same)
         sectors.append((two_m, images[0, [0, -1] if n_k > 2 else [0]][:, own], iso))
-    mat = heisenberg_matrix(basis, system.bonds(), system.coupling)
+    mat = heisenberg_matrix(basis, system.bonds())
     pieces = []
     for two_m, x, (q, sizes, rep, coef) in sectors:
         hq = mat[x.ravel()] @ q
@@ -344,12 +344,11 @@ def thermal_energy(spectrum: np.ndarray, temperature: float) -> float:
     return float((e * w).sum() / w.sum())
 
 
-def threshold_temperature(spectrum: np.ndarray, ebs: float, unit: float = 1.0) -> float:
+def threshold_temperature(spectrum: np.ndarray, ebs: float) -> float:
     """Temperature T* at which <H>_T crosses a biseparable threshold.
 
     <H>_T increases monotonically in T, so the root is unique; found by
-    bisection to |<H>_T - ebs| < 1e-10 unit, searched up to T = 1e6 unit,
-    the unit |J| for a system so that T*/J does not depend on the scale of J.
+    bisection to |<H>_T - ebs| < 1e-10, searched up to T = 1e6, in units of J.
     """
     e = np.asarray(spectrum, dtype=float)
     e0 = e.min()
@@ -357,15 +356,15 @@ def threshold_temperature(spectrum: np.ndarray, ebs: float, unit: float = 1.0) -
         raise ValueError("threshold at or below the ground energy: no crossing")
     if ebs >= e.mean():
         raise ValueError("threshold above the infinite-T energy: no crossing")
-    lo, hi = 0.0, unit
+    lo, hi = 0.0, 1.0
     while thermal_energy(e, hi) < ebs:
         hi *= 2.0
-        if hi > 1e6 * unit:
-            raise ValueError(f"no crossing below T = {1e6 * unit:g}")
+        if hi > 1e6:
+            raise ValueError("no crossing below T = 1e6")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = thermal_energy(e, mid)
-        if abs(val - ebs) < 1e-10 * unit:
+        if abs(val - ebs) < 1e-10:
             return mid
         if val < ebs:
             lo = mid

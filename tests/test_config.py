@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from spinwitness.cli import main
 from spinwitness.config import SCHEMA, ConfigError, load_config, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -100,6 +101,15 @@ def test_scf_block_is_unknown_key():
     # the SCF search has no knobs; a config that still sets one is refused
     with pytest.raises(ConfigError, match=r"unknown keys in config: \['scf'\]"):
         parse_config({"scf": {"init_grid": [0.0]}})
+
+
+def test_coupling_is_unknown_key(tmp_path, capsys):
+    # energies are in units of J, so a config that sets J is refused
+    path = tmp_path / "run.yaml"
+    path.write_text('model: {topology: ring, N: 4, spin: "1/2", coupling: 2.0}\n')
+    assert main(["ground", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown keys in model: ['coupling']\n")
 
 
 def test_digest_stable_and_order_independent():

@@ -101,7 +101,7 @@ def test_variational_bound():
 @st.composite
 def spin_systems(draw):
     """Rings (N >= 3) and chains of N <= 8 mixed spins 1/2..2 with a product
-    space of at most 1024 states, and J of either sign."""
+    space of at most 1024 states."""
     topology = draw(st.sampled_from([RING, CHAIN]))
     n = draw(st.integers(3 if topology == RING else 2, 8))
     two_s, dim = [], 1
@@ -110,8 +110,7 @@ def spin_systems(draw):
         room = 1024 // (dim * 2 ** (n - i - 1))
         two_s.append(draw(st.sampled_from([t for t in (1, 2, 3, 4) if t < room])))
         dim *= two_s[-1] + 1
-    return SpinSystem(topology, tuple(two_s),
-                      draw(st.sampled_from([-1.0, 0.6, 1.0, 1.7])))
+    return SpinSystem(topology, tuple(two_s))
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,8 +130,8 @@ def test_sectored_matches_full_dense(system):
     assert r.degenerate == (level.shape[1] > 1)
     # S^2 = sum_i s_i(s_i + 1) + 2 sum_{i<j} s_i . s_j
     n = system.n_sites
-    pairs = heisenberg_matrix(op.basis, [(i, j) for i in range(n)
-                                         for j in range(i + 1, n)], 2.0)
+    pairs = 2.0 * heisenberg_matrix(op.basis, [(i, j) for i in range(n)
+                                               for j in range(i + 1, n)])
     casimir = sum(t / 2 * (t / 2 + 1) for t in system.site_two_s)
     s2 = level.T @ (pairs @ level) + casimir * np.eye(level.shape[1])
     assert np.abs(np.linalg.eigvalsh(s2) - r.s_squared).min() < 1e-8
@@ -170,12 +169,10 @@ def test_lanczos_diagonal_invariant_subspace():
     assert abs(vals[0] - 0.0) < 1e-9
 
 
-@pytest.mark.parametrize("unit", [0.0, 1.0])
-def test_lanczos_zero_operator(unit):
-    # the first Lanczos vector is already an eigenvector; with unit 0 the
-    # exhaustion test compares a zero residual with a zero scale
+def test_lanczos_zero_operator():
+    # the first Lanczos vector is already an eigenvector
     op = SimpleNamespace(matrix=sp.csr_matrix((5, 5)), dim=5)
-    vals, vecs, iterations = lanczos_ground(op, unit=unit)
+    vals, vecs, iterations = lanczos_ground(op)
     assert vals.tolist() == [0.0]
     assert iterations == 1
     assert abs(np.linalg.norm(vecs[:, 0]) - 1.0) < 1e-12

@@ -31,11 +31,6 @@ class TestSpinSystem:
         with pytest.raises(ValueError):
             SpinSystem(topology, (1,) * n)
 
-    def test_rejects_zero_coupling(self):
-        # J = 0 leaves no exchange to witness and a zero Hamiltonian
-        with pytest.raises(ValueError):
-            SpinSystem.ring(4, "1/2", 0.0)
-
     def test_rejects_spinless_site(self):
         with pytest.raises(ValueError):
             SpinSystem("ring", (1, 0, 1))
@@ -191,17 +186,15 @@ class TestDressing:
 
 class TestDefectedRing:
     def test_spinless_defect_becomes_chain(self):
-        system, labels = defected_ring(SpinSystem.ring(8, "3/2", 0.7), 4, "0")
+        system, labels = defected_ring(SpinSystem.ring(8, "3/2"), 4, "0")
         assert system.topology == "chain"
         assert system.n_sites == 7
-        assert system.coupling == 0.7
         assert labels == [5, 6, 7, 0, 1, 2, 3]
 
     def test_substituted_ring(self):
-        system, labels = defected_ring(SpinSystem.ring(8, "3/2", 0.7), 4, "1")
+        system, labels = defected_ring(SpinSystem.ring(8, "3/2"), 4, "1")
         assert system.topology == "ring"
         assert system.site_two_s[4] == 2
-        assert system.coupling == 0.7
         assert labels == list(range(8))
 
     def test_defect_site_range(self):

@@ -25,8 +25,8 @@ from spinwitness.hamiltonians import CHAIN, RING, Arc, SpinSystem, site_maps
 from spinwitness.scf import bipartition_report, boundary_map, scan_arcs
 
 
-def bond_operator(basis, i, j, coupling=1.0):
-    return heisenberg_matrix(basis, [(i, j)], coupling)
+def bond_operator(basis, i, j):
+    return heisenberg_matrix(basis, [(i, j)])
 
 
 def local_spin_matrices(two_s):
@@ -52,15 +52,15 @@ def kron_embed(spins, site, local):
     return out
 
 
-def dense_exchange(spins, bonds, coupling):
-    """Reference sum of J s_i . s_j built from Kronecker products."""
+def dense_exchange(spins, bonds):
+    """Reference sum of s_i . s_j built from Kronecker products."""
     ms = [local_spin_matrices(t) for t in spins]
 
     def embed(site, comp):
         return kron_embed(spins, site, getattr(ms[site], comp))
 
-    return coupling * sum(embed(i, c) @ embed(j, c)
-                          for i, j in bonds for c in ("sx", "sy", "sz"))
+    return sum(embed(i, c) @ embed(j, c)
+               for i, j in bonds for c in ("sx", "sy", "sz"))
 
 
 class TestParseSpin:
@@ -268,7 +268,7 @@ class TestOperators:
         # s_i . s_j assembled from local matrices must equal the sparse build
         spins = [1, 2, 1]
         built = heisenberg_matrix(ProductBasis(spins), [(0, 1)]).toarray()
-        assert np.abs(dense_exchange(spins, [(0, 1)], 1.0) - built).max() < 1e-12
+        assert np.abs(dense_exchange(spins, [(0, 1)]) - built).max() < 1e-12
 
     def test_bond_rejects_same_site(self):
         b = ProductBasis([1, 1])
@@ -276,14 +276,14 @@ class TestOperators:
             heisenberg_matrix(b, [(0, 1), (1, 1)])
 
     def test_mixed_ring_matches_dense_kron(self):
-        # several bonds and a non-unit coupling, in the full space and in
-        # every Sz sector (rows/columns of the kron sum picked by full index)
+        # several bonds, in the full space and in every Sz sector
+        # (rows/columns of the kron sum picked by full index)
         spins = [1, 2, 3, 2]
         bonds = [(0, 1), (1, 2), (2, 3), (3, 0)]
-        dense = dense_exchange(spins, bonds, 0.7)
+        dense = dense_exchange(spins, bonds)
         for two_m in [None] + [t for t, _ in ProductBasis(spins).sectors()]:
             b = ProductBasis(spins, two_m)
-            mat = heisenberg_matrix(b, bonds, 0.7)
+            mat = heisenberg_matrix(b, bonds)
             assert mat.nnz == np.count_nonzero(mat.data)
             block = dense[np.ix_(b.full_index, b.full_index)]
             assert np.abs(mat.toarray() - block).max() < 1e-12
@@ -334,7 +334,7 @@ class TestOperators:
         def field(site, vec):
             return sum(c * embed(site, comp) for c, comp in zip(vec, ("sx", "sy", "sz")))
 
-        h = (dense_exchange(spins, [(k, k + 1) for k in range(last)], 1.0)
+        h = (dense_exchange(spins, [(k, k + 1) for k in range(last)])
              + field(last, b) + field(0, bprime))
         vals, vecs = np.linalg.eigh(h)
         assert vals[1] - vals[0] > 1e-3  # one ground state, no selection
@@ -348,18 +348,18 @@ class TestOperators:
         b = ProductBasis([1, 1])
         op = bond_operator(b, 0, 1)
         two = op + op
-        assert np.abs(two.toarray() - bond_operator(b, 0, 1, 2.0).toarray()).max() < 1e-14
+        assert np.abs(two.toarray() - 2.0 * dense_exchange([1, 1], [(0, 1)])).max() < 1e-14
 
 
 def product_state_minimum(system, arc, starts=6, cycles=30, seed=0):
     """Lowest energy of the product states |A>|B> that alternating exact
     dressed solves reach on the cut A = arc, from `starts` random x-z
     boundary spins.  Each half-cycle solves one side's exchange in the x-z
-    fields J <s> of its neighbours across the cut, so each energy
-    <H_A> + <H_B> + J sum <s_a>.<s_b> is that of a real product state: an
+    fields <s> of its neighbours across the cut, so each energy
+    <H_A> + <H_B> + sum <s_a>.<s_b> is that of a real product state: an
     upper bound on the biseparable minimum of the cut, built from the
     Kronecker references alone."""
-    n, two_s, j = system.n_sites, system.site_two_s, system.coupling
+    n, two_s = system.n_sites, system.site_two_s
     bonds = [(i, i + 1) for i in range(n - 1)]
     bonds += [(n - 1, 0)] if system.topology == RING else []
     in_a = {(arc.offset + k) % n for k in range(arc.length)}
@@ -373,7 +373,7 @@ def product_state_minimum(system, arc, starts=6, cycles=30, seed=0):
         dim = int(np.prod([t + 1 for t in spins]))
         h = np.zeros((dim, dim)) + np.real(dense_exchange(
             spins, [(local[a], local[b]) for a, b in bonds
-                    if a in local and b in local], j))
+                    if a in local and b in local]))
         ops = {site: [kron_embed(spins, local[site],
                                  getattr(local_spin_matrices(two_s[site]), c))
                       for c in ("sx", "sz")] for site in edge}
@@ -384,7 +384,7 @@ def product_state_minimum(system, arc, starts=6, cycles=30, seed=0):
         h, ops = sides[own]
         dressed = h.copy()
         for pair in crossing:
-            bx, bz = j * neighbour_spins[pair[1 - own]]
+            bx, bz = neighbour_spins[pair[1 - own]]
             sx, sz = ops[pair[own]]
             dressed += bx * sx + bz * sz
         v = scipy.linalg.eigh(dressed, subset_by_index=[0, 0])[1][:, 0]
@@ -392,7 +392,7 @@ def product_state_minimum(system, arc, starts=6, cycles=30, seed=0):
                            for site, (sx, sz) in ops.items()}
 
     def energy(e_a, e_b, spins_a, spins_b):
-        return e_a + e_b + j * sum(spins_a[a] @ spins_b[b] for a, b in crossing)
+        return e_a + e_b + sum(spins_a[a] @ spins_b[b] for a, b in crossing)
 
     rng = np.random.default_rng(seed)
     best = np.inf

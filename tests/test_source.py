@@ -1,8 +1,11 @@
 """Static checks on the package source and the tests."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
+
+from spinwitness.hamiltonians import SpinSystem
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "spinwitness"
@@ -72,3 +75,21 @@ def test_one_hamiltonian_builder():
     naming = [path.name for path in sorted(SRC.glob("*.py"))
               if "heisenberg_matrix" in path.read_text()]
     assert naming == ["hamiltonians.py", "operators.py", "witness.py"]
+
+
+def test_energies_in_units_of_j():
+    # J is the energy unit, not a knob: no system field or parameter
+    # carries it, and only the degeneracy window takes a unit, which
+    # thermal_energy sets to its spectrum's width
+    assert [f.name for f in dataclasses.fields(SpinSystem)] == ["topology", "site_two_s"]
+    params = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                    if arg is not None:
+                        params.setdefault(arg.arg, []).append(
+                            f"{path.stem}.{getattr(node, 'name', 'lambda')}")
+    assert "coupling" not in params
+    assert params["unit"] == ["eigensolvers.degenerate_with"]

@@ -251,14 +251,14 @@ class TestThermal:
         assert abs(thermal_energy(self.spectrum, tstar) - ebs) < 1e-10
 
     def test_threshold_temperature_independent_of_scale_of_coupling(self):
-        # bracket, tolerance and search limit are in units of |J|
-        tstars = []
-        for coupling in (1e-10, 1.0, 1e3):
-            spectrum = full_spectrum(SpinSystem.ring(4, "1/2", coupling))
-            tstars.append(threshold_temperature(spectrum, -coupling, coupling)
-                          / coupling)
-        assert tstars == pytest.approx([tstars[1]] * 3, rel=1e-12)
-        assert tstars[1] == pytest.approx(0.8634, abs=1e-4)
+        # T* in units of J: a spectrum and threshold converted to J = c
+        # (times c) cross at c T*, to the bisection's 1e-10 tolerance
+        spectrum = full_spectrum(SpinSystem.ring(4, "1/2"))
+        tstar = threshold_temperature(spectrum, -1.0)
+        assert tstar == pytest.approx(0.8634, abs=1e-4)
+        for coupling in (0.5, 2.0):
+            assert threshold_temperature(coupling * spectrum, -coupling) \
+                == pytest.approx(coupling * tstar, rel=1e-8)
 
     def test_threshold_out_of_range(self):
         with pytest.raises(ValueError):
@@ -285,21 +285,23 @@ class TestThermal:
 
 
 @pytest.mark.parametrize("topology, n, spin", [
-    ("ring", 4, "1/2"),   # singlet, gap J: read as degenerate at J = 1e-10
+    ("ring", 4, "1/2"),   # singlet, gap 1
     ("ring", 6, "3/2"),   # singlet on the eigsh route
     ("ring", 3, "1/2"),   # a fourfold ground level
     ("chain", 5, "1"),
 ], ids=["ring4-s12", "ring6-s32", "ring3-s12", "chain5-s1"])
 def test_degeneracy_window_scales_with_coupling(topology, n, spin):
-    """`degenerate` and the T = 0 energy do not depend on the scale of J."""
-    unit = SpinSystem(topology, (parse_spin(spin),) * n)
-    e0 = full_spectrum(unit)[0]
-    degenerate = sectored_ground_state(unit).degenerate
+    """`degenerate` is the spectrum's own at J = 1, and the T = 0 energy of
+    the spectrum converted to any J (times J) is J times its own: the window
+    of ``thermal_energy`` is in units of the spectrum's width."""
+    system = SpinSystem(topology, (parse_spin(spin),) * n)
+    spectrum = full_spectrum(system)
+    e0 = spectrum[0]
+    assert sectored_ground_state(system).degenerate == (
+        spectrum[1] - e0 <= 1e-9 * max(1.0, abs(e0)))
     for coupling in (1e-10, 1.0, 1e3):
-        system = SpinSystem(topology, unit.site_two_s, coupling)
-        assert sectored_ground_state(system).degenerate == degenerate
-        assert thermal_energy(full_spectrum(system), 0.0) == pytest.approx(
-            coupling * e0, rel=1e-12)
+        assert thermal_energy(coupling * spectrum, 0.0) == pytest.approx(
+            coupling * thermal_energy(spectrum, 0.0), rel=1e-12)
 
 
 # above this dimension the oracle goes sector by sector, so that the suite
@@ -327,9 +329,9 @@ SPECTRUM_SYSTEMS = (
        defected_ring(SpinSystem.ring(6, "1"), 1, "3/2")[0],   # even, s >= 1 defect
        SpinSystem.chain(6, "1/2"),
        SpinSystem.chain(5, "1"),                              # odd chain
-       SpinSystem.from_spins("ring", ["1/2", "1", "3/2"] * 2),  # no reflection
-       SpinSystem.ring(6, "1/2", coupling=0.7)])
-SPECTRUM_IDS = [f"{s.describe()} {s.site_two_s} J={s.coupling}" for s in SPECTRUM_SYSTEMS]
+       SpinSystem.from_spins("ring", ["1/2", "1", "3/2"] * 2)])  # no reflection
+# every spectrum is in units of J
+SPECTRUM_IDS = [f"{s.describe()} {s.site_two_s} J=1.0" for s in SPECTRUM_SYSTEMS]
 
 
 def _record_block_dtypes(monkeypatch) -> list:
