@@ -31,8 +31,7 @@ def main():
     system = SpinSystem.ring(8, "1/2")
     spectrum = full_spectrum(system)
     ebs = biseparable_scan(system).ebs
-    table = threshold_table(system)
-    weakest = max(e for _, e, _ in table.entries)
+    weakest = max(threshold_table(system))
 
     t_multi = threshold_temperature(spectrum, ebs)
     t_single = threshold_temperature(spectrum, weakest)

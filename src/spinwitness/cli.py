@@ -27,9 +27,9 @@ from .eigensolvers import DENSE_LIMIT, SolverError, sectored_ground_state
 from .hamiltonians import CHAIN, SpinSystem, defected_ring
 from .operators import parse_spin
 from .scf import (biseparable_scan, bipartition_report, boundary_geometry,
-                  boundary_map, map_jobs)
+                  boundary_map)
 from .witness import (
-    defect_table,
+    defect_series,
     full_spectrum,
     ground_energy,
     thermal_energy,
@@ -168,9 +168,7 @@ def cmd_defect(cfg: RunConfig, seed: int, workers: int):
             defected_ring(system, site, sm)
     except ValueError as exc:
         raise ConfigError(f"defect_series: {exc}") from exc
-    jobs = [(system, site, sm, None if labels is None else labels[i], seed)
-            for i, sm in enumerate(spins)]
-    tables = map_jobs(defect_table, jobs, workers)
+    tables = defect_series(system, site, spins, labels, seed, workers)
     columns = ["label", "defect_spin", "k", "e0", "ebs_k", "cost"]
     rows = [[table.label, str(sm), k + 1, table.e0, e, c]
             for table, sm in zip(tables, spins) for k, e, c in table.entries]
@@ -180,12 +178,13 @@ def cmd_defect(cfg: RunConfig, seed: int, workers: int):
 def cmd_verdict(cfg: RunConfig, seed: int, workers: int):
     system, site_labels = cfg.build_system()
     energy = cfg.block("verdict")["energy"]
-    table = threshold_table(system, site_labels=site_labels, seed=seed)
+    thresholds = threshold_table(system, seed)
     scan = biseparable_scan(system, seed, workers=workers)
-    v = verdict(energy, table, scan.ebs)
+    v = verdict(energy, thresholds, scan.ebs)
     columns = ["measured_energy", "global_ebs", "multipartite_detected",
                "sites_provably_entangled"]
-    sites = ";".join(str(k + 1) for k in sorted(v.sites_provably_entangled))
+    sites = ";".join(str(k + 1) for k in
+                     sorted(site_labels[i] for i in v.sites_provably_entangled))
     rows = [[v.measured_energy, scan.ebs, bool(v.multipartite_detected), sites]]
     return columns, rows
 
@@ -248,6 +247,12 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--out {args.out} is a directory")
             if not os.path.isdir(os.path.dirname(args.out) or "."):
                 raise ConfigError(f"--out {args.out}: no such directory")
+            try:  # a name the file system rejects, say one too long
+                os.stat(args.out)
+            except FileNotFoundError:
+                pass
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
         seed = args.seed if args.seed is not None else cfg.seed
         workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
         columns, rows = COMMANDS[args.command](cfg, seed, workers)

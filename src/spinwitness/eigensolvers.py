@@ -71,12 +71,11 @@ def dense_spectrum(mat) -> np.ndarray:
     return scipy.linalg.eigvalsh(a.T, lower=False, overwrite_a=True)
 
 
-def degenerate_with(e0: float, e, unit: float = 1.0):
+def degenerate_with(e0: float, e):
     """True where the level(s) e lie in the degeneracy window of e0:
-    DEGENERACY_TOL times the larger of |e0| and `unit`: J = 1 for a system,
-    the spectrum's width for ``thermal_energy``; inclusive, so e0 is in its
-    own level where the window underflows."""
-    return np.asarray(e) <= float(e0) + DEGENERACY_TOL * max(unit, abs(e0))
+    DEGENERACY_TOL times the larger of |e0| and J = 1; inclusive, so e0 is
+    in its own level."""
+    return np.asarray(e) <= float(e0) + DEGENERACY_TOL * max(1.0, abs(e0))
 
 
 def lowest_level(mat: np.ndarray):

@@ -14,7 +14,6 @@ from .operators import (
     heisenberg_matrix,
     parse_spin,
     product_dim,
-    spin_str,
 )
 
 RING = "ring"
@@ -64,11 +63,6 @@ class SpinSystem:
         if self.topology == RING:
             pairs.append((n - 1, 0))
         return pairs
-
-    def describe(self) -> str:
-        spins = {spin_str(t) for t in self.site_two_s}
-        tag = spins.pop() if len(spins) == 1 else "mixed"
-        return f"{self.topology} N={self.n_sites} s={tag}"
 
 
 def defected_ring(base: SpinSystem, defect_site: int, defect_spin):
@@ -171,9 +165,3 @@ def build_hamiltonian(system: SpinSystem, sector_two_m: int | None = None,
              if i in local and j in local]
     return SparseHermitianOperator(basis, heisenberg_matrix(basis, bonds))
 
-
-__all__ = [
-    "RING", "CHAIN", "SpinSystem", "Arc",
-    "defected_ring", "site_maps", "site_classes", "cut",
-    "build_hamiltonian",
-]

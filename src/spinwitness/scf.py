@@ -51,7 +51,8 @@ from .eigensolvers import (
     lowest_level,
     select_in_manifold,
 )
-from .hamiltonians import RING, Arc, SpinSystem, build_hamiltonian, cut
+from .hamiltonians import (RING, Arc, SpinSystem, build_hamiltonian, cut,
+                           site_maps)
 from .operators import raising
 
 ZERO_MODULUS = 1e-12
@@ -503,15 +504,16 @@ def bipartition_report(system: SpinSystem, arc: Arc,
 
 
 def scan_arcs(system: SpinSystem) -> list:
-    """Contiguous arcs scanned for the global minimum, N_A = 1..N/2: one
-    offset on a homogeneous ring, all on another, and a chain's end cuts,
-    offsets 0 and N - N_A, each bipartition once (README, lemma 1)."""
+    """Contiguous arcs scanned for the global minimum, N_A = 1..N/2: on a
+    ring, the offsets of one spin period (a rotation that keeps the spins,
+    ``site_maps``, carries any other arc onto one of them), and a chain's
+    end cuts, offsets 0 and N - N_A, each bipartition once (README, lemma 1)."""
     n = system.n_sites
-    homogeneous = len(set(system.site_two_s)) == 1
+    period = n // len(site_maps(system)[0])  # on a ring, its spin period
     arcs = []
     for length in range(1, n // 2 + 1):
         if system.topology == RING:
-            offsets = [0] if homogeneous else range(n)
+            offsets = range(period)
         else:
             offsets = [0] if 2 * length == n else [0, n - length]
         for off in offsets:

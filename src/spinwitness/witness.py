@@ -38,12 +38,12 @@ from .operators import (
     spin_str,
     symmetry_orbits,
 )
-from .scf import bipartition_report
+from .scf import bipartition_report, map_jobs
 
 
 @dataclass
 class ThresholdTable:
-    """Per-site disentangling costs E_bs^k - E_0 for one system."""
+    """E_0 and the per-site costs E_bs^k - E_0 of one substitution."""
 
     label: str
     e0: float
@@ -73,27 +73,20 @@ def single_site_threshold(system: SpinSystem, k: int, seed: int = DEFAULT_SEED) 
     return bipartition_report(system, Arc(k, 1), seed).result.ebs
 
 
-def threshold_table(system: SpinSystem, label: str | None = None,
-                    site_labels=None, seed: int = DEFAULT_SEED) -> ThresholdTable:
-    """Thresholds E_bs^k for every site, referred to the ground energy.
-    Each symmetry class of sites is solved once and shares that value."""
-    e0 = ground_energy(system, seed=seed)
-    if site_labels is None:
-        site_labels = list(range(system.n_sites))
+def threshold_table(system: SpinSystem, seed: int = DEFAULT_SEED) -> list:
+    """E_bs^k of every site k, in site order.  Each symmetry class of sites
+    is solved once and shares that value."""
     classes = site_classes(system)
     ebs = {rep: single_site_threshold(system, rep, seed=seed)
            for rep in sorted(set(classes))}
-    entries = sorted((site_labels[i], ebs[rep], ebs[rep] - e0)
-                     for i, rep in enumerate(classes))
-    return ThresholdTable(system.describe() if label is None else label,
-                          float(e0), entries)
+    return [ebs[rep] for rep in classes]
 
 
 def defect_table(system: SpinSystem, defect_site: int, defect_spin,
                  label=None, seed: int = DEFAULT_SEED) -> ThresholdTable:
     """Threshold table of the homogeneous ring `system` with the spin at
     `defect_site` replaced by s_M = `defect_spin`, labelled "s_M=..." unless
-    a label is given.
+    a label is given; its entries are by original ring position.
 
     A spinless substitution contributes a zero-cost entry at the defect site
     (a spin-0 site is in a product state with everything) and the open-chain
@@ -101,33 +94,33 @@ def defect_table(system: SpinSystem, defect_site: int, defect_spin,
     """
     sm_two = parse_spin(defect_spin)
     defected, site_labels = defected_ring(system, defect_site, defect_spin)
-    table = threshold_table(
-        defected, label=f"s_M={spin_str(sm_two)}" if label is None else label,
-        site_labels=site_labels, seed=seed)
+    e0 = float(ground_energy(defected, seed=seed))
+    entries = [(site, ebs, ebs - e0) for site, ebs in
+               zip(site_labels, threshold_table(defected, seed=seed))]
     if sm_two == 0:
-        table.entries.append((defect_site, table.e0, 0.0))
-        table.entries.sort(key=lambda t: t[0])
-    return table
+        entries.append((defect_site, e0, 0.0))
+    return ThresholdTable(f"s_M={spin_str(sm_two)}" if label is None else label,
+                          e0, sorted(entries))
 
 
 def defect_series(system: SpinSystem, defect_site: int, defect_spins,
-                  labels=None, seed: int = DEFAULT_SEED) -> list:
+                  labels=None, seed: int = DEFAULT_SEED, workers: int = 1) -> list:
     """``defect_table`` of each s_M in `defect_spins`, labelled by the
-    matching entry of `labels` when given."""
-    return [defect_table(system, defect_site, sm,
-                         None if labels is None else labels[i], seed)
+    matching entry of `labels` when given, over `workers` processes."""
+    jobs = [(system, defect_site, sm, None if labels is None else labels[i], seed)
             for i, sm in enumerate(defect_spins)]
+    return map_jobs(defect_table, jobs, workers)
 
 
-def verdict(measured_energy: float, table: ThresholdTable,
-            global_ebs: float) -> Verdict:
-    """Entanglement certified by a measured exchange energy.
+def verdict(measured_energy: float, thresholds, global_ebs: float) -> Verdict:
+    """Entanglement certified by a measured exchange energy, given the
+    thresholds E_bs^k of ``threshold_table``.
 
     Site k is certified entangled with the rest iff the energy lies strictly
     below E_bs^k; the full N-partite statement needs energy below the global
     biseparable minimum.  At or above max_k E_bs^k nothing can be concluded.
     """
-    sites = [k for k, e, _ in table.entries if measured_energy < e]
+    sites = [k for k, e in enumerate(thresholds) if measured_energy < e]
     return Verdict(float(measured_energy), sites,
                    bool(measured_energy < global_ebs))
 
@@ -332,14 +325,13 @@ def full_spectrum(system: SpinSystem) -> np.ndarray:
 
 
 def thermal_energy(spectrum: np.ndarray, temperature: float) -> float:
-    """Canonical <H>_T over a complete spectrum (k_B = 1, T in units of J).
-    At T = 0 the ground level is the degeneracy window of the lowest level,
-    in the spectrum's own unit, its width."""
+    """Canonical <H>_T over a complete spectrum (k_B = 1, T in units of J);
+    at T = 0 its limit, the lowest level."""
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
     e = np.asarray(spectrum, dtype=float)
     if temperature == 0:
-        return float(e[degenerate_with(e.min(), e, np.ptp(e))].mean())
+        return float(e.min())
     w = np.exp(-(e - e.min()) / temperature)
     return float((e * w).sum() / w.sum())
 

@@ -73,10 +73,10 @@ def test_criterion_01_nondegenerate_singlet_ground_states():
                 for s in ("1/2", "1")]
     for system in systems:
         r = sectored_ground_state(system)
-        assert r.gap > 1e-6, system.describe()
-        assert not r.degenerate, system.describe()
-        assert abs(r.s_squared) < 1e-8, system.describe()
-        assert r.s_squared >= 0, system.describe()
+        assert r.gap > 1e-6, system
+        assert not r.degenerate, system
+        assert abs(r.s_squared) < 1e-8, system
+        assert r.s_squared >= 0, system
     ok("criterion 1: nondegenerate singlet ground states "
        f"({len(systems)} systems)")
 
@@ -98,7 +98,7 @@ def test_criterion_02_lanczos_matches_dense_oracle():
         assert op.dim <= 4096
         e_dense = dense_spectrum(op.matrix)[0]
         vals, _, _ = lanczos_ground(op)
-        assert abs(vals[0] - e_dense) < 1e-9, system.describe()
+        assert abs(vals[0] - e_dense) < 1e-9, system
     ok(f"criterion 2: Lanczos vs dense oracle on {len(systems)} instances")
 
 

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from spinwitness import cli, scf
+from spinwitness import cli, scf, witness
 from spinwitness.cli import main
 from spinwitness.config import REQUIRED, SCHEMA, parse_config
 from spinwitness.eigensolvers import SolverError
@@ -151,10 +151,12 @@ class TestExitCodes:
         assert out == ""
         assert "config error" in err
 
-    @pytest.mark.parametrize("out", ["", "missing/x.csv"],
-                             ids=["directory", "missing-directory"])
+    @pytest.mark.parametrize("out, message", [
+        ("", "--out "), ("missing/x.csv", "--out "),
+        ("x" * 300, "cannot write --out "),
+    ], ids=["directory", "missing-directory", "name-too-long"])
     def test_unwritable_out_is_2_before_solving(self, tmp_path, capsys,
-                                                monkeypatch, out):
+                                                monkeypatch, out, message):
         def solve(cfg, seed, workers):
             raise AssertionError("solved before --out was checked")
         monkeypatch.setitem(cli.COMMANDS, "ground", solve)
@@ -163,11 +165,12 @@ class TestExitCodes:
              "--out", str(tmp_path / out)], capsys)
         assert code == 2
         assert out_text == ""
-        assert err.startswith("config error: --out ")
+        assert err.startswith("config error: " + message)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
 
     def test_unopenable_out_is_2(self, tmp_path, capsys):
-        # a name too long to open passes the checks before the solve; the
-        # write then fails, and that too is a config error, not a traceback
+        # a name too long to open is refused before the solve, with the
+        # message a failed write gives: a config error, not a traceback
         dest = tmp_path / ("x" * 300 + ".csv")
         code, out, err = run_main(
             ["ground", "--config", write(tmp_path, CHAIN2), "--out", str(dest)],
@@ -454,6 +457,30 @@ class TestThermalAndVerdict:
         record = dict(zip(header.split(","), row.split(",")))
         assert record["multipartite_detected"] == "true"
         assert record["sites_provably_entangled"] == "1;2;3;4"
+
+    def test_verdict_prints_original_ring_positions(self, tmp_path, capsys):
+        # a spinless site 3 leaves the chain 4, 5, 6, 1, 2; -1.65 lies below
+        # the thresholds of its three inner sites, not those of its ends
+        cfg = ('model: {topology: ring, N: 6, spin: "1/2", '
+               'defect: {site: 3, spin: "0"}}\nverdict: {energy: -1.65}\n')
+        code, out, _ = run_main(
+            ["verdict", "--config", write(tmp_path, cfg)], capsys)
+        assert code == 0
+        record = dict(zip(*[l.split(",") for l in out.splitlines()]))
+        assert record["sites_provably_entangled"] == "1;5;6"
+
+    def test_verdict_solves_no_ground_energy(self, tmp_path, capsys,
+                                             monkeypatch):
+        argv = ["verdict", "--config",
+                write(tmp_path, RING4 + "verdict: {energy: -1.9}\n")]
+        want = run_main(argv, capsys)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verdict solved a ground energy")
+        monkeypatch.setattr(witness, "ground_energy", refuse)
+        monkeypatch.setattr(cli, "ground_energy", refuse)
+        assert run_main(argv, capsys) == want
+        assert want[0] == 0
 
     def test_verdict_nothing_certified(self, tmp_path, capsys):
         cfg = RING4 + "verdict: {energy: 0.0}\n"

@@ -43,9 +43,6 @@ class TestSpinSystem:
         s = SpinSystem.from_spins("chain", ["1/2", "3/2"])
         assert s.site_two_s == (1, 3)
 
-    def test_describe(self):
-        assert SpinSystem.ring(8, "3/2").describe() == "ring N=8 s=3/2"
-
 
 class TestGroundEnergies:
     def test_two_site_singlet(self):

@@ -666,6 +666,23 @@ class TestScan:
         arcs = scan_arcs(SpinSystem.from_spins("ring", ["1"] * 3 + ["1/2"]))
         assert len(arcs) == 8  # 4 offsets x 2 lengths
 
+    def test_periodic_ring_offsets_within_one_period(self):
+        # a rotation by two sites carries (1/2, 1) x 3 onto itself
+        arcs = scan_arcs(SpinSystem.from_spins("ring", ["1/2", "1"] * 3))
+        assert [(a.offset, a.length) for a in arcs] == [
+            (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+
+    @pytest.mark.parametrize("spins", [["1/2", "1"] * 3, ["1/2", "1"] * 4,
+                                       ["1", "3/2"] * 3],
+                             ids=["(1/2,1)x3", "(1/2,1)x4", "(1,3/2)x3"])
+    def test_periodic_ring_scan_holds_the_minimum(self, spins):
+        # the minimum over every offset of every length (the oracle)
+        system = SpinSystem.from_spins("ring", spins)
+        n = system.n_sites
+        emin = min(bipartition_report(system, Arc(off, length)).result.ebs
+                   for length in range(1, n // 2 + 1) for off in range(n))
+        assert abs(biseparable_scan(system).ebs - emin) <= 1e-12
+
     def test_scan_minimum_is_min_of_reports(self):
         system = SpinSystem.ring(6, "1/2")
         scan = biseparable_scan(system)

@@ -79,8 +79,7 @@ def test_one_hamiltonian_builder():
 
 def test_energies_in_units_of_j():
     # J is the energy unit, not a knob: no system field or parameter
-    # carries it, and only the degeneracy window takes a unit, which
-    # thermal_energy sets to its spectrum's width
+    # carries it, and no function takes a unit of its own
     assert [f.name for f in dataclasses.fields(SpinSystem)] == ["topology", "site_two_s"]
     params = {}
     for path in sorted(SRC.glob("*.py")):
@@ -92,4 +91,4 @@ def test_energies_in_units_of_j():
                         params.setdefault(arg.arg, []).append(
                             f"{path.stem}.{getattr(node, 'name', 'lambda')}")
     assert "coupling" not in params
-    assert params["unit"] == ["eigensolvers.degenerate_with"]
+    assert "unit" not in params

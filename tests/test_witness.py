@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spinwitness import eigensolvers, witness
 from spinwitness.cli import main
-from spinwitness.operators import parse_spin
+from spinwitness.operators import parse_spin, spin_str
 from spinwitness.eigensolvers import (SolverError, dense_spectrum,
                                       sectored_ground_state)
 from spinwitness.hamiltonians import (
@@ -24,7 +24,6 @@ from spinwitness.hamiltonians import (
     site_maps,
 )
 from spinwitness.witness import (
-    ThresholdTable,
     defect_series,
     eta_s,
     f_factor,
@@ -66,14 +65,15 @@ class TestSingleSiteThreshold:
 
 class TestThresholdTable:
     def test_costs_positive(self):
-        table = threshold_table(SpinSystem.ring(6, "1/2"))
-        assert all(c > 0 for _, _, c in table.entries)
+        system = SpinSystem.ring(6, "1/2")
+        e0 = ground_energy(system)
+        assert all(e > e0 for e in threshold_table(system))
 
     def test_one_solve_on_a_homogeneous_ring(self, monkeypatch):
         calls = _count_solves(monkeypatch)
-        table = threshold_table(SpinSystem.ring(8, "1"))
+        thresholds = threshold_table(SpinSystem.ring(8, "1"))
         assert calls == [0]
-        assert len({e for _, e, _ in table.entries}) == 1
+        assert len(set(thresholds)) == 1
 
     def test_one_solve_per_site_class_of_the_bench_series(self, monkeypatch):
         # classes per table: spin 0 -> 4 of 7, homogeneous -> 1, others 5 of 8
@@ -107,8 +107,9 @@ def test_table_equals_per_site_solves(two_s, topology, data):
         two_s = [two_s[0]] * len(two_s)
         two_s[data.draw(st.integers(0, len(two_s) - 1))] = two_s[-1]
     system = SpinSystem(topology, tuple(two_s))
-    table = threshold_table(system)
-    for k, e, _ in table.entries:
+    thresholds = threshold_table(system)
+    assert len(thresholds) == system.n_sites
+    for k, e in enumerate(thresholds):
         assert abs(e - single_site_threshold(system, k)) < 1e-12, k
 
 
@@ -132,25 +133,29 @@ class TestDefectSeries:
         auto = defect_series(SpinSystem.ring(4, "1/2"), 0, ["3/2"])
         assert auto[0].label == "s_M=3/2"
 
+    def test_workers_give_the_same_tables(self):
+        args = (SpinSystem.ring(4, "1/2"), 1, ["0", "1", "3/2"])
+        assert defect_series(*args, workers=2) == defect_series(*args, workers=1)
+
 
 class TestVerdict:
     def test_boundary_is_exclusive(self):
-        table = ThresholdTable("t", -2.0, [(0, -1.5, 0.5), (1, -1.4, 0.6)])
-        v = verdict(-1.45, table, global_ebs=-1.3)
+        thresholds = [-1.5, -1.4]
+        v = verdict(-1.45, thresholds, global_ebs=-1.3)
         assert v.sites_provably_entangled == [1]
         # at exactly max_k E_bs^k the strict inequality certifies nothing new
-        v = verdict(max(e for _, e, _ in table.entries), table, -1.3)
+        v = verdict(max(thresholds), thresholds, -1.3)
         assert v.sites_provably_entangled == []
-        v = verdict(-1.2, table, -1.3)
+        v = verdict(-1.2, thresholds, -1.3)
         assert v.sites_provably_entangled == []
         assert not v.multipartite_detected
 
     def test_multipartite_implies_all_sites(self):
         system = SpinSystem.ring(6, "1/2")
-        table = threshold_table(system)
+        thresholds = threshold_table(system)
         from spinwitness.scf import biseparable_scan
         scan = biseparable_scan(system)
-        v = verdict(scan.ebs - 1e-6, table, scan.ebs)
+        v = verdict(scan.ebs - 1e-6, thresholds, scan.ebs)
         assert v.multipartite_detected
         assert v.sites_provably_entangled == list(range(6))
 
@@ -330,8 +335,17 @@ SPECTRUM_SYSTEMS = (
        SpinSystem.chain(6, "1/2"),
        SpinSystem.chain(5, "1"),                              # odd chain
        SpinSystem.from_spins("ring", ["1/2", "1", "3/2"] * 2)])  # no reflection
-# every spectrum is in units of J
-SPECTRUM_IDS = [f"{s.describe()} {s.site_two_s} J=1.0" for s in SPECTRUM_SYSTEMS]
+
+
+def _spectrum_id(system) -> str:
+    spins = {spin_str(t) for t in system.site_two_s}
+    tag = spins.pop() if len(spins) == 1 else "mixed"
+    # every spectrum is in units of J
+    return (f"{system.topology} N={system.n_sites} s={tag} "
+            f"{system.site_two_s} J=1.0")
+
+
+SPECTRUM_IDS = [_spectrum_id(s) for s in SPECTRUM_SYSTEMS]
 
 
 def _record_block_dtypes(monkeypatch) -> list:
